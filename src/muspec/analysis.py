@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Union
 
 from .arch import DEFAULT_FUEL, ArchState
 from .contracts import (
@@ -22,9 +22,10 @@ from .contracts import (
     SPEC_PC_CT,
     TOP,
     ContractId,
-    StrengthWitness,
+    Verdict,
     contract_stronger_test,
     contract_trace,
+    relate,
 )
 from .isa import (
     BOTTOM,
@@ -88,6 +89,16 @@ class StateDomain:
     vary: tuple = ()  # ((addr, lo, hi), ...)
     fixed: tuple = ()  # ((addr, value), ...)
 
+    def __post_init__(self):
+        if self.modulus < 2:
+            raise ValueError(f"domain needs values >= 2, got {self.modulus}")
+        for addr, lo, hi in self.vary:
+            if not 0 <= lo <= hi < self.modulus:
+                raise ValueError(f"vary {addr} in {lo}..{hi}: need 0 <= lo <= hi < {self.modulus}")
+        for addr, v in self.fixed:
+            if not 0 <= v < self.modulus:
+                raise ValueError(f"fix {addr} = {v}: need 0 <= value < {self.modulus}")
+
     @property
     def addresses(self) -> tuple:
         return tuple(a for a, *_ in self.vary) + tuple(a for a, _ in self.fixed)
@@ -138,20 +149,6 @@ class StateDomain:
         return StateDomain(modulus, tuple(vary), tuple(fixed))
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    check: str
-    sigma: Optional[ArchState] = None
-    sigma_prime: Optional[ArchState] = None
-    position: Optional[int] = None
-    trace: Optional[tuple] = None
-    trace_prime: Optional[tuple] = None
-
-    def __bool__(self):
-        return self.ok
-
-
 def low_equivalent(sigma: ArchState, sigma_prime: ArchState, policy: Policy) -> bool:
     cells = set(sigma.mem) | set(sigma_prime.mem)
     return all(
@@ -163,13 +160,6 @@ def low_equivalent(sigma: ArchState, sigma_prime: ArchState, policy: Policy) -> 
 
 def _low_fingerprint(sigma: ArchState, policy: Policy) -> tuple:
     return tuple(sorted((a, v) for a, v in sigma.mem.items() if policy.is_low(a)))
-
-
-def _first_divergence(t1: tuple, t2: tuple) -> int:
-    for i, (a, b) in enumerate(zip(t1, t2)):
-        if a != b:
-            return i
-    return min(len(t1), len(t2))
 
 
 def _semantics_tracer(semantics, program, domain, fuel):
@@ -189,33 +179,6 @@ def _semantics_tracer(semantics, program, domain, fuel):
     return run
 
 
-def _equal_within_groups(program, domain, group_key, tracer, check_name, fuel) -> Verdict:
-    """Shared engine: states with equal group keys must have equal traces.
-
-    Each state is compared against its group's first member, so the first
-    counterexample in enumeration order wins deterministically.
-    """
-    groups: dict = {}
-    for sigma in domain.initial_states(program):
-        key = group_key(sigma)
-        trace = tracer(sigma)
-        if key in groups:
-            rep_sigma, rep_trace = groups[key]
-            if rep_trace != trace:
-                return Verdict(
-                    ok=False,
-                    check=check_name,
-                    sigma=rep_sigma,
-                    sigma_prime=sigma,
-                    position=_first_divergence(rep_trace, trace),
-                    trace=rep_trace,
-                    trace_prime=trace,
-                )
-        else:
-            groups[key] = (sigma, trace)
-    return Verdict(ok=True, check=check_name)
-
-
 def check_contract_satisfaction(
     program: Program,
     contract: ContractId,
@@ -226,20 +189,17 @@ def check_contract_satisfaction(
     """Equal contract traces must imply equal adversary-visible hardware
     traces on the domain."""
     if contract.mode == "spec":
-        window = contract.window or 0
-        if window <= cfg.buffer_size + 1:
+        if contract.window <= cfg.buffer_size + 1:
             raise ValueError(
-                f"speculative contract window {window} must exceed "
+                f"speculative contract window {contract.window} must exceed "
                 f"buffer_size + 1 = {cfg.buffer_size + 1}"
             )
-    snapshot_addrs = tuple(domain.addresses)
-    hw = _semantics_tracer(cfg, program, domain, fuel)
-
-    def key(sigma):
-        return contract_trace(contract, program, sigma, fuel, domain.modulus, snapshot_addrs)
-
-    return _equal_within_groups(
-        program, domain, key, hw, f"sat[{contract} vs {cfg.countermeasure}]", fuel
+    return relate(
+        program,
+        domain,
+        _semantics_tracer(contract, program, domain, fuel),
+        _semantics_tracer(cfg, program, domain, fuel),
+        f"sat[{contract} vs {cfg.countermeasure}]",
     )
 
 
@@ -253,8 +213,8 @@ def check_ni(
     """Low-equivalent initial states must produce equal traces."""
     tracer = _semantics_tracer(semantics, program, domain, fuel)
     name = str(semantics) if isinstance(semantics, ContractId) else f"hw:{semantics.countermeasure}"
-    return _equal_within_groups(
-        program, domain, lambda s: _low_fingerprint(s, policy), tracer, f"ni[{name}]", fuel
+    return relate(
+        program, domain, lambda s: _low_fingerprint(s, policy), tracer, f"ni[{name}]"
     )
 
 
@@ -265,13 +225,13 @@ def check_wsni(
     fuel: int = DEFAULT_FUEL,
 ) -> Verdict:
     """Equal seq-arch traces must imply equal traces under ``contract``."""
-    snapshot_addrs = tuple(domain.addresses)
-    tracer = _semantics_tracer(contract, program, domain, fuel)
-
-    def key(sigma):
-        return contract_trace(SEQ_ARCH, program, sigma, fuel, domain.modulus, snapshot_addrs)
-
-    return _equal_within_groups(program, domain, key, tracer, f"wsni[{contract}]", fuel)
+    return relate(
+        program,
+        domain,
+        _semantics_tracer(SEQ_ARCH, program, domain, fuel),
+        _semantics_tracer(contract, program, domain, fuel),
+        f"wsni[{contract}]",
+    )
 
 
 def check_sni(
@@ -283,16 +243,14 @@ def check_sni(
 ) -> Verdict:
     """Low-equivalence plus equal seq-ct traces must imply equal traces
     under ``contract``."""
-    snapshot_addrs = tuple(domain.addresses)
-    tracer = _semantics_tracer(contract, program, domain, fuel)
-
-    def key(sigma):
-        return (
-            _low_fingerprint(sigma, policy),
-            contract_trace(SEQ_CT, program, sigma, fuel, domain.modulus, snapshot_addrs),
-        )
-
-    return _equal_within_groups(program, domain, key, tracer, f"sni[{contract}]", fuel)
+    seq_ct = _semantics_tracer(SEQ_CT, program, domain, fuel)
+    return relate(
+        program,
+        domain,
+        lambda s: (_low_fingerprint(s, policy), seq_ct(s)),
+        _semantics_tracer(contract, program, domain, fuel),
+        f"sni[{contract}]",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,6 @@ class ArchState:
     def is_final(self) -> bool:
         return self.regs[PC] is BOTTOM
 
-    def is_initial(self) -> bool:
-        return all(v == 0 for v in self.regs.values())
-
     def with_regs(self, **updates) -> "ArchState":
         regs = dict(self.regs)
         regs.update(updates)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -29,7 +28,7 @@ from .analysis import (
 from .arch import ArchState, arch_run, format_state, parse_state
 from .contracts import DEFAULT_SPEC_WINDOW, ContractId, contract_trace, format_trace
 from .isa import ParseError, Program, parse_program
-from .pipeline import DEFAULT_BUFFER_SIZE, HwConfig, hw_run
+from .pipeline import HwConfig, adversary_view, hw_steps, initial_hw_state
 
 DEFAULT_WINDOW = DEFAULT_SPEC_WINDOW
 
@@ -150,20 +149,17 @@ def _cmd_hwrun(args) -> int:
             sigma = parse_state(fh.read(), program)
     else:
         sigma = ArchState.initial(program)
-    views, final = hw_run(program, sigma, cfg)
-    print(f"step 0 dir=- view={views[0]}")
-    # replay the scheduler decisions for the dump
-    from .pipeline import hw_step, initial_hw_state
-
     h = initial_hw_state(program, sigma, cfg)
-    for k in range(1, len(views)):
-        h, directive, _ = hw_step(program, h, cfg)
+    # collected first, so that a run that raises prints nothing
+    lines = [f"step 0 dir=- view={adversary_view(h, cfg.expose_labels)}"]
+    for k, (h, directive) in enumerate(hw_steps(program, h, cfg), start=1):
         if directive[0] == "execute":
             d = f"exec {directive[1]}"
         else:
             d = directive[0]
-        print(f"step {k} dir={d} view={views[k]}")
-    sys.stdout.write(format_state(final.sigma))
+        lines.append(f"step {k} dir={d} view={adversary_view(h, cfg.expose_labels)}")
+    print("\n".join(lines))
+    sys.stdout.write(format_state(h.sigma))
     return 0
 
 

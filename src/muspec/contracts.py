@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .arch import DEFAULT_FUEL, ArchState, FuelExhausted, arch_step
 from .isa import (
@@ -43,7 +43,7 @@ class ContractId:
 
     mode: str  # "seq" | "spec" | "top" | "bot"
     observer: Optional[str] = None
-    window: Optional[int] = None  # spec mode only
+    window: Optional[int] = None  # spec mode only; None means DEFAULT_SPEC_WINDOW
 
     def __post_init__(self):
         if self.mode == "seq":
@@ -52,6 +52,10 @@ class ContractId:
         elif self.mode == "spec":
             if self.observer not in OBSERVERS:
                 raise ValueError(f"spec contract needs observer ct|arch|pc-ct, got {self.observer!r}")
+            if self.window is None:
+                object.__setattr__(self, "window", DEFAULT_SPEC_WINDOW)
+            if self.window < 1:
+                raise ValueError(f"speculative window must be >= 1, got {self.window}")
         elif self.mode in ("top", "bot"):
             if self.observer is not None or self.window is not None:
                 raise ValueError(f"{self.mode} contract takes no parameters")
@@ -248,9 +252,57 @@ def contract_trace(
     if contract.mode == "seq":
         return trace_seq(p, state, contract.observer, fuel, modulus)
     if contract.mode == "spec":
-        window = contract.window or DEFAULT_SPEC_WINDOW
-        return trace_spec(p, state, contract.observer, window, fuel, modulus)
+        return trace_spec(p, state, contract.observer, contract.window, fuel, modulus)
     return trace_degenerate(p, state, contract.mode, fuel, modulus, snapshot_addrs)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    ok: bool
+    check: str
+    sigma: Optional[ArchState] = None
+    sigma_prime: Optional[ArchState] = None
+    position: Optional[int] = None
+    trace: Optional[tuple] = None
+    trace_prime: Optional[tuple] = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def _first_divergence(t1: tuple, t2: tuple) -> int:
+    for i, (a, b) in enumerate(zip(t1, t2)):
+        if a != b:
+            return i
+    return min(len(t1), len(t2))
+
+
+def relate(program: Program, domain, key, observe, check: str) -> Verdict:
+    """The one relational engine: states with equal ``key`` must have
+    equal ``observe``.
+
+    Each state is compared against the first state with its key, so the
+    first counterexample in enumeration order wins deterministically.
+    """
+    groups: dict = {}
+    for sigma in domain.initial_states(program):
+        k = key(sigma)
+        trace = observe(sigma)
+        if k in groups:
+            rep_sigma, rep_trace = groups[k]
+            if rep_trace != trace:
+                return Verdict(
+                    ok=False,
+                    check=check,
+                    sigma=rep_sigma,
+                    sigma_prime=sigma,
+                    position=_first_divergence(rep_trace, trace),
+                    trace=rep_trace,
+                    trace_prime=trace,
+                )
+        else:
+            groups[k] = (sigma, trace)
+    return Verdict(ok=True, check=check)
 
 
 @dataclass(frozen=True)
@@ -278,16 +330,12 @@ def contract_stronger_test(
     """
     snapshot_addrs = tuple(domain.addresses)
     for idx, p in enumerate(corpus):
-        buckets = {}
-        for sigma in domain.initial_states(p):
-            t2 = contract_trace(c2, p, sigma, fuel, domain.modulus, snapshot_addrs)
-            t1 = contract_trace(c1, p, sigma, fuel, domain.modulus, snapshot_addrs)
-            if t2 in buckets:
-                rep_sigma, rep_t1 = buckets[t2]
-                if rep_t1 != t1:
-                    return StrengthWitness(idx, rep_sigma, sigma, rep_t1, t1)
-            else:
-                buckets[t2] = (sigma, t1)
+        def trace(c):
+            return lambda sigma: contract_trace(c, p, sigma, fuel, domain.modulus, snapshot_addrs)
+
+        v = relate(p, domain, trace(c2), trace(c1), f"{c1} >= {c2}")
+        if not v.ok:
+            return StrengthWitness(idx, v.sigma, v.sigma_prime, v.trace, v.trace_prime)
     return None
 
 

@@ -8,13 +8,13 @@ data) and ``label`` after it (propagating taint through the new buffer).
 """
 from __future__ import annotations
 
-from typing import Optional
-
-from .isa import BOTTOM, PC, Expr, expr_registers, is_value
+from .isa import BOTTOM, PC, expr_registers, is_value
 
 EMPTY = frozenset()
 
 COUNTERMEASURES = ("none", "seq", "loaddelay", "tt", "nda-strict", "nda-permissive")
+
+TAINT = ("tt", "nda-strict", "nda-permissive")  # the taint-tracking countermeasures
 
 
 def is_transmit(cmd) -> bool:
@@ -176,6 +176,6 @@ def relabel(new_plain, old, directive, policy: str) -> tuple:
     return _execute_labels(new_plain, old, directive[1])
 
 
-def plain_labels(new_plain, old=None, directive=None, policy=None) -> tuple:
+def plain_labels(new_plain) -> tuple:
     """Label function for countermeasures without taint: everything empty."""
     return tuple((cmd, EMPTY) for cmd in new_plain)

@@ -9,8 +9,8 @@ is retainted (relabel).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Tuple
 
 from . import countermeasures as cm
 from .arch import DEFAULT_FUEL, ArchState, FuelExhausted
@@ -29,13 +29,12 @@ from .isa import (
     Reg,
     Skip,
     Store,
-    Value,
     eval_expr,
     is_value,
 )
 from .uarch import (
-    FETCH,
-    RETIRE,
+    PREDICTORS,
+    SCHEDULERS,
     apply_buffer,
     buf_project,
     cmd_assign,
@@ -72,6 +71,13 @@ class HwConfig:
     def __post_init__(self):
         if self.countermeasure not in cm.COUNTERMEASURES:
             raise ValueError(f"unknown countermeasure {self.countermeasure!r}")
+        if self.predictor not in PREDICTORS:
+            raise ValueError(f"unknown predictor {self.predictor!r}")
+        if self.scheduler not in SCHEDULERS:
+            raise ValueError(f"unknown scheduler {self.scheduler!r}")
+        if self.buffer_size < 2:
+            raise ValueError(f"buffer_size must be >= 2, got {self.buffer_size}")
+        make_cache(self.cache)
         if self.countermeasure == "seq" and self.scheduler != "seq":
             object.__setattr__(self, "scheduler", "seq")
 
@@ -142,7 +148,7 @@ def _instr_commands(ins) -> tuple:
     raise TypeError(f"not fetchable as a plain instruction: {ins!r}")
 
 
-def fetch_step(p: Program, regs, mem, buf, cs, bp, mu_w: int, modulus: int):
+def fetch_step(p: Program, regs, mem, buf, cs, bp, mu_w: int):
     a = apply_buffer(tuple((c, None) for c in buf), regs)
     pc = a[PC]
     if pc is BOTTOM:
@@ -225,7 +231,7 @@ def execute_step(p: Program, regs, mem, buf, cs, bp, i: int, modulus: int):
     return STUCK
 
 
-def retire_step(p: Program, regs, mem, buf, cs, bp, modulus: int):
+def retire_step(p: Program, regs, mem, buf, cs, bp):
     if not buf:
         return STUCK
     kind, A, B, tag, _marked = buf[0]
@@ -249,16 +255,6 @@ def retire_step(p: Program, regs, mem, buf, cs, bp, modulus: int):
     return STUCK
 
 
-def _tt_policy(countermeasure: str) -> Optional[str]:
-    if countermeasure == "tt":
-        return "tt"
-    if countermeasure == "nda-strict":
-        return "nda-strict"
-    if countermeasure == "nda-permissive":
-        return "nda-permissive"
-    return None
-
-
 def hw_step(p: Program, h: HwState, cfg: HwConfig) -> Tuple[HwState, tuple, bool]:
     """One top-level step: query the scheduler, run the stage through the
     countermeasure wrappers, relabel, update the scheduler.
@@ -268,7 +264,7 @@ def hw_step(p: Program, h: HwState, cfg: HwConfig) -> Tuple[HwState, tuple, bool
     state still advances, so a later step can pick a different directive.
     """
     directive = h.sc.next()
-    policy = _tt_policy(cfg.countermeasure)
+    taint = cfg.countermeasure in cm.TAINT
 
     allowed = True
     if cfg.countermeasure == "loaddelay":
@@ -276,29 +272,29 @@ def hw_step(p: Program, h: HwState, cfg: HwConfig) -> Tuple[HwState, tuple, bool
 
     result = STUCK
     if allowed:
-        if policy is None:
+        if not taint:
             plain = tuple(c for c, _l in h.buf)
-        elif policy == "tt":
+        elif cfg.countermeasure == "tt":
             plain = cm.tt_unlabel(h.buf, directive, cfg.mask_literal)
         else:
             plain = cm.nda_unlabel(h.buf, directive, cfg.mask_literal)
         regs, mem = h.sigma.regs, h.sigma.mem
         if directive[0] == "fetch":
-            result = fetch_step(p, regs, mem, plain, h.cs, h.bp, cfg.buffer_size, cfg.modulus)
+            result = fetch_step(p, regs, mem, plain, h.cs, h.bp, cfg.buffer_size)
         elif directive[0] == "execute":
             result = execute_step(p, regs, mem, plain, h.cs, h.bp, directive[1], cfg.modulus)
         else:
-            result = retire_step(p, regs, mem, plain, h.cs, h.bp, cfg.modulus)
+            result = retire_step(p, regs, mem, plain, h.cs, h.bp)
 
     if result is STUCK:
         new_buf, sigma, cs2, bp2 = h.buf, h.sigma, h.cs, h.bp
         progressed = False
     else:
         regs2, mem2, buf_plain, cs2, bp2 = result
-        if policy is None:
-            new_buf = cm.plain_labels(buf_plain)
+        if taint:
+            new_buf = cm.relabel(buf_plain, h.buf, directive, cfg.countermeasure)
         else:
-            new_buf = cm.relabel(buf_plain, h.buf, directive, policy)
+            new_buf = cm.plain_labels(buf_plain)
         sigma = ArchState(regs=regs2, mem=mem2)
         progressed = True
 
@@ -315,6 +311,28 @@ def adversary_view(h: HwState, expose_labels: bool = True) -> tuple:
     return (proj, h.cs.key(), h.bp.key(), h.sc.key())
 
 
+def hw_steps(p: Program, h: HwState, cfg: HwConfig) -> Iterator[Tuple[HwState, tuple]]:
+    """Step from ``h`` to the final hardware state, yielding each new state
+    with the directive that produced it."""
+    idle = 0
+    idle_limit = 4 * (cfg.buffer_size + 3)
+    for _ in range(cfg.fuel):
+        if h.is_final():
+            return
+        h2, directive, progressed = hw_step(p, h, cfg)
+        changed = progressed and (
+            h2.sigma != h.sigma or h2.buf != h.buf or h2.cs != h.cs or h2.bp != h.bp
+        )
+        idle = 0 if changed else idle + 1
+        if idle > idle_limit:
+            raise DeadlockError(
+                f"no progress after {idle} steps; last directive {directive}"
+            )
+        yield h2, directive
+        h = h2
+    raise FuelExhausted(f"no final hardware state within {cfg.fuel} steps")
+
+
 def hw_run(
     p: Program,
     sigma: ArchState,
@@ -324,20 +342,6 @@ def hw_run(
     (one view per state, the initial one included)."""
     h = initial_hw_state(p, sigma, cfg)
     views = [adversary_view(h, cfg.expose_labels)]
-    idle = 0
-    idle_limit = 4 * (cfg.buffer_size + 3)
-    for _ in range(cfg.fuel):
-        if h.is_final():
-            return tuple(views), h
-        h2, directive, progressed = hw_step(p, h, cfg)
-        views.append(adversary_view(h2, cfg.expose_labels))
-        changed = progressed and (
-            h2.sigma != h.sigma or h2.buf != h.buf or h2.cs != h.cs or h2.bp != h.bp
-        )
-        idle = 0 if changed else idle + 1
-        if idle > idle_limit:
-            raise DeadlockError(
-                f"no progress after {idle} steps; last directive {directive}"
-            )
-        h = h2
-    raise FuelExhausted(f"no final hardware state within {cfg.fuel} steps")
+    for h, _directive in hw_steps(p, h, cfg):
+        views.append(adversary_view(h, cfg.expose_labels))
+    return tuple(views), h

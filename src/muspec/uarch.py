@@ -16,9 +16,10 @@ frozenset of 1-based buffer indexes (empty outside taint tracking).
 """
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Optional
 
-from .isa import BOTTOM, PC, Expr, is_value
+from .isa import BOTTOM, PC, is_value
 
 R = "R"
 UR = "UR"
@@ -53,15 +54,6 @@ def cmd_load(x, payload, tag=None):
 
 def cmd_store(value_payload, addr_payload, tag=None):
     return ("store", value_payload, addr_payload, tag, False)
-
-
-def cmd_resolved(cmd) -> bool:
-    kind, a, b, _, _ = cmd
-    if kind in ("skip", "barrier"):
-        return True
-    if kind == "store":
-        return is_value(a) and is_value(b)
-    return is_value(b)
 
 
 def buf_project(buf) -> tuple:
@@ -101,13 +93,13 @@ def apply_buffer(buf, regs: dict) -> dict:
 # Caches (metadata only: which lines are present, never their contents)
 
 
+@dataclass(unsafe_hash=True)
 class LruCache:
     """Fully-associative cache with least-recently-used eviction."""
 
-    def __init__(self, capacity: int, line: int = 1, entries: tuple = ()):
-        self.capacity = capacity
-        self.line = line
-        self.entries = entries  # most recent first
+    capacity: int
+    line: int = 1
+    entries: tuple = ()  # most recent first
 
     def _lid(self, addr):
         return addr // self.line
@@ -123,20 +115,18 @@ class LruCache:
     def key(self) -> tuple:
         return ("lru", self.capacity, self.line, self.entries)
 
-    def __eq__(self, other):
-        return isinstance(other, LruCache) and self.key() == other.key()
 
-    def __hash__(self):
-        return hash(self.key())
-
-
+@dataclass(unsafe_hash=True)
 class DirectCache:
     """Direct-mapped cache: one slot per set, indexed by line modulo sets."""
 
-    def __init__(self, sets: int, line: int = 1, slots: Optional[tuple] = None):
-        self.sets = sets
-        self.line = line
-        self.slots = slots if slots is not None else (None,) * sets
+    sets: int
+    line: int = 1
+    slots: Optional[tuple] = None  # None: every set empty
+
+    def __post_init__(self):
+        if self.slots is None:
+            self.slots = (None,) * self.sets
 
     def _lid(self, addr):
         return addr // self.line
@@ -154,21 +144,18 @@ class DirectCache:
     def key(self) -> tuple:
         return ("direct", self.sets, self.line, self.slots)
 
-    def __eq__(self, other):
-        return isinstance(other, DirectCache) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
 
 def make_cache(spec: str):
-    """Parse ``lru:<cap>`` or ``direct:<sets>[:<line>]``."""
+    """Parse ``lru:<cap>[:<line>]`` or ``direct:<sets>[:<line>]``; the size
+    and the line must be at least 1."""
     parts = spec.split(":")
-    if parts[0] == "lru" and len(parts) in (2, 3):
-        return LruCache(int(parts[1]), int(parts[2]) if len(parts) == 3 else 1)
-    if parts[0] == "direct" and len(parts) in (2, 3):
-        return DirectCache(int(parts[1]), int(parts[2]) if len(parts) == 3 else 1)
-    raise ValueError(f"unknown cache spec {spec!r}")
+    caches = {"lru": LruCache, "direct": DirectCache}
+    if parts[0] not in caches or len(parts) not in (2, 3):
+        raise ValueError(f"unknown cache spec {spec!r}")
+    size, line = int(parts[1]), int(parts[2]) if len(parts) == 3 else 1
+    if size < 1 or line < 1:
+        raise ValueError(f"cache spec {spec!r}: size and line must be >= 1")
+    return caches[parts[0]](size, line)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +163,8 @@ def make_cache(spec: str):
 # predictors carry the (immutable) branch target table of the program.
 
 
+@dataclass(unsafe_hash=True)
 class FallthroughPredictor:
-    targets: dict = {}
-
     def predict(self, addr):
         return addr + 1
 
@@ -188,18 +174,12 @@ class FallthroughPredictor:
     def key(self):
         return ("fallthrough",)
 
-    def __eq__(self, other):
-        return type(other) is type(self) and self.key() == other.key()
 
-    def __hash__(self):
-        return hash(self.key())
-
-
+@dataclass(unsafe_hash=True)
 class BackwardTakenPredictor:
     """Static heuristic: backward branches predicted taken, forward not."""
 
-    def __init__(self, targets: dict):
-        self.targets = targets
+    targets: dict = field(compare=False)
 
     def predict(self, addr):
         target = self.targets.get(addr)
@@ -213,19 +193,13 @@ class BackwardTakenPredictor:
     def key(self):
         return ("backward",)
 
-    def __eq__(self, other):
-        return type(other) is type(self) and self.key() == other.key()
 
-    def __hash__(self):
-        return hash(self.key())
-
-
+@dataclass(unsafe_hash=True)
 class TwoBitPredictor:
     """Per-address saturating counters, 0..3, taken when >= 2, cold state 0."""
 
-    def __init__(self, targets: dict, counters: tuple = ()):
-        self.targets = targets
-        self.counters = counters  # sorted ((addr, counter), ...)
+    targets: dict = field(compare=False)
+    counters: tuple = ()  # sorted ((addr, counter), ...)
 
     def _counter(self, addr) -> int:
         for a, c in self.counters:
@@ -249,11 +223,8 @@ class TwoBitPredictor:
     def key(self):
         return ("twobit", self.counters)
 
-    def __eq__(self, other):
-        return type(other) is type(self) and self.key() == other.key()
 
-    def __hash__(self):
-        return hash(self.key())
+PREDICTORS = ("fallthrough", "backward", "twobit")
 
 
 def make_predictor(kind: str, program):
@@ -295,12 +266,12 @@ def _retire_ready(entry) -> bool:
     return b == R
 
 
+@dataclass(unsafe_hash=True)
 class SequentialScheduler:
     """Fetch / execute 1 / retire in strict program order; its state is the
     last projection it saw."""
 
-    def __init__(self, proj: tuple = ()):
-        self.proj = proj
+    proj: tuple = ()
 
     def next(self) -> tuple:
         if not self.proj:
@@ -313,13 +284,8 @@ class SequentialScheduler:
     def key(self):
         return ("seq", self.proj)
 
-    def __eq__(self, other):
-        return type(other) is type(self) and self.key() == other.key()
 
-    def __hash__(self):
-        return hash(self.key())
-
-
+@dataclass(unsafe_hash=True)
 class OooScheduler:
     """Out-of-order policy: fetch ahead while there is room, execute the
     youngest executable entry, retire last.
@@ -332,10 +298,9 @@ class OooScheduler:
     turn into a hit, anything still stuck after two tries is skipped.
     """
 
-    def __init__(self, mu_w: int, proj: tuple = (), stall: int = 0):
-        self.mu_w = mu_w
-        self.proj = proj
-        self.stall = stall
+    mu_w: int
+    proj: tuple = ()
+    stall: int = 0
 
     def _candidates(self) -> list:
         proj = self.proj
@@ -380,11 +345,8 @@ class OooScheduler:
     def key(self):
         return ("ooo", self.mu_w, self.proj, self.stall)
 
-    def __eq__(self, other):
-        return type(other) is type(self) and self.key() == other.key()
 
-    def __hash__(self):
-        return hash(self.key())
+SCHEDULERS = ("seq", "ooo")
 
 
 def make_scheduler(kind: str, mu_w: int):

@@ -1,4 +1,5 @@
 """Decision procedures: NI, SNI, wSNI, satisfaction, tables, lattice."""
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -20,10 +21,12 @@ from muspec.analysis import (
 )
 from muspec.arch import ArchState
 from muspec.contracts import (
+    DEFAULT_SPEC_WINDOW,
     SEQ_ARCH,
     SEQ_CT,
     SPEC_CT,
     SPEC_PC_CT,
+    ContractId,
     contract_stronger_test,
     contract_trace,
 )
@@ -71,6 +74,20 @@ def test_domain_parse_and_enumeration():
     assert len(states) == 3
     assert all(s.read_mem(5) == 1 for s in states)
     assert sorted(s.read_mem(3) for s in states) == [0, 1, 2]
+
+
+def test_domain_rejects_empty_and_out_of_range_values():
+    assert StateDomain(modulus=16, vary=((7, 3, 3),), fixed=((5, 15),)).size() == 1
+    for text in (
+        "values 1\n",
+        "vary 7 in 3..0\n",  # empty: size() would be -2 and nothing enumerated
+        "vary 7 in -1..2\n",
+        "vary 7 in 0..16\n",
+        "fix 5 = 16\n",
+        "fix 5 = -1\n",
+    ):
+        with pytest.raises(ValueError):
+            StateDomain.parse(text)
 
 
 def test_domain_guard():
@@ -124,6 +141,23 @@ def test_spec_window_precondition_enforced():
         check_contract_satisfaction(
             corpus.load("P1"), replace(SPEC_CT, window=5), cfg, dom_for("P1")
         )
+
+
+def test_spec_window_normalised_once():
+    assert SPEC_CT.window == DEFAULT_SPEC_WINDOW
+    assert ContractId.parse("spec-ct") == ContractId("spec", "ct", DEFAULT_SPEC_WINDOW)
+    with pytest.raises(ValueError):
+        ContractId("spec", "ct", 0)
+    # a contract built without a window is checked with the window its
+    # traces use, not rejected as window 0
+    p, dom = corpus.load("P1"), dom_for("P1")
+    cfg = HwConfig(countermeasure="tt")
+    assert check_contract_satisfaction(p, SPEC_CT, cfg, dom) == check_contract_satisfaction(
+        p, replace(SPEC_CT, window=DEFAULT_SPEC_WINDOW), cfg, dom
+    )
+    assert contract_trace(SPEC_CT, p, ArchState.initial(p, {7: 1})) == contract_trace(
+        replace(SPEC_CT, window=DEFAULT_SPEC_WINDOW), p, ArchState.initial(p, {7: 1})
+    )
 
 
 # -- non-interference --------------------------------------------------------------
@@ -296,3 +330,63 @@ def test_satisfaction_monotone_along_lattice_edges():
                 continue
             if check_contract_satisfaction(p, c1, HwConfig(countermeasure="seq"), dom).ok:
                 assert check_contract_satisfaction(p, c2, HwConfig(countermeasure="seq"), dom).ok
+
+
+# -- the relational engine against its pairwise definition ---------------------
+
+
+def _pairwise(states, key, observe):
+    """Brute force: a check fails iff some pair i < j has equal keys and
+    unequal observations. The counterexample is the smallest such j, the
+    first state with j's key, and the first index where they differ."""
+    keys = [key(s) for s in states]
+    obs = [observe(s) for s in states]
+    for j in range(len(states)):
+        if any(keys[i] == keys[j] and obs[i] != obs[j] for i in range(j)):
+            i = keys.index(keys[j])
+            diff = [n for n, (a, b) in enumerate(zip(obs[i], obs[j])) if a != b]
+            position = diff[0] if diff else min(len(obs[i]), len(obs[j]))
+            return (False, states[i], states[j], position, obs[i], obs[j])
+    return (True, None, None, None, None, None)
+
+
+def test_relate_matches_pairwise_definition_on_random_programs():
+    dom = StateDomain(modulus=16, vary=((0, 0, 2), (1, 0, 1), (3, 0, 1)))
+    policy = Policy(((1, 15),))  # cell 0 is the only high input
+
+    def low(s):
+        return tuple(s.read_mem(a) for a in dom.addresses if policy.is_low(a))
+
+    outcomes = Counter()
+    for p in random_programs(20, seed=7):
+        states = list(dom.initial_states(p))
+
+        def trace(c):
+            return lambda s: contract_trace(c, p, s, modulus=16, snapshot_addrs=dom.addresses)
+
+        cases = []
+        for cm in ("none", "tt"):
+            cfg = HwConfig(countermeasure=cm, predictor="twobit", modulus=16)
+            verdict = check_contract_satisfaction(p, SEQ_CT, cfg, dom)
+            cases.append((cm, verdict, trace(SEQ_CT), lambda s, cfg=cfg: hw_run(p, s, cfg)[0]))
+        cases.append(("ni", check_ni(p, policy, SEQ_CT, dom), low, trace(SEQ_CT)))
+        cases.append(("wsni", check_wsni(p, SPEC_CT_W, dom), trace(SEQ_ARCH), trace(SPEC_CT_W)))
+        seq_ct = trace(SEQ_CT)
+        sni_key = lambda s: (low(s), seq_ct(s))
+        cases.append(("sni", check_sni(p, policy, SPEC_CT_W, dom), sni_key, trace(SPEC_CT_W)))
+        for name, v, key, observe in cases:
+            got = (v.ok, v.sigma, v.sigma_prime, v.position, v.trace, v.trace_prime)
+            assert got == _pairwise(states, key, observe), (name, p)
+            outcomes[name, v.ok] += 1
+
+        # the reversed edge spec-ct >= seq-ct, which the lattice refutes
+        w = contract_stronger_test(SPEC_CT_W, SEQ_CT, [p], dom)
+        ok, sigma, sigma_prime, _pos, t1, t1_prime = _pairwise(states, trace(SEQ_CT), trace(SPEC_CT_W))
+        if ok:
+            assert w is None, p
+        else:
+            assert (w.sigma, w.sigma_prime, w.trace1, w.trace1_prime) == (sigma, sigma_prime, t1, t1_prime)
+        outcomes["edge", ok] += 1
+
+    # every check both passes and fails somewhere, so no comparison is vacuous
+    assert all(outcomes[name, ok] for name, _ in outcomes for ok in (True, False)), outcomes

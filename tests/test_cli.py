@@ -122,6 +122,33 @@ def test_fuel_error_exit_two(capsys):
     assert "FuelExhausted" in err
 
 
+def test_hwrun_error_prints_nothing(capsys):
+    code, out, err = run_cli(capsys, "hwrun", "P1", "--countermeasure", "tt", "--fuel", "5")
+    assert code == 2
+    assert out == ""
+    assert "FuelExhausted" in err
+
+
+def test_empty_domain_exit_two(capsys, tmp_path):
+    dom = tmp_path / "dom.txt"
+    dom.write_text("values 16\nvary 7 in 3..0\n")
+    code, out, err = run_cli(
+        capsys, "check", "sat", "P1", "--contract", "spec-ct",
+        "--countermeasure", "tt", "--domain", str(dom),
+    )
+    assert code == 2
+    assert out == ""
+    assert "3..0" in err
+
+
+def test_bad_config_exit_two(capsys, tmp_path):
+    cfg = tmp_path / "hw.cfg"
+    cfg.write_text("cache = direct:0\n")
+    code, out, _ = run_cli(capsys, "hwrun", "P1", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+
+
 def test_classify_output_byte_stable(capsys):
     first = run_cli(capsys, "classify", "ct", "P2", "P2f")
     second = run_cli(capsys, "classify", "ct", "P2", "P2f")

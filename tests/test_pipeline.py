@@ -49,7 +49,7 @@ def test_fetch_branch_appends_tagged_prediction():
     p = parse_program("beqz x, 5\nskip\nskip\nskip\nskip\nskip")
     bp = make_predictor("fallthrough", p)
     regs = {PC: 0, "x": 0}
-    result = fetch_step(p, regs, {}, (), warm_cache(0), bp, MU_W, MOD)
+    result = fetch_step(p, regs, {}, (), warm_cache(0), bp, MU_W)
     assert result is not STUCK
     _, _, buf, cs, _ = result
     assert buf == (cmd_assign(PC, 1, tag=0),)
@@ -60,11 +60,11 @@ def test_fetch_cold_cache_misses_then_hits():
     p = parse_program("skip")
     bp = make_predictor("fallthrough", p)
     regs = {PC: 0}
-    r1 = fetch_step(p, regs, {}, (), LruCache(4), bp, MU_W, MOD)
+    r1 = fetch_step(p, regs, {}, (), LruCache(4), bp, MU_W)
     _, _, buf1, cs1, _ = r1
     assert buf1 == ()  # miss: only the cache learned the address
     assert cs1.access(0)
-    r2 = fetch_step(p, regs, {}, (), cs1, bp, MU_W, MOD)
+    r2 = fetch_step(p, regs, {}, (), cs1, bp, MU_W)
     _, _, buf2, _, _ = r2
     assert buf2 == (cmd_skip(), cmd_assign(PC, 1, marked=True))
 
@@ -72,21 +72,21 @@ def test_fetch_cold_cache_misses_then_hits():
 def test_fetch_load_appends_marked_pc_increment():
     p = parse_program("load z, 4 + 3")
     bp = make_predictor("fallthrough", p)
-    result = fetch_step(p, {PC: 0, "z": 0}, {}, (), warm_cache(0), bp, MU_W, MOD)
+    result = fetch_step(p, {PC: 0, "z": 0}, {}, (), warm_cache(0), bp, MU_W)
     _, _, buf, _, _ = result
     assert buf == (cmd_load("z", BinOp("+", Const(4), Const(3))), cmd_assign(PC, 1, marked=True))
 
 
 def test_fetch_jump_appends_target_expression():
     p = parse_program("jmp 4 + 1\nskip\nskip\nskip\nskip\nskip")
-    result = fetch_step(p, {PC: 0}, {}, (), warm_cache(0), None, MU_W, MOD)
+    result = fetch_step(p, {PC: 0}, {}, (), warm_cache(0), None, MU_W)
     _, _, buf, _, _ = result
     assert buf == (cmd_assign(PC, BinOp("+", Const(4), Const(1))),)
 
 
 def test_fetch_past_program_appends_terminate_entry():
     p = parse_program("skip")
-    result = fetch_step(p, {PC: 1}, {}, (), warm_cache(1), None, MU_W, MOD)
+    result = fetch_step(p, {PC: 1}, {}, (), warm_cache(1), None, MU_W)
     _, _, buf, _, _ = result
     assert buf == (cmd_assign(PC, BOTTOM),)
 
@@ -96,12 +96,12 @@ def test_fetch_stuck_on_undefined_pc_or_full_buffer():
     buf = plain(cmd_load("x", Const(3)))  # pending load of... pc? no: x
     # undefined pc: a pending unresolved jump target
     buf_pc = plain(cmd_assign(PC, Reg("x")))
-    assert fetch_step(p, {PC: 0, "x": 1}, {}, buf_pc, warm_cache(0), None, MU_W, MOD) is STUCK
+    assert fetch_step(p, {PC: 0, "x": 1}, {}, buf_pc, warm_cache(0), None, MU_W) is STUCK
     full = plain(*(cmd_skip() for _ in range(MU_W)))
-    assert fetch_step(p, {PC: 0, "x": 1}, {}, full, warm_cache(0), None, MU_W, MOD) is STUCK
+    assert fetch_step(p, {PC: 0, "x": 1}, {}, full, warm_cache(0), None, MU_W) is STUCK
     # two-entry fetch needs two free slots
     nearly = plain(*(cmd_skip() for _ in range(MU_W - 1)))
-    assert fetch_step(p, {PC: 0, "x": 1}, {}, nearly, warm_cache(0), None, MU_W, MOD) is STUCK
+    assert fetch_step(p, {PC: 0, "x": 1}, {}, nearly, warm_cache(0), None, MU_W) is STUCK
 
 
 # -- execute ------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_execute_store_resolves_both_operands():
 
 def test_retire_assignment_writes_register():
     p = parse_program("skip")
-    result = retire_step(p, {PC: 0, "x": 0}, {}, plain(cmd_assign("x", 5)), warm_cache(), None, MOD)
+    result = retire_step(p, {PC: 0, "x": 0}, {}, plain(cmd_assign("x", 5)), warm_cache(), None)
     regs, _, buf, _, _ = result
     assert regs["x"] == 5
     assert buf == ()
@@ -186,7 +186,7 @@ def test_retire_assignment_writes_register():
 
 def test_retire_store_writes_memory_and_cache():
     p = parse_program("skip")
-    result = retire_step(p, {PC: 0}, {}, plain(cmd_store(3, 7)), LruCache(4), None, MOD)
+    result = retire_step(p, {PC: 0}, {}, plain(cmd_store(3, 7)), LruCache(4), None)
     _, mem, _, cs, _ = result
     assert mem[7] == 3
     assert cs.access(7)
@@ -194,9 +194,9 @@ def test_retire_store_writes_memory_and_cache():
 
 def test_retire_stuck_on_tagged_or_unresolved_head():
     p = parse_program("skip")
-    assert retire_step(p, {PC: 0}, {}, plain(cmd_assign(PC, 5, tag=0)), warm_cache(), None, MOD) is STUCK
-    assert retire_step(p, {PC: 0}, {}, plain(cmd_assign("x", Reg("y"))), warm_cache(), None, MOD) is STUCK
-    assert retire_step(p, {PC: 0}, {}, (), warm_cache(), None, MOD) is STUCK
+    assert retire_step(p, {PC: 0}, {}, plain(cmd_assign(PC, 5, tag=0)), warm_cache(), None) is STUCK
+    assert retire_step(p, {PC: 0}, {}, plain(cmd_assign("x", Reg("y"))), warm_cache(), None) is STUCK
+    assert retire_step(p, {PC: 0}, {}, (), warm_cache(), None) is STUCK
 
 
 # -- top-level stepping and runs ----------------------------------------------
@@ -303,6 +303,25 @@ def test_config_parsing():
     assert cfg.countermeasure == "loaddelay"
     with pytest.raises(ValueError):
         HwConfig.parse("nonsense = 1")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(buffer_size=1),  # a later DeadlockError without the check
+        dict(cache="lru:0"),  # a later DeadlockError
+        dict(cache="direct:0"),  # a later ZeroDivisionError
+        dict(cache="direct:4:0"),
+        dict(predictor="oracle"),
+        dict(scheduler="random"),
+    ],
+)
+def test_config_rejected_where_built(bad):
+    with pytest.raises(ValueError):
+        HwConfig(**bad)
+    text = "".join(f"{k} = {v}\n" for k, v in bad.items())
+    with pytest.raises(ValueError):
+        HwConfig.parse(text)
 
 
 def test_seq_countermeasure_forces_sequential_scheduler():
