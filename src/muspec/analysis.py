@@ -59,6 +59,11 @@ class Policy:
 
     low: tuple  # ((lo, hi), ...), inclusive
 
+    def __post_init__(self):
+        for lo, hi in self.low:
+            if not 0 <= lo <= hi:
+                raise ValueError(f"low {lo}..{hi}: need 0 <= lo <= hi")
+
     def is_low(self, addr: int) -> bool:
         return any(lo <= addr <= hi for lo, hi in self.low)
 
@@ -90,8 +95,8 @@ class StateDomain:
     fixed: tuple = ()  # ((addr, value), ...)
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"domain needs values >= 2, got {self.modulus}")
+        if self.modulus < 2 or self.modulus & (self.modulus - 1):
+            raise ValueError(f"domain needs values a power of two >= 2, got {self.modulus}")
         for addr, lo, hi in self.vary:
             if not 0 <= lo <= hi < self.modulus:
                 raise ValueError(f"vary {addr} in {lo}..{hi}: need 0 <= lo <= hi < {self.modulus}")

@@ -30,10 +30,6 @@ from .contracts import DEFAULT_SPEC_WINDOW, ContractId, contract_trace, format_t
 from .isa import ParseError, Program, parse_program
 from .pipeline import HwConfig, adversary_view, hw_steps, initial_hw_state
 
-DEFAULT_WINDOW = DEFAULT_SPEC_WINDOW
-
-TABLE_CONTRACT_NAMES = ("seq-ct", "seq-arch", "spec-ct", "spec-pc-ct")
-
 
 def _load_program(spec: str) -> Program:
     if spec in corpus.names():
@@ -74,8 +70,6 @@ def _load_config(args) -> HwConfig:
         cfg = HwConfig()
     if getattr(args, "countermeasure", None):
         cfg = replace(cfg, countermeasure=args.countermeasure)
-        if args.countermeasure == "seq":
-            cfg = replace(cfg, scheduler="seq")
     if getattr(args, "fuel", None):
         cfg = replace(cfg, fuel=args.fuel)
     if getattr(args, "mask_literal", False):
@@ -151,13 +145,13 @@ def _cmd_hwrun(args) -> int:
         sigma = ArchState.initial(program)
     h = initial_hw_state(program, sigma, cfg)
     # collected first, so that a run that raises prints nothing
-    lines = [f"step 0 dir=- view={adversary_view(h, cfg.expose_labels)}"]
+    lines = [f"step 0 dir=- view={adversary_view(h)}"]
     for k, (h, directive) in enumerate(hw_steps(program, h, cfg), start=1):
         if directive[0] == "execute":
             d = f"exec {directive[1]}"
         else:
             d = directive[0]
-        lines.append(f"step {k} dir={d} view={adversary_view(h, cfg.expose_labels)}")
+        lines.append(f"step {k} dir={d} view={adversary_view(h)}")
     print("\n".join(lines))
     sys.stdout.write(format_state(h.sigma))
     return 0
@@ -245,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         if program:
             p.add_argument("program", help="program file or corpus name")
         p.add_argument("--fuel", type=int, default=10 ** 6)
-        p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+        p.add_argument("--window", type=int, default=DEFAULT_SPEC_WINDOW)
 
     p_run = sub.add_parser("run", help="architectural run")
     common(p_run)
@@ -281,15 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="sandboxing / constant-time tables")
     p_cls.add_argument("what", choices=("sandbox", "ct"))
     p_cls.add_argument("programs", nargs="+")
-    p_cls.add_argument("--fuel", type=int, default=10 ** 6)
-    p_cls.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    common(p_cls, program=False)
     p_cls.add_argument("--policy")
     p_cls.add_argument("--domain")
     p_cls.set_defaults(func=_cmd_classify)
 
     p_lat = sub.add_parser("lattice", help="contract lattice edge report")
-    p_lat.add_argument("--fuel", type=int, default=10 ** 6)
-    p_lat.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    common(p_lat, program=False)
     p_lat.add_argument("--random", type=int, default=0)
     p_lat.add_argument("--seed", type=int, default=0)
     p_lat.add_argument("--domain")

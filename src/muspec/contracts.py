@@ -49,6 +49,8 @@ class ContractId:
         if self.mode == "seq":
             if self.observer not in ("ct", "arch"):
                 raise ValueError(f"seq contract needs observer ct|arch, got {self.observer!r}")
+            if self.window is not None:
+                raise ValueError("seq contract takes no window")
         elif self.mode == "spec":
             if self.observer not in OBSERVERS:
                 raise ValueError(f"spec contract needs observer ct|arch|pc-ct, got {self.observer!r}")

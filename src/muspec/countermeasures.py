@@ -4,7 +4,7 @@ family (STT-style tt, NDA strict/permissive).
 Taint labels are frozensets of 1-based buffer positions naming the
 unresolved branch entries a command may transitively depend on.  The
 pipeline consults ``unlabel`` before a stage (masking possibly-transient
-data) and ``label`` after it (propagating taint through the new buffer).
+data) and ``relabel`` after it (propagating taint through the new buffer).
 """
 from __future__ import annotations
 
@@ -78,6 +78,15 @@ def tt_unlabel(buf, directive, mask_literal: bool = False) -> tuple:
 def nda_unlabel(buf, directive, mask_literal: bool = False) -> tuple:
     """NDA: masking applies regardless of directive and transmit status."""
     return _mask(buf, mask_literal)
+
+
+def unlabel(countermeasure: str, buf, directive, mask_literal: bool) -> tuple:
+    """The plain commands a stage may see of the labeled buffer."""
+    if countermeasure == "tt":
+        return tt_unlabel(buf, directive, mask_literal)
+    if countermeasure in TAINT:
+        return nda_unlabel(buf, directive, mask_literal)
+    return _drop(buf)
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +177,13 @@ def _execute_labels(new_plain, old, i: int) -> tuple:
 
 
 def relabel(new_plain, old, directive, policy: str) -> tuple:
-    """Label the post-stage buffer given the pre-stage labeled buffer."""
+    """Label the post-stage buffer given the pre-stage labeled buffer;
+    every label is empty under a countermeasure without taint."""
+    if policy not in TAINT:
+        return tuple((cmd, EMPTY) for cmd in new_plain)
     if directive[0] == "fetch":
         return _fetch_labels(new_plain, old, policy)
     if directive[0] == "retire":
         return _decrement(old[1:])
     return _execute_labels(new_plain, old, directive[1])
 
-
-def plain_labels(new_plain) -> tuple:
-    """Label function for countermeasures without taint: everything empty."""
-    return tuple((cmd, EMPTY) for cmd in new_plain)

@@ -43,7 +43,6 @@ def is_value(v) -> bool:
     return isinstance(v, int) or v is BOTTOM
 
 
-UNARY_OPS = ("neg", "not")
 BINARY_OPS = ("+", "-", "*", "<", "=", "&", "|", "^")
 
 
@@ -277,8 +276,6 @@ def check_well_formed(p: Program) -> list:
 
 # ---------------------------------------------------------------------------
 # Parsing
-
-_PUNCT = ("<-", "(", ")", ",", "?", "+", "-", "*", "<", "=", "&", "|", "^", "!", ":")
 
 
 class ParseError(Exception):

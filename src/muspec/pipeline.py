@@ -66,7 +66,6 @@ class HwConfig:
     fuel: int = DEFAULT_FUEL
     modulus: int = DEFAULT_MODULUS
     mask_literal: bool = False
-    expose_labels: bool = True
 
     def __post_init__(self):
         if self.countermeasure not in cm.COUNTERMEASURES:
@@ -96,7 +95,7 @@ class HwConfig:
                 fields[key] = int(value)
             elif key in ("cache", "predictor", "scheduler", "countermeasure"):
                 fields[key] = value
-            elif key in ("mask_literal", "expose_labels"):
+            elif key == "mask_literal":
                 fields[key] = value.lower() in ("1", "true", "yes")
             else:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
@@ -127,7 +126,7 @@ def initial_hw_state(program: Program, sigma: ArchState, cfg: HwConfig) -> HwSta
 
 # ---------------------------------------------------------------------------
 # Stages. Each takes plain command tuples and returns
-# (regs, mem, buf, cs, bp) or STUCK.
+# (sigma, buf, cs, bp) or STUCK; only retire changes sigma.
 
 
 def _instr_commands(ins) -> tuple:
@@ -148,8 +147,8 @@ def _instr_commands(ins) -> tuple:
     raise TypeError(f"not fetchable as a plain instruction: {ins!r}")
 
 
-def fetch_step(p: Program, regs, mem, buf, cs, bp, mu_w: int):
-    a = apply_buffer(tuple((c, None) for c in buf), regs)
+def fetch_step(p: Program, sigma: ArchState, buf, cs, bp, mu_w: int):
+    a = apply_buffer(buf, sigma.regs)
     pc = a[PC]
     if pc is BOTTOM:
         return STUCK
@@ -158,33 +157,33 @@ def fetch_step(p: Program, regs, mem, buf, cs, bp, mu_w: int):
     hit = cs.access(pc)
     cs2 = cs.update(pc)
     if not hit:
-        return (regs, mem, buf, cs2, bp)
+        return (sigma, buf, cs2, bp)
     ins = p.lookup(pc)
     if isinstance(ins, Beqz):
         predicted = bp.predict(pc)
-        return (regs, mem, buf + (cmd_assign(PC, predicted, tag=pc),), cs2, bp)
+        return (sigma, buf + (cmd_assign(PC, predicted, tag=pc),), cs2, bp)
     if isinstance(ins, Jmp):
-        return (regs, mem, buf + (cmd_assign(PC, ins.target),), cs2, bp)
+        return (sigma, buf + (cmd_assign(PC, ins.target),), cs2, bp)
     if ins is None:
         # no instruction at pc: the program is over on this path
-        return (regs, mem, buf + (cmd_assign(PC, BOTTOM),), cs2, bp)
+        return (sigma, buf + (cmd_assign(PC, BOTTOM),), cs2, bp)
     if len(buf) >= mu_w - 1:
         return STUCK
     entry = _instr_commands(ins)
     marked = cmd_assign(PC, pc + 1, marked=True)
-    return (regs, mem, buf + (entry, marked), cs2, bp)
+    return (sigma, buf + (entry, marked), cs2, bp)
 
 
-def execute_step(p: Program, regs, mem, buf, cs, bp, i: int, modulus: int):
+def execute_step(p: Program, sigma: ArchState, buf, cs, bp, i: int, modulus: int):
     if not 1 <= i <= len(buf):
         return STUCK
     prefix, entry, suffix = buf[: i - 1], buf[i - 1], buf[i:]
     kind, A, B, tag, marked = entry
     if kind in ("skip", "barrier"):
-        return (regs, mem, buf, cs, bp)
+        return (sigma, buf, cs, bp)
     if any(c[0] == "barrier" for c in prefix):
         return STUCK
-    a = apply_buffer(tuple((c, None) for c in prefix), regs)
+    a = apply_buffer(prefix, sigma.regs)
 
     if kind == "load":
         if A == PC or any(c[0] == "store" for c in prefix):
@@ -195,9 +194,9 @@ def execute_step(p: Program, regs, mem, buf, cs, bp, i: int, modulus: int):
         hit = cs.access(n)
         cs2 = cs.update(n)
         if not hit:
-            return (regs, mem, buf, cs2, bp)
-        loaded = cmd_assign(A, mem.get(n, 0), tag)
-        return (regs, mem, prefix + (loaded,) + suffix, cs2, bp)
+            return (sigma, buf, cs2, bp)
+        loaded = cmd_assign(A, sigma.read_mem(n), tag)
+        return (sigma, prefix + (loaded,) + suffix, cs2, bp)
 
     if kind == "assign" and tag is not None:
         # branch resolution: tag is the branch address
@@ -210,28 +209,28 @@ def execute_step(p: Program, regs, mem, buf, cs, bp, i: int, modulus: int):
         correct = ins0.target if guard == 0 else tag + 1
         if B == correct:
             resolved = cmd_assign(PC, B)
-            return (regs, mem, prefix + (resolved,) + suffix, cs, bp.update(tag, B))
+            return (sigma, prefix + (resolved,) + suffix, cs, bp.update(tag, B))
         corrected = cmd_assign(PC, correct)
-        return (regs, mem, prefix + (corrected,), cs, bp.update(tag, correct))
+        return (sigma, prefix + (corrected,), cs, bp.update(tag, correct))
 
     if kind == "assign":
         v = B if is_value(B) else eval_expr(B, a, partial=True, modulus=modulus)
         if v is BOTTOM:
             return STUCK
         resolved = cmd_assign(A, v, None, marked)
-        return (regs, mem, prefix + (resolved,) + suffix, cs, bp)
+        return (sigma, prefix + (resolved,) + suffix, cs, bp)
 
     if kind == "store":
         v = A if is_value(A) else eval_expr(A, a, partial=True, modulus=modulus)
         n = B if is_value(B) else eval_expr(B, a, partial=True, modulus=modulus)
         if v is BOTTOM or n is BOTTOM:
             return STUCK
-        return (regs, mem, prefix + (cmd_store(v, n, tag),) + suffix, cs, bp)
+        return (sigma, prefix + (cmd_store(v, n, tag),) + suffix, cs, bp)
 
     return STUCK
 
 
-def retire_step(p: Program, regs, mem, buf, cs, bp):
+def retire_step(sigma: ArchState, buf, cs, bp):
     if not buf:
         return STUCK
     kind, A, B, tag, _marked = buf[0]
@@ -239,19 +238,15 @@ def retire_step(p: Program, regs, mem, buf, cs, bp):
         return STUCK
     rest = buf[1:]
     if kind in ("skip", "barrier"):
-        return (regs, mem, rest, cs, bp)
+        return (sigma, rest, cs, bp)
     if kind == "assign":
         if not is_value(B):
             return STUCK
-        regs2 = dict(regs)
-        regs2[A] = B
-        return (regs2, mem, rest, cs, bp)
+        return (sigma.with_regs(**{A: B}), rest, cs, bp)
     if kind == "store":
         if not (isinstance(A, int) and isinstance(B, int)):
             return STUCK
-        mem2 = dict(mem)
-        mem2[B] = A
-        return (regs, mem2, rest, cs.update(B), bp)
+        return (sigma.with_mem(B, A), rest, cs.update(B), bp)
     return STUCK
 
 
@@ -264,51 +259,33 @@ def hw_step(p: Program, h: HwState, cfg: HwConfig) -> Tuple[HwState, tuple, bool
     state still advances, so a later step can pick a different directive.
     """
     directive = h.sc.next()
-    taint = cfg.countermeasure in cm.TAINT
-
-    allowed = True
-    if cfg.countermeasure == "loaddelay":
-        allowed = cm.loaddelay_guard(h.buf, directive)
-
     result = STUCK
-    if allowed:
-        if not taint:
-            plain = tuple(c for c, _l in h.buf)
-        elif cfg.countermeasure == "tt":
-            plain = cm.tt_unlabel(h.buf, directive, cfg.mask_literal)
-        else:
-            plain = cm.nda_unlabel(h.buf, directive, cfg.mask_literal)
-        regs, mem = h.sigma.regs, h.sigma.mem
+    if cfg.countermeasure != "loaddelay" or cm.loaddelay_guard(h.buf, directive):
+        plain = cm.unlabel(cfg.countermeasure, h.buf, directive, cfg.mask_literal)
         if directive[0] == "fetch":
-            result = fetch_step(p, regs, mem, plain, h.cs, h.bp, cfg.buffer_size)
+            result = fetch_step(p, h.sigma, plain, h.cs, h.bp, cfg.buffer_size)
         elif directive[0] == "execute":
-            result = execute_step(p, regs, mem, plain, h.cs, h.bp, directive[1], cfg.modulus)
+            result = execute_step(p, h.sigma, plain, h.cs, h.bp, directive[1], cfg.modulus)
         else:
-            result = retire_step(p, regs, mem, plain, h.cs, h.bp)
+            result = retire_step(h.sigma, plain, h.cs, h.bp)
 
     if result is STUCK:
-        new_buf, sigma, cs2, bp2 = h.buf, h.sigma, h.cs, h.bp
+        sigma, new_buf, cs2, bp2 = h.sigma, h.buf, h.cs, h.bp
         progressed = False
     else:
-        regs2, mem2, buf_plain, cs2, bp2 = result
-        if taint:
-            new_buf = cm.relabel(buf_plain, h.buf, directive, cfg.countermeasure)
-        else:
-            new_buf = cm.plain_labels(buf_plain)
-        sigma = ArchState(regs=regs2, mem=mem2)
+        sigma, buf_plain, cs2, bp2 = result
+        new_buf = cm.relabel(buf_plain, h.buf, directive, cfg.countermeasure)
         progressed = True
 
     sc2 = h.sc.update(buf_project(new_buf))
     return HwState(sigma, new_buf, cs2, bp2, sc2), directive, progressed
 
 
-def adversary_view(h: HwState, expose_labels: bool = True) -> tuple:
+def adversary_view(h: HwState) -> tuple:
     """What the microarchitectural adversary sees: the data-independent
-    buffer projection plus cache, predictor, and scheduler state."""
-    proj = buf_project(h.buf)
-    if not expose_labels:
-        proj = tuple(entry[:5] for entry in proj)
-    return (proj, h.cs.key(), h.bp.key(), h.sc.key())
+    buffer projection (the scheduler's, always ``buf_project(h.buf)``)
+    plus cache, predictor, and scheduler state."""
+    return (h.sc.proj, h.cs.key(), h.bp.key(), h.sc.key())
 
 
 def hw_steps(p: Program, h: HwState, cfg: HwConfig) -> Iterator[Tuple[HwState, tuple]]:
@@ -341,7 +318,7 @@ def hw_run(
     """Run to the final hardware state collecting the adversary trace
     (one view per state, the initial one included)."""
     h = initial_hw_state(p, sigma, cfg)
-    views = [adversary_view(h, cfg.expose_labels)]
+    views = [adversary_view(h)]
     for h, _directive in hw_steps(p, h, cfg):
-        views.append(adversary_view(h, cfg.expose_labels))
+        views.append(adversary_view(h))
     return tuple(views), h

@@ -72,14 +72,13 @@ def buf_project(buf) -> tuple:
 
 
 def apply_buffer(buf, regs: dict) -> dict:
-    """Register assignment after the pending changes in ``buf``.
+    """Register assignment after the pending plain commands in ``buf``.
 
     Resolved assignments write their value, unresolved assignments and
     loads write BOTTOM; a barrier anywhere maps every register to BOTTOM.
     """
     a = dict(regs)
-    for cmd, _label in buf:
-        kind, x, payload, _tag, _marked = cmd
+    for kind, x, payload, _tag, _marked in buf:
         if kind == "assign":
             a[x] = payload if is_value(payload) else BOTTOM
         elif kind == "load":

@@ -52,6 +52,10 @@ def test_policy_parse_and_ranges():
     assert not pol.is_low(6)
     with pytest.raises(ValueError):
         Policy.parse("high 3")
+    with pytest.raises(ValueError):
+        Policy.parse("low 9..3")  # would mark no address low
+    with pytest.raises(ValueError):
+        Policy.parse("low -1")
 
 
 def test_low_equivalence():
@@ -80,6 +84,7 @@ def test_domain_rejects_empty_and_out_of_range_values():
     assert StateDomain(modulus=16, vary=((7, 3, 3),), fixed=((5, 15),)).size() == 1
     for text in (
         "values 1\n",
+        "values 10\n",  # arithmetic wraps modulo a power of two
         "vary 7 in 3..0\n",  # empty: size() would be -2 and nothing enumerated
         "vary 7 in -1..2\n",
         "vary 7 in 0..16\n",

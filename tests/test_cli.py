@@ -141,6 +141,17 @@ def test_empty_domain_exit_two(capsys, tmp_path):
     assert "3..0" in err
 
 
+def test_reversed_policy_range_exit_two(capsys, tmp_path):
+    pol = tmp_path / "pol.txt"
+    pol.write_text("low 9..3\n")
+    code, out, err = run_cli(
+        capsys, "check", "ni", "P2", "--contract", "seq-arch", "--policy", str(pol),
+    )
+    assert code == 2
+    assert out == ""
+    assert "9..3" in err
+
+
 def test_bad_config_exit_two(capsys, tmp_path):
     cfg = tmp_path / "hw.cfg"
     cfg.write_text("cache = direct:0\n")

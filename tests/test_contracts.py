@@ -180,6 +180,8 @@ def test_contract_id_rejects_invalid_combinations():
     with pytest.raises(ValueError):
         ContractId("seq", "pc-ct")
     with pytest.raises(ValueError):
+        ContractId("seq", "ct", 5)  # would print as seq-ct yet differ from SEQ_CT
+    with pytest.raises(ValueError):
         ContractId("top", "ct")
     with pytest.raises(ValueError):
         ContractId.parse("spec-bogus")

@@ -5,6 +5,7 @@ import pytest
 
 from muspec import corpus
 from muspec.arch import ArchState, arch_run
+from muspec.countermeasures import COUNTERMEASURES
 from muspec.isa import BOTTOM, PC, BinOp, Const, Reg, parse_program
 from muspec.pipeline import (
     STUCK,
@@ -14,6 +15,7 @@ from muspec.pipeline import (
     fetch_step,
     hw_run,
     hw_step,
+    hw_steps,
     initial_hw_state,
     retire_step,
 )
@@ -49,9 +51,9 @@ def test_fetch_branch_appends_tagged_prediction():
     p = parse_program("beqz x, 5\nskip\nskip\nskip\nskip\nskip")
     bp = make_predictor("fallthrough", p)
     regs = {PC: 0, "x": 0}
-    result = fetch_step(p, regs, {}, (), warm_cache(0), bp, MU_W)
+    result = fetch_step(p, ArchState(regs), (), warm_cache(0), bp, MU_W)
     assert result is not STUCK
-    _, _, buf, cs, _ = result
+    _, buf, cs, _ = result
     assert buf == (cmd_assign(PC, 1, tag=0),)
     assert cs.access(0)
 
@@ -60,34 +62,34 @@ def test_fetch_cold_cache_misses_then_hits():
     p = parse_program("skip")
     bp = make_predictor("fallthrough", p)
     regs = {PC: 0}
-    r1 = fetch_step(p, regs, {}, (), LruCache(4), bp, MU_W)
-    _, _, buf1, cs1, _ = r1
+    r1 = fetch_step(p, ArchState(regs), (), LruCache(4), bp, MU_W)
+    _, buf1, cs1, _ = r1
     assert buf1 == ()  # miss: only the cache learned the address
     assert cs1.access(0)
-    r2 = fetch_step(p, regs, {}, (), cs1, bp, MU_W)
-    _, _, buf2, _, _ = r2
+    r2 = fetch_step(p, ArchState(regs), (), cs1, bp, MU_W)
+    _, buf2, _, _ = r2
     assert buf2 == (cmd_skip(), cmd_assign(PC, 1, marked=True))
 
 
 def test_fetch_load_appends_marked_pc_increment():
     p = parse_program("load z, 4 + 3")
     bp = make_predictor("fallthrough", p)
-    result = fetch_step(p, {PC: 0, "z": 0}, {}, (), warm_cache(0), bp, MU_W)
-    _, _, buf, _, _ = result
+    result = fetch_step(p, ArchState({PC: 0, "z": 0}), (), warm_cache(0), bp, MU_W)
+    _, buf, _, _ = result
     assert buf == (cmd_load("z", BinOp("+", Const(4), Const(3))), cmd_assign(PC, 1, marked=True))
 
 
 def test_fetch_jump_appends_target_expression():
     p = parse_program("jmp 4 + 1\nskip\nskip\nskip\nskip\nskip")
-    result = fetch_step(p, {PC: 0}, {}, (), warm_cache(0), None, MU_W)
-    _, _, buf, _, _ = result
+    result = fetch_step(p, ArchState({PC: 0}), (), warm_cache(0), None, MU_W)
+    _, buf, _, _ = result
     assert buf == (cmd_assign(PC, BinOp("+", Const(4), Const(1))),)
 
 
 def test_fetch_past_program_appends_terminate_entry():
     p = parse_program("skip")
-    result = fetch_step(p, {PC: 1}, {}, (), warm_cache(1), None, MU_W)
-    _, _, buf, _, _ = result
+    result = fetch_step(p, ArchState({PC: 1}), (), warm_cache(1), None, MU_W)
+    _, buf, _, _ = result
     assert buf == (cmd_assign(PC, BOTTOM),)
 
 
@@ -96,12 +98,12 @@ def test_fetch_stuck_on_undefined_pc_or_full_buffer():
     buf = plain(cmd_load("x", Const(3)))  # pending load of... pc? no: x
     # undefined pc: a pending unresolved jump target
     buf_pc = plain(cmd_assign(PC, Reg("x")))
-    assert fetch_step(p, {PC: 0, "x": 1}, {}, buf_pc, warm_cache(0), None, MU_W) is STUCK
+    assert fetch_step(p, ArchState({PC: 0, "x": 1}), buf_pc, warm_cache(0), None, MU_W) is STUCK
     full = plain(*(cmd_skip() for _ in range(MU_W)))
-    assert fetch_step(p, {PC: 0, "x": 1}, {}, full, warm_cache(0), None, MU_W) is STUCK
+    assert fetch_step(p, ArchState({PC: 0, "x": 1}), full, warm_cache(0), None, MU_W) is STUCK
     # two-entry fetch needs two free slots
     nearly = plain(*(cmd_skip() for _ in range(MU_W - 1)))
-    assert fetch_step(p, {PC: 0, "x": 1}, {}, nearly, warm_cache(0), None, MU_W) is STUCK
+    assert fetch_step(p, ArchState({PC: 0, "x": 1}), nearly, warm_cache(0), None, MU_W) is STUCK
 
 
 # -- execute ------------------------------------------------------------------
@@ -110,8 +112,8 @@ def test_fetch_stuck_on_undefined_pc_or_full_buffer():
 def test_execute_load_hit_resolves_to_value():
     p = parse_program("skip")
     buf = plain(cmd_load("z", Const(9)), cmd_assign(PC, 1, marked=True))
-    result = execute_step(p, {PC: 0, "z": 0}, {9: 4}, buf, warm_cache(9), None, 1, MOD)
-    _, _, buf2, cs2, _ = result
+    result = execute_step(p, ArchState({PC: 0, "z": 0}, {9: 4}), buf, warm_cache(9), None, 1, MOD)
+    _, buf2, cs2, _ = result
     assert buf2[0] == cmd_assign("z", 4)
     assert buf2[1] == buf[1]
 
@@ -119,8 +121,8 @@ def test_execute_load_hit_resolves_to_value():
 def test_execute_load_miss_only_updates_cache():
     p = parse_program("skip")
     buf = plain(cmd_load("z", Const(9)))
-    result = execute_step(p, {PC: 0, "z": 0}, {9: 4}, buf, LruCache(4), None, 1, MOD)
-    _, _, buf2, cs2, _ = result
+    result = execute_step(p, ArchState({PC: 0, "z": 0}, {9: 4}), buf, LruCache(4), None, 1, MOD)
+    _, buf2, cs2, _ = result
     assert buf2 == buf
     assert cs2.access(9)
 
@@ -129,8 +131,8 @@ def test_execute_branch_rollback_squashes_suffix():
     p = parse_program("beqz x, 5\nskip\nskip\nskip\nskip\nskip")
     bp = make_predictor("twobit", p)
     buf = plain(cmd_assign(PC, 1, tag=0), cmd_skip(), cmd_assign(PC, 2, marked=True))
-    result = execute_step(p, {PC: 0, "x": 0}, {}, buf, warm_cache(), bp, 1, MOD)
-    _, _, buf2, _, bp2 = result
+    result = execute_step(p, ArchState({PC: 0, "x": 0}), buf, warm_cache(), bp, 1, MOD)
+    _, buf2, _, bp2 = result
     assert buf2 == (cmd_assign(PC, 5),)  # corrected target, suffix gone
     assert bp2.counters == ((0, 1),)  # branch recorded as taken
 
@@ -139,64 +141,61 @@ def test_execute_branch_commit_keeps_suffix():
     p = parse_program("beqz x, 5\nskip\nskip\nskip\nskip\nskip")
     bp = make_predictor("fallthrough", p)
     buf = plain(cmd_assign(PC, 1, tag=0), cmd_skip())
-    result = execute_step(p, {PC: 0, "x": 3}, {}, buf, warm_cache(), bp, 1, MOD)
-    _, _, buf2, _, _ = result
+    result = execute_step(p, ArchState({PC: 0, "x": 3}), buf, warm_cache(), bp, 1, MOD)
+    _, buf2, _, _ = result
     assert buf2 == (cmd_assign(PC, 1), cmd_skip())
 
 
 def test_execute_assignment_resolves_expression():
     p = parse_program("skip")
     buf = plain(cmd_assign("x", BinOp("+", Const(2), Const(3))))
-    result = execute_step(p, {PC: 0, "x": 0}, {}, buf, warm_cache(), None, 1, MOD)
-    assert result[2][0] == cmd_assign("x", 5)
+    result = execute_step(p, ArchState({PC: 0, "x": 0}), buf, warm_cache(), None, 1, MOD)
+    assert result[1][0] == cmd_assign("x", 5)
 
 
 def test_execute_stuck_cases():
     p = parse_program("beqz x, 5\nskip\nskip\nskip\nskip\nskip")
     # operand depends on an earlier unresolved entry
     buf = plain(cmd_load("y", Const(3)), cmd_assign("x", Reg("y")))
-    assert execute_step(p, {PC: 0, "x": 0, "y": 0}, {}, buf, warm_cache(3), None, 2, MOD) is STUCK
+    assert execute_step(p, ArchState({PC: 0, "x": 0, "y": 0}), buf, warm_cache(3), None, 2, MOD) is STUCK
     # load behind an in-flight store
     buf = plain(cmd_store(Reg("x"), Const(3)), cmd_load("y", Const(3)))
-    assert execute_step(p, {PC: 0, "x": 1, "y": 0}, {}, buf, warm_cache(3), None, 2, MOD) is STUCK
+    assert execute_step(p, ArchState({PC: 0, "x": 1, "y": 0}), buf, warm_cache(3), None, 2, MOD) is STUCK
     # branch guard unresolved
     buf = plain(cmd_load("x", Const(3)), cmd_assign(PC, 1, tag=0))
-    assert execute_step(p, {PC: 0, "x": 0}, {}, buf, warm_cache(3), None, 2, MOD) is STUCK
+    assert execute_step(p, ArchState({PC: 0, "x": 0}), buf, warm_cache(3), None, 2, MOD) is STUCK
     # index out of range
-    assert execute_step(p, {PC: 0, "x": 0}, {}, (), warm_cache(), None, 1, MOD) is STUCK
+    assert execute_step(p, ArchState({PC: 0, "x": 0}), (), warm_cache(), None, 1, MOD) is STUCK
 
 
 def test_execute_store_resolves_both_operands():
     p = parse_program("skip")
     buf = plain(cmd_store(Reg("x"), BinOp("+", Const(2), Const(1))))
-    result = execute_step(p, {PC: 0, "x": 9}, {}, buf, warm_cache(), None, 1, MOD)
-    assert result[2][0] == cmd_store(9, 3)
+    result = execute_step(p, ArchState({PC: 0, "x": 9}), buf, warm_cache(), None, 1, MOD)
+    assert result[1][0] == cmd_store(9, 3)
 
 
 # -- retire -------------------------------------------------------------------
 
 
 def test_retire_assignment_writes_register():
-    p = parse_program("skip")
-    result = retire_step(p, {PC: 0, "x": 0}, {}, plain(cmd_assign("x", 5)), warm_cache(), None)
-    regs, _, buf, _, _ = result
-    assert regs["x"] == 5
+    result = retire_step(ArchState({PC: 0, "x": 0}), plain(cmd_assign("x", 5)), warm_cache(), None)
+    sigma, buf, _, _ = result
+    assert sigma.regs["x"] == 5
     assert buf == ()
 
 
 def test_retire_store_writes_memory_and_cache():
-    p = parse_program("skip")
-    result = retire_step(p, {PC: 0}, {}, plain(cmd_store(3, 7)), LruCache(4), None)
-    _, mem, _, cs, _ = result
-    assert mem[7] == 3
+    result = retire_step(ArchState({PC: 0}), plain(cmd_store(3, 7)), LruCache(4), None)
+    sigma, _, cs, _ = result
+    assert sigma.mem[7] == 3
     assert cs.access(7)
 
 
 def test_retire_stuck_on_tagged_or_unresolved_head():
-    p = parse_program("skip")
-    assert retire_step(p, {PC: 0}, {}, plain(cmd_assign(PC, 5, tag=0)), warm_cache(), None) is STUCK
-    assert retire_step(p, {PC: 0}, {}, plain(cmd_assign("x", Reg("y"))), warm_cache(), None) is STUCK
-    assert retire_step(p, {PC: 0}, {}, (), warm_cache(), None) is STUCK
+    assert retire_step(ArchState({PC: 0}), plain(cmd_assign(PC, 5, tag=0)), warm_cache(), None) is STUCK
+    assert retire_step(ArchState({PC: 0}), plain(cmd_assign("x", Reg("y"))), warm_cache(), None) is STUCK
+    assert retire_step(ArchState({PC: 0}), (), warm_cache(), None) is STUCK
 
 
 # -- top-level stepping and runs ----------------------------------------------
@@ -275,9 +274,25 @@ def test_adversary_view_ignores_resolved_values():
     h = initial_hw_state(p, ArchState.initial(p), cfg)
     buf1 = ((cmd_assign("x", 5), frozenset()),)
     buf2 = ((cmd_assign("x", 9), frozenset()),)
-    v1 = adversary_view(h.__class__(h.sigma, buf1, h.cs, h.bp, h.sc))
-    v2 = adversary_view(h.__class__(h.sigma, buf2, h.cs, h.bp, h.sc))
+    v1 = adversary_view(h.__class__(h.sigma, buf1, h.cs, h.bp, h.sc.update(buf_project(buf1))))
+    v2 = adversary_view(h.__class__(h.sigma, buf2, h.cs, h.bp, h.sc.update(buf_project(buf2))))
     assert v1 == v2
+    assert v1[0]  # the entry is in the view, only its value is not
+
+
+@pytest.mark.parametrize("scheduler", ["seq", "ooo"])
+@pytest.mark.parametrize("countermeasure", COUNTERMEASURES)
+def test_view_projection_is_buffer_projection_on_every_state(countermeasure, scheduler):
+    # adversary_view reads the projection the scheduler keeps, so every
+    # state a run reaches must keep it equal to the buffer's own projection
+    mem = {7: 2, 9: 1, 10: 1, 11: 3, 12: 2}
+    cfg = HwConfig(countermeasure=countermeasure, scheduler=scheduler)
+    for name in corpus.program_names():
+        p = corpus.load(name)
+        h = initial_hw_state(p, ArchState.initial(p, mem), cfg)
+        assert adversary_view(h)[0] == buf_project(h.buf)
+        for h, _directive in hw_steps(p, h, cfg):
+            assert adversary_view(h)[0] == buf_project(h.buf)
 
 
 def test_projection_invariance_of_runs():
@@ -327,17 +342,3 @@ def test_config_rejected_where_built(bad):
 def test_seq_countermeasure_forces_sequential_scheduler():
     cfg = HwConfig(countermeasure="seq", scheduler="ooo")
     assert cfg.scheduler == "seq"
-
-
-def test_label_erasure_flag():
-    from muspec.uarch import cmd_load as _load
-
-    p = corpus.load("skip")
-    cfg = HwConfig()
-    h = initial_hw_state(p, ArchState.initial(p), cfg)
-    labeled = ((cmd_assign("x", Reg("y")), frozenset((1,))),)
-    h2 = h.__class__(h.sigma, labeled, h.cs, h.bp, h.sc)
-    with_labels = adversary_view(h2, expose_labels=True)
-    without = adversary_view(h2, expose_labels=False)
-    assert with_labels != without
-    assert without[0][0][:5] == with_labels[0][0][:5]

@@ -81,30 +81,30 @@ def test_projection_invariant_under_resolved_values():
 
 
 def test_apply_resolved_assignment():
-    a = apply_buffer(lbl(cmd_assign("x", 5)), {"x": 0, PC: 0})
+    a = apply_buffer((cmd_assign("x", 5),), {"x": 0, PC: 0})
     assert a["x"] == 5
 
 
 def test_apply_load_writes_bottom():
-    a = apply_buffer(lbl(cmd_load("x", Const(3))), {"x": 7, PC: 0})
+    a = apply_buffer((cmd_load("x", Const(3)),), {"x": 7, PC: 0})
     assert a["x"] is BOTTOM
 
 
 def test_apply_unresolved_assignment_writes_bottom():
-    a = apply_buffer(lbl(cmd_assign("x", Reg("y"))), {"x": 7, "y": 2, PC: 0})
+    a = apply_buffer((cmd_assign("x", Reg("y")),), {"x": 7, "y": 2, PC: 0})
     assert a["x"] is BOTTOM
     assert a["y"] == 2
 
 
 def test_apply_barrier_bottoms_everything():
-    buf = lbl(cmd_assign("x", 5), cmd_barrier(), cmd_assign("y", 6))
+    buf = (cmd_assign("x", 5), cmd_barrier(), cmd_assign("y", 6))
     a = apply_buffer(buf, {"x": 0, "y": 0, PC: 3})
     assert all(v is BOTTOM for v in a.values())
 
 
 def test_apply_store_and_skip_ignored():
     a0 = {"x": 1, PC: 2}
-    assert apply_buffer(lbl(cmd_store(Reg("x"), Const(3)), cmd_skip()), a0) == a0
+    assert apply_buffer((cmd_store(Reg("x"), Const(3)), cmd_skip()), a0) == a0
 
 
 # -- caches -------------------------------------------------------------------
