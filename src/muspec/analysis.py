@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Union
 
-from .arch import DEFAULT_FUEL, ArchState
+from .arch import DEFAULT_FUEL, ArchState, share_runs
 from .contracts import (
     BOT_INF,
     SEQ_ARCH,
@@ -103,6 +103,10 @@ class StateDomain:
         for addr, v in self.fixed:
             if not 0 <= v < self.modulus:
                 raise ValueError(f"fix {addr} = {v}: need 0 <= value < {self.modulus}")
+        addrs = self.addresses
+        for i, addr in enumerate(addrs):
+            if addr in addrs[:i]:
+                raise ValueError(f"address {addr} is listed twice in the domain")
 
     @property
     def addresses(self) -> tuple:
@@ -121,10 +125,11 @@ class StateDomain:
         base = dict(self.fixed)
         ranges = [range(lo, hi + 1) for _, lo, hi in self.vary]
         addrs = [a for a, *_ in self.vary]
+        regs = {r: 0 for r in program.registers}
         for values in itertools.product(*ranges):
             mem = dict(base)
             mem.update(zip(addrs, values))
-            yield ArchState.initial(program, mem)
+            yield ArchState(dict(regs), mem)
 
     @staticmethod
     def parse(text: str) -> "StateDomain":
@@ -168,7 +173,8 @@ def _low_fingerprint(sigma: ArchState, policy: Policy) -> tuple:
 
 
 def _semantics_tracer(semantics, program, domain, fuel):
-    """Trace function for either a ContractId or a hardware HwConfig."""
+    """Trace function for either a ContractId or a hardware HwConfig, run
+    once per distinct read of the domain's varying cells."""
     snapshot_addrs = tuple(domain.addresses)
     if isinstance(semantics, ContractId):
         def run(sigma):
@@ -181,7 +187,7 @@ def _semantics_tracer(semantics, program, domain, fuel):
             return hw_run(program, sigma, cfg)[0]
     else:
         raise TypeError(f"semantics must be a ContractId or HwConfig, got {semantics!r}")
-    return run
+    return share_runs(run, (a for a, *_ in domain.vary))
 
 
 def check_contract_satisfaction(

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Callable, Tuple
 
 from .isa import (
     BOTTOM,
@@ -36,10 +36,17 @@ class ArchState:
 
     Memory is total with default 0; only nonzero cells are stored so that
     dict equality coincides with semantic equality.
+
+    ``watch`` holds the varying cells whose initial value this state has not
+    yet overwritten, and ``reads`` the first-read log its run shares: the
+    first read of a watched cell records ``cell -> value`` there. Neither
+    takes part in equality, hashing, ``key()`` or ``format_state``.
     """
 
     regs: dict
     mem: dict = field(default_factory=dict)
+    watch: frozenset = field(default=frozenset(), compare=False, repr=False)
+    reads: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mem", {k: v for k, v in self.mem.items() if v != 0})
@@ -49,7 +56,10 @@ class ArchState:
         return ArchState(regs={r: 0 for r in program.registers}, mem=dict(mem or {}))
 
     def read_mem(self, addr: int) -> Value:
-        return self.mem.get(addr, 0)
+        v = self.mem.get(addr, 0)
+        if addr in self.watch:
+            self.reads.setdefault(addr, v)
+        return v
 
     def is_final(self) -> bool:
         return self.regs[PC] is BOTTOM
@@ -57,12 +67,20 @@ class ArchState:
     def with_regs(self, **updates) -> "ArchState":
         regs = dict(self.regs)
         regs.update(updates)
-        return ArchState(regs=regs, mem=self.mem)
+        return _state(regs, self.mem, self.watch, self.reads)
 
     def with_mem(self, addr: int, value: Value) -> "ArchState":
         mem = dict(self.mem)
-        mem[addr] = value
-        return ArchState(regs=self.regs, mem=mem)
+        if value == 0:
+            mem.pop(addr, None)
+        else:
+            mem[addr] = value
+        watch = self.watch - {addr} if addr in self.watch else self.watch
+        return _state(self.regs, mem, watch, self.reads)
+
+    def watched(self, cells: frozenset, reads: dict) -> "ArchState":
+        """This state with ``cells`` watched and first reads logged to ``reads``."""
+        return _state(self.regs, self.mem, cells, reads)
 
     def key(self) -> tuple:
         """Hashable canonical form."""
@@ -76,6 +94,67 @@ class ArchState:
 
     def __hash__(self):
         return hash(self.key())
+
+
+def _state(regs, mem, watch, reads) -> ArchState:
+    """An ArchState from already normalised memory, without ``__post_init__``."""
+    state = object.__new__(ArchState)
+    state.__dict__.update(regs=regs, mem=mem, watch=watch, reads=reads)
+    return state
+
+
+class ReadOrderError(Exception):
+    """A run read the varying cells in another order than an earlier run that
+    read the same values: it looked at memory other than through read_mem."""
+
+
+class _Read:
+    """Trie node: every run that gets here reads ``cell`` next."""
+
+    __slots__ = ("cell", "next")
+
+    def __init__(self, cell):
+        self.cell = cell
+        self.next = {}  # value read -> node, a _Read or the leaf (result,)
+
+
+def share_runs(run, cells) -> Callable:
+    """Share ``run``'s results between states that agree on every cell of
+    ``cells`` the run reads.
+
+    ``run`` maps a state to its result. It must look at memory only through
+    ``read_mem``, in an order that depends only on the values read so far,
+    and the states it is given must differ only in ``cells``. A trie
+    branches on those cells in the order the runs read them: a state whose
+    values lead to a leaf gets the stored result, any other is run once,
+    watched, and its read path inserted. A run whose reads disagree with
+    the trie raises ReadOrderError.
+    """
+    cells = frozenset(cells)
+    root = {}  # the trie's root node, under the key None
+
+    def shared(sigma: ArchState):
+        node = root.get(None)
+        while isinstance(node, _Read):
+            node = node.next.get(sigma.mem.get(node.cell, 0))
+        if node is not None:
+            return node[0]
+        reads = {}
+        result = run(sigma.watched(cells, reads))
+        slot, key = root, None
+        for cell, value in reads.items():
+            node = slot.get(key)
+            if node is None:
+                node = slot[key] = _Read(cell)
+            elif not isinstance(node, _Read) or node.cell != cell:
+                raise ReadOrderError(f"a run read cell {cell} out of the order of earlier runs")
+            slot, key = node.next, value
+        if key in slot:
+            raise ReadOrderError("a run stopped reading where earlier runs with its values read on")
+        slot[key] = (result,)
+        return result
+
+    return shared
 
 
 def arch_step(p: Program, state: ArchState, modulus: int = DEFAULT_MODULUS) -> ArchState:

@@ -210,11 +210,13 @@ def trace_spec(
 
 def state_snapshot(state: ArchState, addrs: tuple = ()) -> tuple:
     """Canonical full-state blob: sorted registers, then memory restricted
-    to nonzero cells plus ``addrs``."""
-    cells = set(state.mem) | set(addrs)
+    to nonzero cells plus ``addrs``, read in address order. Which other
+    cells are nonzero is seen in ``mem``, not through ``read_mem``, so a run
+    shared by ``share_runs`` needs ``addrs`` to cover the varying cells."""
+    cells = sorted(set(state.mem) | set(addrs))
     return (
         tuple(sorted((r, _obs_value(v)) for r, v in state.regs.items())),
-        tuple(sorted((a, _obs_value(state.read_mem(a))) for a in cells)),
+        tuple((a, _obs_value(state.read_mem(a))) for a in cells),
     )
 
 

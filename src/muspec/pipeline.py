@@ -297,9 +297,8 @@ def hw_steps(p: Program, h: HwState, cfg: HwConfig) -> Iterator[Tuple[HwState, t
         if h.is_final():
             return
         h2, directive, progressed = hw_step(p, h, cfg)
-        changed = progressed and (
-            h2.sigma != h.sigma or h2.buf != h.buf or h2.cs != h.cs or h2.bp != h.bp
-        )
+        # only retire changes sigma, and a retire that progresses shortens the buffer
+        changed = progressed and (h2.buf != h.buf or h2.cs != h.cs or h2.bp != h.bp)
         idle = 0 if changed else idle + 1
         if idle > idle_limit:
             raise DeadlockError(

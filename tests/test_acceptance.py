@@ -20,7 +20,7 @@ from muspec.analysis import (
     classify_sandboxing,
     random_programs,
 )
-from muspec.arch import ArchState, arch_run
+from muspec.arch import arch_run
 from muspec.contracts import (
     SEQ_ARCH,
     SEQ_CT,

@@ -95,6 +95,20 @@ def test_domain_rejects_empty_and_out_of_range_values():
             StateDomain.parse(text)
 
 
+def test_domain_rejects_an_address_listed_twice():
+    # accepted, this domain had size() == 8 but only two distinct states,
+    # and the fixed value was dropped
+    for text in (
+        "vary 7 in 0..3\nvary 7 in 0..1\nfix 7 = 5\n",
+        "vary 7 in 0..3\nvary 7 in 0..1\n",
+        "vary 7 in 0..3\nfix 7 = 5\n",
+        "fix 7 = 1\nfix 7 = 5\n",
+    ):
+        with pytest.raises(ValueError, match="7"):
+            StateDomain.parse(text)
+    assert StateDomain.parse("vary 7 in 0..3\nvary 9 in 0..1\nfix 5 = 5\n").size() == 8
+
+
 def test_domain_guard():
     dom = StateDomain(vary=tuple((a, 0, 15) for a in range(4)))
     with pytest.raises(DomainTooLarge):

@@ -1,8 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 import json
 
-import pytest
-
 from muspec.cli import main
 
 
@@ -139,6 +137,18 @@ def test_empty_domain_exit_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "3..0" in err
+
+
+def test_domain_listing_an_address_twice_exit_two(capsys, tmp_path):
+    dom = tmp_path / "dom.txt"
+    dom.write_text("values 16\nvary 7 in 0..3\nfix 7 = 5\n")
+    code, out, err = run_cli(
+        capsys, "check", "sat", "P1", "--contract", "spec-ct",
+        "--countermeasure", "tt", "--domain", str(dom),
+    )
+    assert code == 2
+    assert out == ""
+    assert "address 7" in err
 
 
 def test_reversed_policy_range_exit_two(capsys, tmp_path):

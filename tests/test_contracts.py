@@ -3,15 +3,13 @@ import pytest
 
 from muspec import corpus
 from muspec.arch import ArchState, FuelExhausted
-from muspec.analysis import StateDomain, random_programs
+from muspec.analysis import StateDomain
 from muspec.contracts import (
     SEQ_ARCH,
     SEQ_CT,
-    SPEC_CT,
     TOP,
     ContractId,
     contract_stronger_test,
-    contract_trace,
     format_trace,
     trace_degenerate,
     trace_seq,

@@ -1,6 +1,4 @@
 """Eager load delay and the taint-tracking label machinery."""
-import pytest
-
 from muspec import corpus
 from muspec.arch import ArchState
 from muspec.countermeasures import (

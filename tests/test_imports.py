@@ -1,8 +1,9 @@
-"""Static hygiene of the package: every import in src/muspec is used."""
+"""Static hygiene: every import in src/muspec and in tests/ is used."""
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "muspec"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "muspec"
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -31,9 +32,14 @@ def test_unused_import_detector_flags_and_clears():
     assert _unused_imports(tree) == []
 
 
+def _unused_imports_in(root: Path) -> dict:
+    found = {path.name: _unused_imports(ast.parse(path.read_text())) for path in sorted(root.glob("*.py"))}
+    return {name: names for name, names in found.items() if names}
+
+
 def test_no_unused_imports_in_package():
-    found = {
-        path.name: _unused_imports(ast.parse(path.read_text()))
-        for path in sorted(SRC.glob("*.py"))
-    }
-    assert {name: names for name, names in found.items() if names} == {}
+    assert _unused_imports_in(SRC) == {}
+
+
+def test_no_unused_imports_in_tests():
+    assert _unused_imports_in(TESTS) == {}

@@ -1,6 +1,4 @@
 """Hardware stage rules, top-level stepping, runs, and the adversary view."""
-import random
-
 import pytest
 
 from muspec import corpus

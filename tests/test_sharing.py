@@ -1,0 +1,145 @@
+"""Runs shared between domain states that agree on every varying cell read."""
+from dataclasses import replace
+
+import pytest
+
+from muspec import analysis, corpus
+from muspec.analysis import StateDomain, check_contract_satisfaction, random_programs
+from muspec.arch import ArchState, ReadOrderError, format_state, share_runs
+from muspec.contracts import (
+    BOT_INF,
+    SEQ_ARCH,
+    SEQ_CT,
+    SPEC_ARCH,
+    SPEC_CT,
+    SPEC_PC_CT,
+    TOP,
+    contract_trace,
+    state_snapshot,
+)
+from muspec.countermeasures import COUNTERMEASURES
+from muspec.isa import PC, parse_program
+from muspec.pipeline import HwConfig, hw_run
+
+FUEL = 10_000
+CONTRACTS = (TOP, BOT_INF, SEQ_CT, SEQ_ARCH, SPEC_CT, SPEC_PC_CT, SPEC_ARCH)
+SWEEP_DOMAIN = StateDomain(modulus=16, vary=((7, 0, 15), (9, 0, 15)))
+
+
+def _counting(monkeypatch, *names):
+    """Record the calls analysis makes to its imported run functions."""
+    calls = []
+    for name in names:
+        def counted(*args, fn=getattr(analysis, name)):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(analysis, name, counted)
+    return calls
+
+
+def test_watch_is_not_part_of_the_value():
+    plain = ArchState({PC: 0, "x": 1}, {7: 3, 9: 0})
+    reads = {}
+    watched = plain.watched(frozenset({7, 9}), reads)
+    assert watched == plain and hash(watched) == hash(plain)
+    assert watched.key() == plain.key() and format_state(watched) == format_state(plain)
+    assert repr(watched) == repr(plain)
+    assert watched.read_mem(5) == 0 and reads == {}  # not a watched cell
+    assert watched.read_mem(9) == 0 and watched.read_mem(7) == 3
+    assert list(reads.items()) == [(9, 0), (7, 3)]
+
+
+def test_with_mem_unwatches_and_with_regs_carries_the_watch():
+    reads = {}
+    sigma = ArchState({PC: 0}, {7: 3}).watched(frozenset({7, 9}), reads)
+    stepped = sigma.with_regs(**{PC: 1})
+    assert stepped.watch == {7, 9} and stepped.reads is reads
+    written = stepped.with_mem(7, 0)
+    assert written.watch == {9} and written.mem == {} and written.reads is reads
+    assert written.read_mem(7) == 0 and reads == {}  # overwritten: not the initial value
+    assert written.with_mem(9, 5).mem == {9: 5}
+    assert sigma.read_mem(7) == 3 and reads == {7: 3}  # the unwritten state still watches 7
+
+
+def test_state_snapshot_reads_cells_in_address_order():
+    # {16, 1} iterates 16 first as a set; the snapshot must read 1 first
+    reads = {}
+    sigma = ArchState({PC: 0}, {16: 3, 1: 2}).watched(frozenset({1, 16}), reads)
+    state_snapshot(sigma, (1,))
+    assert list(reads) == [1, 16]
+
+
+def _plain_run(semantics, p, dom):
+    if isinstance(semantics, HwConfig):
+        cfg = replace(semantics, modulus=dom.modulus, fuel=FUEL)
+        return lambda s: hw_run(p, s, cfg)[0]
+    return lambda s: contract_trace(semantics, p, s, FUEL, dom.modulus, dom.addresses)
+
+
+@pytest.mark.parametrize(
+    "vary",
+    [((0, 0, 3), (5, 0, 3)), ((0, 0, 2), (1, 0, 1), (3, 0, 1))],
+    ids=["2-cell", "3-cell"],
+)
+def test_shared_tracer_equals_plain_run_on_every_state(monkeypatch, vary):
+    dom = StateDomain(modulus=16, vary=vary)
+    semantics = CONTRACTS + tuple(
+        HwConfig(countermeasure=cm, predictor="twobit") for cm in COUNTERMEASURES
+    )
+    runs = _counting(monkeypatch, "contract_trace", "hw_run")
+    states = shared_runs = branched = 0
+    for p in random_programs(20, seed=5):
+        for sem in semantics:
+            plain = _plain_run(sem, p, dom)
+            before = len(runs)
+            shared = analysis._semantics_tracer(sem, p, dom, FUEL)
+            for sigma in dom.initial_states(p):
+                assert shared(sigma) == plain(sigma), (str(p), sem, format_state(sigma))
+                states += 1
+            shared_runs += len(runs) - before
+            branched += len(runs) - before > 1
+    # sharing happened, and so did runs that the read values told apart
+    assert shared_runs < states and branched, (shared_runs, states, branched)
+
+
+def test_sweep_domain_run_counts(monkeypatch):
+    cfg = HwConfig(countermeasure="none", predictor="twobit")
+    spec_ct = replace(SPEC_CT, window=7)
+    runs = _counting(monkeypatch, "hw_run")
+    assert check_contract_satisfaction(corpus.load("P1"), spec_ct, cfg, SWEEP_DOMAIN).ok
+    assert 1 < len(runs) <= 16
+    runs.clear()
+    assert check_contract_satisfaction(parse_program("skip"), spec_ct, cfg, SWEEP_DOMAIN).ok
+    assert len(runs) == 1
+
+
+def test_sharing_is_scoped_to_one_check(monkeypatch):
+    cfg = HwConfig(countermeasure="none", predictor="twobit")
+    runs = _counting(monkeypatch, "hw_run")
+    for _ in range(2):
+        check_contract_satisfaction(parse_program("skip"), replace(SPEC_CT, window=7), cfg, SWEEP_DOMAIN)
+    assert len(runs) == 2
+
+
+def _peeking_run(sigma):
+    """Reads 9 then 7 while cell 9 is zero, else 7 then 9: it looks at memory
+    other than through read_mem."""
+    first, second = (7, 9) if sigma.mem.get(9, 0) else (9, 7)
+    return sigma.read_mem(first), sigma.read_mem(second)
+
+
+def _stopping_run(sigma):
+    """Stops reading once cell 7 is nonzero, judged by peeking."""
+    if sigma.mem.get(7, 0):
+        return ()
+    return sigma.read_mem(7), sigma.read_mem(9)
+
+
+@pytest.mark.parametrize("run", [_peeking_run, _stopping_run])
+def test_read_order_that_depends_on_memory_raises(run):
+    shared = share_runs(run, (7, 9))
+    p = parse_program("skip")
+    with pytest.raises(ReadOrderError):
+        for sigma in StateDomain(modulus=16, vary=((7, 0, 1), (9, 0, 1))).initial_states(p):
+            shared(sigma)
