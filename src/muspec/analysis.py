@@ -23,9 +23,9 @@ from .contracts import (
     TOP,
     ContractId,
     Verdict,
-    contract_stronger_test,
-    contract_trace,
+    contract_tracer,
     relate,
+    strength_tests,
 )
 from .isa import (
     BOTTOM,
@@ -45,7 +45,7 @@ from .isa import (
 )
 from .pipeline import HwConfig, hw_run
 
-PAIR_GUARD = 2 ** 24
+STATE_GUARD = 4096
 
 
 class DomainTooLarge(Exception):
@@ -120,8 +120,8 @@ class StateDomain:
 
     def initial_states(self, program: Program):
         n = self.size()
-        if n * n > PAIR_GUARD:
-            raise DomainTooLarge(f"{n} states yield {n * n} pairs (> {PAIR_GUARD})")
+        if n > STATE_GUARD:
+            raise DomainTooLarge(f"domain has {n} states (> {STATE_GUARD})")
         base = dict(self.fixed)
         ranges = [range(lo, hi + 1) for _, lo, hi in self.vary]
         addrs = [a for a, *_ in self.vary]
@@ -160,12 +160,7 @@ class StateDomain:
 
 
 def low_equivalent(sigma: ArchState, sigma_prime: ArchState, policy: Policy) -> bool:
-    cells = set(sigma.mem) | set(sigma_prime.mem)
-    return all(
-        sigma.read_mem(a) == sigma_prime.read_mem(a)
-        for a in cells
-        if policy.is_low(a)
-    )
+    return _low_fingerprint(sigma, policy) == _low_fingerprint(sigma_prime, policy)
 
 
 def _low_fingerprint(sigma: ArchState, policy: Policy) -> tuple:
@@ -175,19 +170,12 @@ def _low_fingerprint(sigma: ArchState, policy: Policy) -> tuple:
 def _semantics_tracer(semantics, program, domain, fuel):
     """Trace function for either a ContractId or a hardware HwConfig, run
     once per distinct read of the domain's varying cells."""
-    snapshot_addrs = tuple(domain.addresses)
     if isinstance(semantics, ContractId):
-        def run(sigma):
-            return contract_trace(
-                semantics, program, sigma, fuel, domain.modulus, snapshot_addrs
-            )
-    elif isinstance(semantics, HwConfig):
-        cfg = replace(semantics, modulus=domain.modulus, fuel=fuel)
-        def run(sigma):
-            return hw_run(program, sigma, cfg)[0]
-    else:
+        return contract_tracer(semantics, program, domain, fuel)
+    if not isinstance(semantics, HwConfig):
         raise TypeError(f"semantics must be a ContractId or HwConfig, got {semantics!r}")
-    return share_runs(run, (a for a, *_ in domain.vary))
+    cfg = replace(semantics, modulus=domain.modulus, fuel=fuel)
+    return share_runs(lambda sigma: hw_run(program, sigma, cfg)[0], (a for a, *_ in domain.vary))
 
 
 def check_contract_satisfaction(
@@ -367,12 +355,7 @@ def check_lattice(
 ) -> dict:
     """Run the strength test on every lattice edge over the corpus;
     maps edge names to None (pass) or the refuting witness."""
-    results = {}
-    programs = list(corpus)
-    for c1, c2 in lattice_edges(window):
-        witness = contract_stronger_test(c1, c2, programs, domain, fuel)
-        results[f"{c1} >= {c2}"] = witness
-    return results
+    return strength_tests(lattice_edges(window), corpus, domain, fuel)
 
 
 # ---------------------------------------------------------------------------

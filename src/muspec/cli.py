@@ -62,6 +62,13 @@ def _load_policy(args) -> Policy:
     return _default_policy()
 
 
+def _load_state(args, program: Program) -> ArchState:
+    if args.state:
+        with open(args.state) as fh:
+            return parse_state(fh.read(), program)
+    return ArchState.initial(program)
+
+
 def _load_config(args) -> HwConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -111,12 +118,7 @@ def _verdict_records(args, verdict: Verdict, dump_prefix=None) -> int:
 
 def _cmd_run(args) -> int:
     program = _load_program(args.program)
-    if args.state:
-        with open(args.state) as fh:
-            sigma = parse_state(fh.read(), program)
-    else:
-        sigma = ArchState.initial(program)
-    final, steps = arch_run(program, sigma, fuel=args.fuel)
+    final, steps = arch_run(program, _load_state(args, program), fuel=args.fuel)
     _emit(args, {"kind": "run", "steps": steps})
     sys.stdout.write(format_state(final))
     return 0
@@ -125,12 +127,7 @@ def _cmd_run(args) -> int:
 def _cmd_trace(args) -> int:
     program = _load_program(args.program)
     contract = ContractId.parse(args.contract, window=args.window)
-    if args.state:
-        with open(args.state) as fh:
-            sigma = parse_state(fh.read(), program)
-    else:
-        sigma = ArchState.initial(program)
-    trace = contract_trace(contract, program, sigma, fuel=args.fuel)
+    trace = contract_trace(contract, program, _load_state(args, program), fuel=args.fuel)
     sys.stdout.write(format_trace(trace))
     return 0
 
@@ -138,12 +135,7 @@ def _cmd_trace(args) -> int:
 def _cmd_hwrun(args) -> int:
     program = _load_program(args.program)
     cfg = _load_config(args)
-    if args.state:
-        with open(args.state) as fh:
-            sigma = parse_state(fh.read(), program)
-    else:
-        sigma = ArchState.initial(program)
-    h = initial_hw_state(program, sigma, cfg)
+    h = initial_hw_state(program, _load_state(args, program), cfg)
     # collected first, so that a run that raises prints nothing
     lines = [f"step 0 dir=- view={adversary_view(h)}"]
     for k, (h, directive) in enumerate(hw_steps(program, h, cfg), start=1):

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .arch import DEFAULT_FUEL, ArchState, FuelExhausted, arch_step
+from .arch import DEFAULT_FUEL, ArchState, FuelExhausted, arch_step, share_runs
 from .isa import (
     BOTTOM,
     DEFAULT_MODULUS,
@@ -210,13 +210,14 @@ def trace_spec(
 
 def state_snapshot(state: ArchState, addrs: tuple = ()) -> tuple:
     """Canonical full-state blob: sorted registers, then memory restricted
-    to nonzero cells plus ``addrs``, read in address order. Which other
-    cells are nonzero is seen in ``mem``, not through ``read_mem``, so a run
-    shared by ``share_runs`` needs ``addrs`` to cover the varying cells."""
-    cells = sorted(set(state.mem) | set(addrs))
+    to nonzero cells plus ``addrs``, read in address order. Watched cells are
+    read through ``read_mem`` too, so a run shared by ``share_runs`` depends
+    on every varying cell whose value could show in the snapshot."""
+    cells = sorted(set(state.mem) | set(addrs) | state.watch)
+    mem = ((a, state.read_mem(a)) for a in cells)
     return (
         tuple(sorted((r, _obs_value(v)) for r, v in state.regs.items())),
-        tuple((a, _obs_value(state.read_mem(a))) for a in cells),
+        tuple((a, _obs_value(v)) for a, v in mem if v != 0 or a in addrs),
     )
 
 
@@ -258,6 +259,16 @@ def contract_trace(
     if contract.mode == "spec":
         return trace_spec(p, state, contract.observer, contract.window, fuel, modulus)
     return trace_degenerate(p, state, contract.mode, fuel, modulus, snapshot_addrs)
+
+
+def contract_tracer(contract: ContractId, p: Program, domain, fuel: int):
+    """``contract``'s trace function on ``domain``'s states, run once per
+    distinct read of the domain's varying cells."""
+    snapshot_addrs = tuple(domain.addresses)
+    return share_runs(
+        lambda sigma: contract_trace(contract, p, sigma, fuel, domain.modulus, snapshot_addrs),
+        (a for a, *_ in domain.vary),
+    )
 
 
 @dataclass(frozen=True)
@@ -320,6 +331,27 @@ class StrengthWitness:
     trace1_prime: tuple
 
 
+def strength_tests(edges, corpus, domain, fuel: int = DEFAULT_FUEL) -> dict:
+    """Empirical check of each edge (c1, c2), c1 stronger than c2, on a
+    finite domain; maps ``"c1 >= c2"`` to None when every c2-equal state
+    pair is also c1-equal on every program, else to the first witness in
+    program and enumeration order.
+
+    Per program each contract has one shared tracer, and only the edges not
+    refuted yet are checked.
+    """
+    results = {f"{c1} >= {c2}": None for c1, c2 in edges}
+    for idx, p in enumerate(corpus):
+        tracers = {c: contract_tracer(c, p, domain, fuel) for edge in edges for c in edge}
+        for c1, c2 in edges:
+            name = f"{c1} >= {c2}"
+            if results[name] is None:
+                v = relate(p, domain, tracers[c2], tracers[c1], name)
+                if not v.ok:
+                    results[name] = StrengthWitness(idx, v.sigma, v.sigma_prime, v.trace, v.trace_prime)
+    return results
+
+
 def contract_stronger_test(
     c1: ContractId,
     c2: ContractId,
@@ -332,15 +364,7 @@ def contract_stronger_test(
     Returns None when every c2-equal state pair is also c1-equal on every
     program, else the first witness in canonical enumeration order.
     """
-    snapshot_addrs = tuple(domain.addresses)
-    for idx, p in enumerate(corpus):
-        def trace(c):
-            return lambda sigma: contract_trace(c, p, sigma, fuel, domain.modulus, snapshot_addrs)
-
-        v = relate(p, domain, trace(c2), trace(c1), f"{c1} >= {c2}")
-        if not v.ok:
-            return StrengthWitness(idx, v.sigma, v.sigma_prime, v.trace, v.trace_prime)
-    return None
+    return strength_tests(((c1, c2),), corpus, domain, fuel)[f"{c1} >= {c2}"]
 
 
 def format_trace(trace: tuple) -> str:

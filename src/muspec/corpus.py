@@ -124,9 +124,6 @@ _SOURCES = {
     "loop": TRIVIA_LOOP,
 }
 
-# secret (out-of-sandbox) cell of the P-family layout
-SECRET_CELL = 7
-
 # low addresses for the P-family policy: in-bounds A plus all of B's range
 TABLE_POLICY_LOW = ((4, 5), (8, 15))
 
@@ -154,10 +151,6 @@ def names() -> tuple:
 def program_names() -> tuple:
     """Corpus members that terminate (everything but the fuel-test loop)."""
     return tuple(n for n in _SOURCES if n != "loop")
-
-
-def source(name: str) -> str:
-    return _SOURCES[name]
 
 
 def load(name: str) -> Program:

@@ -16,6 +16,7 @@ from muspec.analysis import (
     check_wsni,
     classify_constant_time,
     classify_sandboxing,
+    lattice_edges,
     low_equivalent,
     random_programs,
 )
@@ -29,6 +30,7 @@ from muspec.contracts import (
     ContractId,
     contract_stronger_test,
     contract_trace,
+    strength_tests,
 )
 from muspec.isa import parse_program
 from muspec.pipeline import HwConfig, hw_run
@@ -110,9 +112,14 @@ def test_domain_rejects_an_address_listed_twice():
 
 
 def test_domain_guard():
+    skip = parse_program("skip")
     dom = StateDomain(vary=tuple((a, 0, 15) for a in range(4)))
     with pytest.raises(DomainTooLarge):
-        list(dom.initial_states(parse_program("skip")))
+        list(dom.initial_states(skip))
+    at_limit = StateDomain(vary=tuple((a, 0, 15) for a in range(3)))
+    assert sum(1 for _ in at_limit.initial_states(skip)) == 4096
+    with pytest.raises(DomainTooLarge):
+        next(replace(at_limit, vary=at_limit.vary + ((3, 0, 1),)).initial_states(skip))
 
 
 # -- contract satisfaction --------------------------------------------------------
@@ -376,8 +383,12 @@ def test_relate_matches_pairwise_definition_on_random_programs():
     def low(s):
         return tuple(s.read_mem(a) for a in dom.addresses if policy.is_low(a))
 
+    edges = lattice_edges(W)
+    edges += tuple((c2, c1) for c1, c2 in edges)
+    first_witness = dict.fromkeys((f"{c1} >= {c2}" for c1, c2 in edges), None)
     outcomes = Counter()
-    for p in random_programs(20, seed=7):
+    programs = random_programs(20, seed=7)
+    for idx, p in enumerate(programs):
         states = list(dom.initial_states(p))
 
         def trace(c):
@@ -398,14 +409,26 @@ def test_relate_matches_pairwise_definition_on_random_programs():
             assert got == _pairwise(states, key, observe), (name, p)
             outcomes[name, v.ok] += 1
 
-        # the reversed edge spec-ct >= seq-ct, which the lattice refutes
-        w = contract_stronger_test(SPEC_CT_W, SEQ_CT, [p], dom)
-        ok, sigma, sigma_prime, _pos, t1, t1_prime = _pairwise(states, trace(SEQ_CT), trace(SPEC_CT_W))
-        if ok:
-            assert w is None, p
-        else:
-            assert (w.sigma, w.sigma_prime, w.trace1, w.trace1_prime) == (sigma, sigma_prime, t1, t1_prime)
-        outcomes["edge", ok] += 1
+        # the seven lattice edges and their reverses, tested together
+        witnesses = strength_tests(edges, [p], dom)
+        for c1, c2 in edges:
+            name = f"{c1} >= {c2}"
+            w = witnesses[name]
+            ok, sigma, sigma_prime, _pos, t1, t1_prime = _pairwise(states, trace(c2), trace(c1))
+            if ok:
+                assert w is None, (name, p)
+            else:
+                got = (w.program_index, w.sigma, w.sigma_prime, w.trace1, w.trace1_prime)
+                assert got == (0, sigma, sigma_prime, t1, t1_prime), (name, p)
+                if first_witness[name] is None:
+                    first_witness[name] = (idx, sigma, sigma_prime, t1, t1_prime)
+            outcomes["edge", ok] += 1
 
+    # over all programs at once, each edge's witness comes from the first program refuting it
+    witnesses = strength_tests(edges, programs, dom)
+    assert {
+        name: w and (w.program_index, w.sigma, w.sigma_prime, w.trace1, w.trace1_prime)
+        for name, w in witnesses.items()
+    } == first_witness
     # every check both passes and fails somewhere, so no comparison is vacuous
     assert all(outcomes[name, ok] for name, _ in outcomes for ok in (True, False)), outcomes

@@ -1,9 +1,11 @@
-"""Static hygiene: every import in src/muspec and in tests/ is used."""
+"""Static hygiene: every import in src/muspec and in tests/ is used, and every
+module-level name src/muspec defines is referenced in src/, tests/ or bench/."""
 import ast
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "muspec"
+BENCH = TESTS.parent / "bench"
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -43,3 +45,47 @@ def test_no_unused_imports_in_package():
 
 def test_no_unused_imports_in_tests():
     assert _unused_imports_in(TESTS) == {}
+
+
+def _defined_names(tree: ast.Module) -> dict:
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = node.lineno
+    return {name: line for name, line in names.items() if not name.startswith("__")}
+
+
+def _referenced_names(tree: ast.Module) -> set:
+    """Names read, and attributes of any object; importing a name alone does
+    not reference it."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_unreferenced_name_detector_flags_and_clears():
+    tree = ast.parse("A = 1\nB = A\ndef f(): pass\nclass C: pass\n__all__ = []\n")
+    assert sorted(_defined_names(tree)) == ["A", "B", "C", "f"]
+    assert _referenced_names(tree) == {"A"}
+    assert _referenced_names(ast.parse("from m import g\nm.h\nk()\n")) == {"m", "h", "k"}
+
+
+def test_every_module_level_name_is_referenced():
+    trees = [ast.parse(path.read_text()) for root in (SRC, TESTS, BENCH) for path in sorted(root.glob("*.py"))]
+    used = set().union(*map(_referenced_names, trees))
+    unused = {
+        path.name: sorted(f"{name} (line {line})" for name, line in defined.items() if name not in used)
+        for path in sorted(SRC.glob("*.py"))
+        for defined in [_defined_names(ast.parse(path.read_text()))]
+    }
+    assert {name: found for name, found in unused.items() if found} == {}

@@ -1,10 +1,11 @@
 """Runs shared between domain states that agree on every varying cell read."""
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from muspec import analysis, corpus
-from muspec.analysis import StateDomain, check_contract_satisfaction, random_programs
+from muspec import analysis, contracts, corpus
+from muspec.analysis import StateDomain, check_contract_satisfaction, check_lattice, random_programs
 from muspec.arch import ArchState, ReadOrderError, format_state, share_runs
 from muspec.contracts import (
     BOT_INF,
@@ -26,15 +27,15 @@ CONTRACTS = (TOP, BOT_INF, SEQ_CT, SEQ_ARCH, SPEC_CT, SPEC_PC_CT, SPEC_ARCH)
 SWEEP_DOMAIN = StateDomain(modulus=16, vary=((7, 0, 15), (9, 0, 15)))
 
 
-def _counting(monkeypatch, *names):
-    """Record the calls analysis makes to its imported run functions."""
+def _counting(monkeypatch, *targets):
+    """Record the calls made to run functions, each given as (module, name)."""
     calls = []
-    for name in names:
-        def counted(*args, fn=getattr(analysis, name)):
+    for module, name in targets:
+        def counted(*args, fn=getattr(module, name)):
             calls.append(args)
             return fn(*args)
 
-        monkeypatch.setattr(analysis, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -70,6 +71,22 @@ def test_state_snapshot_reads_cells_in_address_order():
     assert list(reads) == [1, 16]
 
 
+def test_bot_inf_snapshot_reads_the_varying_cells_without_snapshot_addrs():
+    # the default snapshot_addrs is (): the snapshot must still read cell 7
+    skip = parse_program("skip")
+    shared = share_runs(lambda s: contract_trace(BOT_INF, skip, s), (7,))
+    for sigma in StateDomain(modulus=16, vary=((7, 0, 1),)).initial_states(skip):
+        assert shared(sigma) == contract_trace(BOT_INF, skip, sigma), format_state(sigma)
+
+
+def test_lattice_traces_each_contract_once_per_state(monkeypatch):
+    programs = [corpus.load(n) for n in corpus.program_names()]
+    runs = _counting(monkeypatch, (contracts, "contract_trace"))
+    check_lattice(programs, StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3))), 7)
+    per_state = Counter((c, id(p), sigma.key()) for c, p, sigma, *_ in runs)
+    assert runs and max(per_state.values()) == 1, per_state.most_common(1)
+
+
 def _plain_run(semantics, p, dom):
     if isinstance(semantics, HwConfig):
         cfg = replace(semantics, modulus=dom.modulus, fuel=FUEL)
@@ -87,7 +104,7 @@ def test_shared_tracer_equals_plain_run_on_every_state(monkeypatch, vary):
     semantics = CONTRACTS + tuple(
         HwConfig(countermeasure=cm, predictor="twobit") for cm in COUNTERMEASURES
     )
-    runs = _counting(monkeypatch, "contract_trace", "hw_run")
+    runs = _counting(monkeypatch, (contracts, "contract_trace"), (analysis, "hw_run"))
     states = shared_runs = branched = 0
     for p in random_programs(20, seed=5):
         for sem in semantics:
@@ -106,7 +123,7 @@ def test_shared_tracer_equals_plain_run_on_every_state(monkeypatch, vary):
 def test_sweep_domain_run_counts(monkeypatch):
     cfg = HwConfig(countermeasure="none", predictor="twobit")
     spec_ct = replace(SPEC_CT, window=7)
-    runs = _counting(monkeypatch, "hw_run")
+    runs = _counting(monkeypatch, (analysis, "hw_run"))
     assert check_contract_satisfaction(corpus.load("P1"), spec_ct, cfg, SWEEP_DOMAIN).ok
     assert 1 < len(runs) <= 16
     runs.clear()
@@ -116,7 +133,7 @@ def test_sweep_domain_run_counts(monkeypatch):
 
 def test_sharing_is_scoped_to_one_check(monkeypatch):
     cfg = HwConfig(countermeasure="none", predictor="twobit")
-    runs = _counting(monkeypatch, "hw_run")
+    runs = _counting(monkeypatch, (analysis, "hw_run"))
     for _ in range(2):
         check_contract_satisfaction(parse_program("skip"), replace(SPEC_CT, window=7), cfg, SWEEP_DOMAIN)
     assert len(runs) == 2
