@@ -175,7 +175,15 @@ def _semantics_tracer(semantics, program, domain, fuel):
     if not isinstance(semantics, HwConfig):
         raise TypeError(f"semantics must be a ContractId or HwConfig, got {semantics!r}")
     cfg = replace(semantics, modulus=domain.modulus, fuel=fuel)
-    return share_runs(lambda sigma: hw_run(program, sigma, cfg)[0], (a for a, *_ in domain.vary))
+
+    def run(sigma, start):
+        # a resume point is hw_run's (h, steps, idle) with the trace before h
+        point, prefix = start or (None, ())
+        starts = {}
+        trace = prefix + hw_run(program, sigma, cfg, point, starts)[0]
+        return trace, {cell: (at, trace[: at[1]]) for cell, at in starts.items()}
+
+    return share_runs(run, (a for a, *_ in domain.vary))
 
 
 def check_contract_satisfaction(

@@ -82,6 +82,15 @@ class ArchState:
         """This state with ``cells`` watched and first reads logged to ``reads``."""
         return _state(self.regs, self.mem, cells, reads)
 
+    def resumed(self, sigma: "ArchState") -> "ArchState":
+        """This state, taken midway through a run, continued for ``sigma``:
+        the cells it still watches and sigma's reads log does not hold yet
+        take sigma's values, and first reads go to sigma's log."""
+        unread = self.watch - sigma.reads.keys()
+        mem = {a: v for a, v in self.mem.items() if a not in unread}
+        mem.update((a, sigma.mem[a]) for a in unread if a in sigma.mem)
+        return _state(self.regs, mem, self.watch, sigma.reads)
+
     def key(self) -> tuple:
         """Hashable canonical form."""
         return (
@@ -109,43 +118,56 @@ class ReadOrderError(Exception):
 
 
 class _Read:
-    """Trie node: every run that gets here reads ``cell`` next."""
+    """Trie node: every run that gets here reads ``cell`` next. ``start`` is
+    where such a run can resume, the point just before that read, or None."""
 
-    __slots__ = ("cell", "next")
+    __slots__ = ("cell", "next", "start")
 
-    def __init__(self, cell):
+    def __init__(self, cell, start):
         self.cell = cell
         self.next = {}  # value read -> node, a _Read or the leaf (result,)
+        self.start = start
 
 
 def share_runs(run, cells) -> Callable:
     """Share ``run``'s results between states that agree on every cell of
-    ``cells`` the run reads.
+    ``cells`` the run reads, and resume a run where its reads diverge.
 
-    ``run`` maps a state to its result. It must look at memory only through
-    ``read_mem``, in an order that depends only on the values read so far,
-    and the states it is given must differ only in ``cells``. A trie
-    branches on those cells in the order the runs read them: a state whose
-    values lead to a leaf gets the stored result, any other is run once,
-    watched, and its read path inserted. A run whose reads disagree with
-    the trie raises ReadOrderError.
+    ``run(sigma, start)`` returns ``(result, starts)``. It must look at
+    memory only through ``read_mem``, in an order that depends only on the
+    values read so far, and the states it is given must differ only in
+    ``cells``. A trie branches on those cells in the order the runs read
+    them: a state whose values lead to a leaf gets the stored result, any
+    other is run once, watched, and its read path inserted. ``starts`` maps
+    each cell the run first read to the point just before that read, kept
+    on the cell's new node; a run that cannot resume gives none. A state
+    whose values leave the trie at a node with a point is run from it:
+    ``start`` is that point, and the state's reads log already holds the
+    path to the node. Otherwise ``start`` is None. A run whose reads
+    disagree with the trie raises ReadOrderError.
     """
     cells = frozenset(cells)
     root = {}  # the trie's root node, under the key None
 
     def shared(sigma: ArchState):
-        node = root.get(None)
+        fork = node = root.get(None)
         while isinstance(node, _Read):
-            node = node.next.get(sigma.mem.get(node.cell, 0))
+            fork, node = node, node.next.get(sigma.mem.get(node.cell, 0))
         if node is not None:
             return node[0]
         reads = {}
-        result = run(sigma.watched(cells, reads))
+        start = fork.start if fork is not None else None
+        if start is not None:
+            node = root[None]
+            while node is not fork:
+                reads[node.cell] = value = sigma.mem.get(node.cell, 0)
+                node = node.next[value]
+        result, starts = run(sigma.watched(cells, reads), start)
         slot, key = root, None
         for cell, value in reads.items():
             node = slot.get(key)
             if node is None:
-                node = slot[key] = _Read(cell)
+                node = slot[key] = _Read(cell, starts.get(cell))
             elif not isinstance(node, _Read) or node.cell != cell:
                 raise ReadOrderError(f"a run read cell {cell} out of the order of earlier runs")
             slot, key = node.next, value

@@ -265,10 +265,12 @@ def contract_tracer(contract: ContractId, p: Program, domain, fuel: int):
     """``contract``'s trace function on ``domain``'s states, run once per
     distinct read of the domain's varying cells."""
     snapshot_addrs = tuple(domain.addresses)
-    return share_runs(
-        lambda sigma: contract_trace(contract, p, sigma, fuel, domain.modulus, snapshot_addrs),
-        (a for a, *_ in domain.vary),
-    )
+
+    def run(sigma, _start):
+        # a contract run never resumes, so it gives no resume points
+        return contract_trace(contract, p, sigma, fuel, domain.modulus, snapshot_addrs), {}
+
+    return share_runs(run, (a for a, *_ in domain.vary))
 
 
 @dataclass(frozen=True)

@@ -288,15 +288,27 @@ def adversary_view(h: HwState) -> tuple:
     return (h.sc.proj, h.cs.key(), h.bp.key(), h.sc.key())
 
 
-def hw_steps(p: Program, h: HwState, cfg: HwConfig) -> Iterator[Tuple[HwState, tuple]]:
+def hw_steps(
+    p: Program, h: HwState, cfg: HwConfig, steps: int = 0, idle: int = 0, starts: dict = None
+) -> Iterator[Tuple[HwState, tuple]]:
     """Step from ``h`` to the final hardware state, yielding each new state
-    with the directive that produced it."""
-    idle = 0
+    with the directive that produced it.
+
+    A resumed run passes the step count and the idle counter it stopped at,
+    so fuel and deadlock count from the start of the run. ``starts``, if
+    given, maps each watched cell first read to ``(h, steps, idle)`` just
+    before the step that read it: a point to resume from.
+    """
     idle_limit = 4 * (cfg.buffer_size + 3)
-    for _ in range(cfg.fuel):
+    reads = h.sigma.reads if starts is not None else {}
+    for steps in range(steps, cfg.fuel):
         if h.is_final():
             return
+        n = len(reads)
         h2, directive, progressed = hw_step(p, h, cfg)
+        if len(reads) > n:
+            for cell in list(reads)[n:]:
+                starts[cell] = (h, steps, idle)
         # only retire changes sigma, and a retire that progresses shortens the buffer
         changed = progressed and (h2.buf != h.buf or h2.cs != h.cs or h2.bp != h.bp)
         idle = 0 if changed else idle + 1
@@ -313,11 +325,23 @@ def hw_run(
     p: Program,
     sigma: ArchState,
     cfg: HwConfig,
+    start: tuple = None,
+    starts: dict = None,
 ) -> Tuple[tuple, HwState]:
     """Run to the final hardware state collecting the adversary trace
-    (one view per state, the initial one included)."""
-    h = initial_hw_state(p, sigma, cfg)
+    (one view per state, the initial one included).
+
+    ``start``, a point ``(h, steps, idle)`` that an earlier run of the same
+    program put in its ``starts`` (see hw_steps), resumes that run for
+    ``sigma`` instead: ``h`` takes sigma's values in the cells not read yet,
+    and the trace begins with the view of ``h``.
+    """
+    if start is None:
+        h, steps, idle = initial_hw_state(p, sigma, cfg), 0, 0
+    else:
+        h, steps, idle = start
+        h = HwState(h.sigma.resumed(sigma), h.buf, h.cs, h.bp, h.sc)
     views = [adversary_view(h)]
-    for h, _directive in hw_steps(p, h, cfg):
+    for h, _directive in hw_steps(p, h, cfg, steps, idle, starts):
         views.append(adversary_view(h))
     return tuple(views), h

@@ -295,11 +295,16 @@ class OooScheduler:
     stall counter grows and the choice rotates through the candidate
     list, trying each candidate twice: a cache miss needs one repeat to
     turn into a hit, anything still stuck after two tries is skipped.
+
+    The candidate list depends only on the projection, so ``memo`` keeps it
+    per projection and ``update`` hands it on: a run shares one memo, and
+    the runs that resume from its states share it too.
     """
 
     mu_w: int
     proj: tuple = ()
     stall: int = 0
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def _candidates(self) -> list:
         proj = self.proj
@@ -334,12 +339,14 @@ class OooScheduler:
         return cands or [FETCH]
 
     def next(self) -> tuple:
-        cands = self._candidates()
+        cands = self.memo.get(self.proj)
+        if cands is None:
+            cands = self.memo[self.proj] = self._candidates()
         return cands[(self.stall // 2) % len(cands)]
 
     def update(self, proj: tuple) -> "OooScheduler":
         stall = self.stall + 1 if proj == self.proj else 0
-        return OooScheduler(self.mu_w, proj, stall)
+        return OooScheduler(self.mu_w, proj, stall, self.memo)
 
     def key(self):
         return ("ooo", self.mu_w, self.proj, self.stall)

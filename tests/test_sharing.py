@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from muspec import analysis, contracts, corpus
+from muspec import analysis, contracts, corpus, pipeline
 from muspec.analysis import StateDomain, check_contract_satisfaction, check_lattice, random_programs
-from muspec.arch import ArchState, ReadOrderError, format_state, share_runs
+from muspec.arch import ArchState, FuelExhausted, ReadOrderError, format_state, share_runs
 from muspec.contracts import (
     BOT_INF,
     SEQ_ARCH,
@@ -20,7 +20,7 @@ from muspec.contracts import (
 )
 from muspec.countermeasures import COUNTERMEASURES
 from muspec.isa import PC, parse_program
-from muspec.pipeline import HwConfig, hw_run
+from muspec.pipeline import DeadlockError, HwConfig, hw_run
 
 FUEL = 10_000
 CONTRACTS = (TOP, BOT_INF, SEQ_CT, SEQ_ARCH, SPEC_CT, SPEC_PC_CT, SPEC_ARCH)
@@ -74,7 +74,7 @@ def test_state_snapshot_reads_cells_in_address_order():
 def test_bot_inf_snapshot_reads_the_varying_cells_without_snapshot_addrs():
     # the default snapshot_addrs is (): the snapshot must still read cell 7
     skip = parse_program("skip")
-    shared = share_runs(lambda s: contract_trace(BOT_INF, skip, s), (7,))
+    shared = share_runs(lambda s, _start: (contract_trace(BOT_INF, skip, s), {}), (7,))
     for sigma in StateDomain(modulus=16, vary=((7, 0, 1),)).initial_states(skip):
         assert shared(sigma) == contract_trace(BOT_INF, skip, sigma), format_state(sigma)
 
@@ -139,18 +139,70 @@ def test_sharing_is_scoped_to_one_check(monkeypatch):
     assert len(runs) == 2
 
 
-def _peeking_run(sigma):
+def test_views_account_for_every_step_and_runs_fork(monkeypatch):
+    # the traced benchmark counts one view per hw_step call plus one per
+    # hw_run call, so a resumed run returns the views from its start only
+    p = corpus.load("P1")
+    cfg = HwConfig(countermeasure="none", predictor="twobit")
+    steps = _counting(monkeypatch, (pipeline, "hw_step"))
+    runs = []  # (arguments, views) per hw_run call
+
+    def recorded(*args, fn=analysis.hw_run):
+        result = fn(*args)
+        runs.append((args, result[0]))
+        return result
+
+    monkeypatch.setattr(analysis, "hw_run", recorded)
+    assert check_contract_satisfaction(p, replace(SPEC_CT, window=7), cfg, SWEEP_DOMAIN).ok
+    n_steps = len(steps)
+    assert len(runs) > 1 and sum(len(views) for _, views in runs) == n_steps + len(runs)
+    # runs resumed mid-way: fewer steps than the runs take from the start
+    run_cfg = replace(cfg, modulus=SWEEP_DOMAIN.modulus)
+    full = sum(len(hw_run(p, args[1], run_cfg)[0]) - 1 for args, _ in runs)
+    assert n_steps < full, (n_steps, full)
+
+
+def _first_raise(trace, states):
+    """(position, exception type, message) of the first state whose trace
+    raises, or None."""
+    for i, sigma in enumerate(states):
+        try:
+            trace(sigma)
+        except (FuelExhausted, DeadlockError) as error:
+            return i, type(error), str(error)
+    return None
+
+
+def test_resumed_run_raises_what_the_plain_run_raises(monkeypatch):
+    # a nonzero cell 7 runs past the branch, so those runs need more steps
+    p = parse_program("skip\nload x, 7\nbeqz x, end\nskip\nskip\nskip\nskip")
+    dom = StateDomain(modulus=16, vary=((7, 0, 3),))
+    cfg = HwConfig(modulus=dom.modulus)
+    short, long = (len(hw_run(p, ArchState.initial(p, {7: v}), cfg)[0]) - 1 for v in (0, 1))
+    assert short < long
+    # the fuel of the longer runs runs out on their last step, so a resumed
+    # run that restarted its step count would finish instead
+    cfg = replace(cfg, fuel=long)
+    states = list(dom.initial_states(p))
+    runs = _counting(monkeypatch, (analysis, "hw_run"))
+    shared = _first_raise(analysis._semantics_tracer(cfg, p, dom, cfg.fuel), states)
+    assert runs[-1][3] is not None  # the raising run resumed
+    assert shared == _first_raise(lambda s: hw_run(p, s, cfg), states)
+    assert shared[:2] == (1, FuelExhausted)
+
+
+def _peeking_run(sigma, _start):
     """Reads 9 then 7 while cell 9 is zero, else 7 then 9: it looks at memory
     other than through read_mem."""
     first, second = (7, 9) if sigma.mem.get(9, 0) else (9, 7)
-    return sigma.read_mem(first), sigma.read_mem(second)
+    return (sigma.read_mem(first), sigma.read_mem(second)), {}
 
 
-def _stopping_run(sigma):
+def _stopping_run(sigma, _start):
     """Stops reading once cell 7 is nonzero, judged by peeking."""
     if sigma.mem.get(7, 0):
-        return ()
-    return sigma.read_mem(7), sigma.read_mem(9)
+        return (), {}
+    return (sigma.read_mem(7), sigma.read_mem(9)), {}
 
 
 @pytest.mark.parametrize("run", [_peeking_run, _stopping_run])
