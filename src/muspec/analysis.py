@@ -22,10 +22,10 @@ from .contracts import (
     SPEC_PC_CT,
     TOP,
     ContractId,
+    StrengthWitness,
     Verdict,
     contract_tracer,
     relate,
-    strength_tests,
 )
 from .isa import (
     BOTTOM,
@@ -75,13 +75,13 @@ class Policy:
             if not line:
                 continue
             parts = line.split()
-            if len(parts) != 2 or parts[0] != "low":
-                raise ValueError(f"policy line {lineno}: expected 'low <addr>|<lo>..<hi>'")
-            if ".." in parts[1]:
-                lo, hi = parts[1].split("..", 1)
-                ranges.append((int(lo), int(hi)))
-            else:
-                ranges.append((int(parts[1]), int(parts[1])))
+            try:
+                if len(parts) != 2 or parts[0] != "low":
+                    raise ValueError
+                bounds = parts[1].split("..", 1)
+                ranges.append((int(bounds[0]), int(bounds[-1])))
+            except ValueError:
+                raise ValueError(f"policy line {lineno}: expected 'low <addr>|<lo>..<hi>'") from None
         return Policy(tuple(ranges))
 
 
@@ -105,6 +105,8 @@ class StateDomain:
                 raise ValueError(f"fix {addr} = {v}: need 0 <= value < {self.modulus}")
         addrs = self.addresses
         for i, addr in enumerate(addrs):
+            if addr < 0:
+                raise ValueError(f"address {addr} is negative: no program can read it")
             if addr in addrs[:i]:
                 raise ValueError(f"address {addr} is listed twice in the domain")
 
@@ -186,6 +188,32 @@ def _semantics_tracer(semantics, program, domain, fuel):
     return share_runs(run, (a for a, *_ in domain.vary))
 
 
+def _side(side, tracers, program, domain, fuel):
+    """One side of a check as a function of the initial state: a Policy is
+    the low fingerprint, a tuple the tuple of its parts, and a semantics
+    its tracer in ``tracers``, built on first use."""
+    if isinstance(side, tuple):
+        parts = [_side(s, tracers, program, domain, fuel) for s in side]
+        return lambda sigma: tuple(f(sigma) for f in parts)
+    if isinstance(side, Policy):
+        return lambda sigma: _low_fingerprint(sigma, side)
+    if side not in tracers:
+        tracers[side] = _semantics_tracer(side, program, domain, fuel)
+    return tracers[side]
+
+
+def decide(program: Program, domain: StateDomain, checks, fuel: int = DEFAULT_FUEL) -> list:
+    """Relate each check ``(name, key, observed)`` in order, one verdict per
+    check. A side is a ContractId, an HwConfig, a Policy, or a tuple of
+    these; every semantics gets one tracer for the whole batch, and each
+    check still walks the domain by itself."""
+    tracers = {}
+    return [
+        relate(program, domain, *(_side(s, tracers, program, domain, fuel) for s in sides), name)
+        for name, *sides in checks
+    ]
+
+
 def check_contract_satisfaction(
     program: Program,
     contract: ContractId,
@@ -195,19 +223,18 @@ def check_contract_satisfaction(
 ) -> Verdict:
     """Equal contract traces must imply equal adversary-visible hardware
     traces on the domain."""
-    if contract.mode == "spec":
-        if contract.window <= cfg.buffer_size + 1:
-            raise ValueError(
-                f"speculative contract window {contract.window} must exceed "
-                f"buffer_size + 1 = {cfg.buffer_size + 1}"
-            )
-    return relate(
-        program,
-        domain,
-        _semantics_tracer(contract, program, domain, fuel),
-        _semantics_tracer(cfg, program, domain, fuel),
-        f"sat[{contract} vs {cfg.countermeasure}]",
-    )
+    if contract.mode == "spec" and contract.window <= cfg.buffer_size + 1:
+        raise ValueError(
+            f"speculative contract window {contract.window} must exceed "
+            f"buffer_size + 1 = {cfg.buffer_size + 1}"
+        )
+    check = (f"sat[{contract} vs {cfg.countermeasure}]", contract, cfg)
+    return decide(program, domain, [check], fuel)[0]
+
+
+def _ni(policy: Policy, semantics) -> tuple:
+    name = f"hw:{semantics.countermeasure}" if isinstance(semantics, HwConfig) else semantics
+    return (f"ni[{name}]", policy, semantics)
 
 
 def check_ni(
@@ -218,11 +245,7 @@ def check_ni(
     fuel: int = DEFAULT_FUEL,
 ) -> Verdict:
     """Low-equivalent initial states must produce equal traces."""
-    tracer = _semantics_tracer(semantics, program, domain, fuel)
-    name = str(semantics) if isinstance(semantics, ContractId) else f"hw:{semantics.countermeasure}"
-    return relate(
-        program, domain, lambda s: _low_fingerprint(s, policy), tracer, f"ni[{name}]"
-    )
+    return decide(program, domain, [_ni(policy, semantics)], fuel)[0]
 
 
 def check_wsni(
@@ -232,13 +255,7 @@ def check_wsni(
     fuel: int = DEFAULT_FUEL,
 ) -> Verdict:
     """Equal seq-arch traces must imply equal traces under ``contract``."""
-    return relate(
-        program,
-        domain,
-        _semantics_tracer(SEQ_ARCH, program, domain, fuel),
-        _semantics_tracer(contract, program, domain, fuel),
-        f"wsni[{contract}]",
-    )
+    return decide(program, domain, [(f"wsni[{contract}]", SEQ_ARCH, contract)], fuel)[0]
 
 
 def check_sni(
@@ -250,14 +267,7 @@ def check_sni(
 ) -> Verdict:
     """Low-equivalence plus equal seq-ct traces must imply equal traces
     under ``contract``."""
-    seq_ct = _semantics_tracer(SEQ_CT, program, domain, fuel)
-    return relate(
-        program,
-        domain,
-        lambda s: (_low_fingerprint(s, policy), seq_ct(s)),
-        _semantics_tracer(contract, program, domain, fuel),
-        f"sni[{contract}]",
-    )
+    return decide(program, domain, [(f"sni[{contract}]", (policy, SEQ_CT), contract)], fuel)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +275,8 @@ def check_sni(
 
 
 def _spec_contracts(window: int) -> dict:
+    """The speculative columns of both tables."""
     return {
-        "seq-ct": SEQ_CT,
-        "seq-arch": SEQ_ARCH,
         "spec-ct": replace(SPEC_CT, window=window),
         "spec-pc-ct": replace(SPEC_PC_CT, window=window),
     }
@@ -297,15 +306,11 @@ def classify_sandboxing(
     """One row of the sandboxing table: vanilla sandboxing is NI against
     seq-arch; contracts at least as strong as seq-arch pass by the lattice,
     the speculative ones take a wSNI check."""
-    contracts = _spec_contracts(window)
-    vanilla = check_ni(program, policy, SEQ_ARCH, domain, fuel)
-    cells = []
-    for cname, contract in contracts.items():
-        if cname in ("seq-ct", "seq-arch"):
-            cells.append((cname, "Y,>=", None))
-            continue
-        verdict = check_wsni(program, contract, domain, fuel)
-        cells.append((cname, "Y,wSNI" if verdict.ok else "N", verdict))
+    spec = _spec_contracts(window)
+    checks = [_ni(policy, SEQ_ARCH)] + [(f"wsni[{c}]", SEQ_ARCH, c) for c in spec.values()]
+    vanilla, *verdicts = decide(program, domain, checks, fuel)
+    cells = [(c, "Y,>=", None) for c in ("seq-ct", "seq-arch")]
+    cells += [(c, "Y,wSNI" if v.ok else "N", v) for c, v in zip(spec, verdicts)]
     return TableRow(name, vanilla, tuple(cells))
 
 
@@ -320,18 +325,13 @@ def classify_constant_time(
     """One row of the constant-time table: vanilla constant-time is NI
     against seq-ct; seq-arch is checked directly as NI (values make it
     unusable for constant-time); the speculative contracts take SNI."""
-    contracts = _spec_contracts(window)
-    vanilla = check_ni(program, policy, SEQ_CT, domain, fuel)
-    cells = []
-    for cname, contract in contracts.items():
-        if cname == "seq-ct":
-            cells.append((cname, "Y,>=" if vanilla.ok else "N", vanilla))
-        elif cname == "seq-arch":
-            verdict = check_ni(program, policy, SEQ_ARCH, domain, fuel)
-            cells.append((cname, "Y,NI" if verdict.ok else "N", verdict))
-        else:
-            verdict = check_sni(program, policy, contract, domain, fuel)
-            cells.append((cname, "Y,SNI" if verdict.ok else "N", verdict))
+    spec = _spec_contracts(window)
+    checks = [_ni(policy, SEQ_CT), _ni(policy, SEQ_ARCH)]
+    checks += [(f"sni[{c}]", (policy, SEQ_CT), c) for c in spec.values()]
+    vanilla, arch, *verdicts = decide(program, domain, checks, fuel)
+    cells = [("seq-ct", "Y,>=" if vanilla.ok else "N", vanilla)]
+    cells.append(("seq-arch", "Y,NI" if arch.ok else "N", arch))
+    cells += [(c, "Y,SNI" if v.ok else "N", v) for c, v in zip(spec, verdicts)]
     return TableRow(name, vanilla, tuple(cells))
 
 
@@ -361,9 +361,19 @@ def check_lattice(
     window: int,
     fuel: int = DEFAULT_FUEL,
 ) -> dict:
-    """Run the strength test on every lattice edge over the corpus;
-    maps edge names to None (pass) or the refuting witness."""
-    return strength_tests(lattice_edges(window), corpus, domain, fuel)
+    """Empirical check of each edge (c1, c2), c1 stronger than c2: maps
+    ``"c1 >= c2"`` to None when every c2-equal state pair is also c1-equal
+    on every program, else to the first witness in program and enumeration
+    order. Each program is one batch over the edges not refuted yet."""
+    edges = {f"{c1} >= {c2}": (c1, c2) for c1, c2 in lattice_edges(window)}
+    results = dict.fromkeys(edges)
+    for idx, p in enumerate(corpus):
+        checks = [(name, c2, c1) for name, (c1, c2) in edges.items() if results[name] is None]
+        for v in decide(p, domain, checks, fuel):
+            if not v.ok:
+                w = StrengthWitness(idx, v.sigma, v.sigma_prime, v.trace, v.trace_prime)
+                results[v.check] = w
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -254,13 +254,16 @@ def parse_state(text: str, program: Program) -> ArchState:
             raise ValueError(f"state line {lineno}: expected 'reg name=value' or 'mem addr=value'")
         kind, assignment = parts
         lhs, rhs = assignment.split("=", 1)
-        value: Value = BOTTOM if rhs == "end" else int(rhs)
-        if kind == "reg":
-            regs[lhs] = value
-        elif kind == "mem":
-            mem[int(lhs)] = value
-        else:
+        if kind not in ("reg", "mem"):
             raise ValueError(f"state line {lineno}: unknown kind {kind!r}")
+        try:
+            value: Value = BOTTOM if rhs == "end" else int(rhs)
+            if kind == "reg":
+                regs[lhs] = value
+            else:
+                mem[int(lhs)] = value
+        except ValueError:
+            raise ValueError(f"state line {lineno}: expected integers in {assignment!r}") from None
     return ArchState(regs=regs, mem=mem)
 
 

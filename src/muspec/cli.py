@@ -48,11 +48,11 @@ def _default_policy() -> Policy:
     return Policy(corpus.TABLE_POLICY_LOW)
 
 
-def _load_domain(args, prog_spec: str) -> StateDomain:
+def _load_domain(args, default: StateDomain) -> StateDomain:
     if args.domain:
         with open(args.domain) as fh:
             return StateDomain.parse(fh.read())
-    return _default_domain(prog_spec)
+    return default
 
 
 def _load_policy(args) -> Policy:
@@ -77,7 +77,7 @@ def _load_config(args) -> HwConfig:
         cfg = HwConfig()
     if getattr(args, "countermeasure", None):
         cfg = replace(cfg, countermeasure=args.countermeasure)
-    if getattr(args, "fuel", None):
+    if getattr(args, "fuel", None) is not None:
         cfg = replace(cfg, fuel=args.fuel)
     if getattr(args, "mask_literal", False):
         cfg = replace(cfg, mask_literal=True)
@@ -151,7 +151,7 @@ def _cmd_hwrun(args) -> int:
 
 def _cmd_check(args) -> int:
     program = _load_program(args.program)
-    domain = _load_domain(args, args.program)
+    domain = _load_domain(args, _default_domain(args.program))
     window = args.window
     if args.what == "sat":
         contract = ContractId.parse(args.contract, window=window)
@@ -181,7 +181,7 @@ def _cmd_classify(args) -> int:
     classify = classify_sandboxing if args.what == "sandbox" else classify_constant_time
     for spec in args.programs:
         program = _load_program(spec)
-        domain = _load_domain(args, spec)
+        domain = _load_domain(args, _default_domain(spec))
         row = classify(program, policy, domain, window, name=spec, fuel=args.fuel)
         record = {"kind": "row", "program": spec, "vanilla": "Y" if row.vanilla.ok else "N"}
         for cname, text, _verdict in row.cells:
@@ -198,11 +198,7 @@ def _cmd_lattice(args) -> int:
     programs = [corpus.load(n) for n in corpus.program_names()]
     if args.random:
         programs += random_programs(args.random, seed=args.seed)
-    if args.domain:
-        with open(args.domain) as fh:
-            domain = StateDomain.parse(fh.read())
-    else:
-        domain = StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3)))
+    domain = _load_domain(args, StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3))))
     results = check_lattice(programs, domain, args.window, fuel=args.fuel)
     bad = 0
     for edge, witness in results.items():
@@ -250,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hw.add_argument("--config")
     p_hw.add_argument("--countermeasure")
     p_hw.add_argument("--mask-literal", action="store_true", dest="mask_literal")
-    p_hw.set_defaults(func=_cmd_hwrun)
+    # without --fuel, the config's fuel applies
+    p_hw.set_defaults(func=_cmd_hwrun, fuel=None)
 
     p_check = sub.add_parser("check", help="decision procedures")
     p_check.add_argument("what", choices=("sat", "ni", "sni", "wsni"))

@@ -333,27 +333,6 @@ class StrengthWitness:
     trace1_prime: tuple
 
 
-def strength_tests(edges, corpus, domain, fuel: int = DEFAULT_FUEL) -> dict:
-    """Empirical check of each edge (c1, c2), c1 stronger than c2, on a
-    finite domain; maps ``"c1 >= c2"`` to None when every c2-equal state
-    pair is also c1-equal on every program, else to the first witness in
-    program and enumeration order.
-
-    Per program each contract has one shared tracer, and only the edges not
-    refuted yet are checked.
-    """
-    results = {f"{c1} >= {c2}": None for c1, c2 in edges}
-    for idx, p in enumerate(corpus):
-        tracers = {c: contract_tracer(c, p, domain, fuel) for edge in edges for c in edge}
-        for c1, c2 in edges:
-            name = f"{c1} >= {c2}"
-            if results[name] is None:
-                v = relate(p, domain, tracers[c2], tracers[c1], name)
-                if not v.ok:
-                    results[name] = StrengthWitness(idx, v.sigma, v.sigma_prime, v.trace, v.trace_prime)
-    return results
-
-
 def contract_stronger_test(
     c1: ContractId,
     c2: ContractId,
@@ -364,9 +343,14 @@ def contract_stronger_test(
     """Empirical check of c1's strength over c2 on finite domains.
 
     Returns None when every c2-equal state pair is also c1-equal on every
-    program, else the first witness in canonical enumeration order.
+    program, else the first witness in program and enumeration order.
     """
-    return strength_tests(((c1, c2),), corpus, domain, fuel)[f"{c1} >= {c2}"]
+    for idx, p in enumerate(corpus):
+        c1_tracer, c2_tracer = (contract_tracer(c, p, domain, fuel) for c in (c1, c2))
+        v = relate(p, domain, c2_tracer, c1_tracer, f"{c1} >= {c2}")
+        if not v.ok:
+            return StrengthWitness(idx, v.sigma, v.sigma_prime, v.trace, v.trace_prime)
+    return None
 
 
 def format_trace(trace: tuple) -> str:

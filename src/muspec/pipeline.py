@@ -92,7 +92,10 @@ class HwConfig:
                 raise ValueError(f"config line {lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
             if key in ("buffer_size", "fuel", "modulus"):
-                fields[key] = int(value)
+                try:
+                    fields[key] = int(value)
+                except ValueError:
+                    raise ValueError(f"config line {lineno}: expected an integer {key}") from None
             elif key in ("cache", "predictor", "scheduler", "countermeasure"):
                 fields[key] = value
             elif key == "mask_literal":

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from muspec import corpus
+from muspec import analysis, corpus
 from muspec.analysis import (
     DomainTooLarge,
     Policy,
@@ -16,6 +16,7 @@ from muspec.analysis import (
     check_wsni,
     classify_constant_time,
     classify_sandboxing,
+    decide,
     lattice_edges,
     low_equivalent,
     random_programs,
@@ -30,7 +31,6 @@ from muspec.contracts import (
     ContractId,
     contract_stronger_test,
     contract_trace,
-    strength_tests,
 )
 from muspec.isa import parse_program
 from muspec.pipeline import HwConfig, hw_run
@@ -58,6 +58,12 @@ def test_policy_parse_and_ranges():
         Policy.parse("low 9..3")  # would mark no address low
     with pytest.raises(ValueError):
         Policy.parse("low -1")
+
+
+def test_policy_errors_name_the_line():
+    for text in ("low 4\nlow x\n", "low 4\nlow 3..x\n", "low 4\nlow 3..\n"):
+        with pytest.raises(ValueError, match=r"^policy line 2: expected 'low <addr>\|<lo>\.\.<hi>'$"):
+            Policy.parse(text)
 
 
 def test_low_equivalence():
@@ -92,6 +98,8 @@ def test_domain_rejects_empty_and_out_of_range_values():
         "vary 7 in 0..16\n",
         "fix 5 = 16\n",
         "fix 5 = -1\n",
+        "vary -3 in 0..3\n",  # no program reads a negative address: a vacuous pass
+        "fix -1 = 0\n",
     ):
         with pytest.raises(ValueError):
             StateDomain.parse(text)
@@ -376,7 +384,7 @@ def _pairwise(states, key, observe):
     return (True, None, None, None, None, None)
 
 
-def test_relate_matches_pairwise_definition_on_random_programs():
+def test_relate_matches_pairwise_definition_on_random_programs(monkeypatch):
     dom = StateDomain(modulus=16, vary=((0, 0, 2), (1, 0, 1), (3, 0, 1)))
     policy = Policy(((1, 15),))  # cell 0 is the only high input
 
@@ -385,7 +393,8 @@ def test_relate_matches_pairwise_definition_on_random_programs():
 
     edges = lattice_edges(W)
     edges += tuple((c2, c1) for c1, c2 in edges)
-    first_witness = dict.fromkeys((f"{c1} >= {c2}" for c1, c2 in edges), None)
+    edge_checks = [(f"{c1} >= {c2}", c2, c1) for c1, c2 in edges]
+    first_witness = dict.fromkeys((name for name, _, _ in edge_checks), None)
     outcomes = Counter()
     programs = random_programs(20, seed=7)
     for idx, p in enumerate(programs):
@@ -394,41 +403,49 @@ def test_relate_matches_pairwise_definition_on_random_programs():
         def trace(c):
             return lambda s: contract_trace(c, p, s, modulus=16, snapshot_addrs=dom.addresses)
 
-        cases = []
+        cases, checks = [], []
         for cm in ("none", "tt"):
             cfg = HwConfig(countermeasure=cm, predictor="twobit", modulus=16)
             verdict = check_contract_satisfaction(p, SEQ_CT, cfg, dom)
             cases.append((cm, verdict, trace(SEQ_CT), lambda s, cfg=cfg: hw_run(p, s, cfg)[0]))
+            checks.append((verdict.check, SEQ_CT, cfg))
         cases.append(("ni", check_ni(p, policy, SEQ_CT, dom), low, trace(SEQ_CT)))
+        checks.append(("ni[seq-ct]", policy, SEQ_CT))
         cases.append(("wsni", check_wsni(p, SPEC_CT_W, dom), trace(SEQ_ARCH), trace(SPEC_CT_W)))
+        checks.append(("wsni[spec-ct]", SEQ_ARCH, SPEC_CT_W))
         seq_ct = trace(SEQ_CT)
         sni_key = lambda s: (low(s), seq_ct(s))
         cases.append(("sni", check_sni(p, policy, SPEC_CT_W, dom), sni_key, trace(SPEC_CT_W)))
+        checks.append(("sni[spec-ct]", (policy, SEQ_CT), SPEC_CT_W))
         for name, v, key, observe in cases:
             got = (v.ok, v.sigma, v.sigma_prime, v.position, v.trace, v.trace_prime)
             assert got == _pairwise(states, key, observe), (name, p)
             outcomes[name, v.ok] += 1
+        # one batch of every check, in two orders, gives the single checks' verdicts
+        singles = [v for _, v, _, _ in cases]
+        assert decide(p, dom, checks) == singles, p
+        assert decide(p, dom, checks[::-1]) == singles[::-1], p
 
-        # the seven lattice edges and their reverses, tested together
-        witnesses = strength_tests(edges, [p], dom)
-        for c1, c2 in edges:
-            name = f"{c1} >= {c2}"
-            w = witnesses[name]
-            ok, sigma, sigma_prime, _pos, t1, t1_prime = _pairwise(states, trace(c2), trace(c1))
-            if ok:
-                assert w is None, (name, p)
-            else:
-                got = (w.program_index, w.sigma, w.sigma_prime, w.trace1, w.trace1_prime)
-                assert got == (0, sigma, sigma_prime, t1, t1_prime), (name, p)
-                if first_witness[name] is None:
-                    first_witness[name] = (idx, sigma, sigma_prime, t1, t1_prime)
-            outcomes["edge", ok] += 1
+        # the seven lattice edges and their reverses, tested together in one batch
+        for (name, c2, c1), v in zip(edge_checks, decide(p, dom, edge_checks)):
+            want = _pairwise(states, trace(c2), trace(c1))
+            assert (v.ok, v.sigma, v.sigma_prime, v.position, v.trace, v.trace_prime) == want, (name, p)
+            if not v.ok and first_witness[name] is None:
+                first_witness[name] = (idx, v.sigma, v.sigma_prime, v.trace, v.trace_prime)
+            outcomes["edge", v.ok] += 1
 
-    # over all programs at once, each edge's witness comes from the first program refuting it
-    witnesses = strength_tests(edges, programs, dom)
-    assert {
-        name: w and (w.program_index, w.sigma, w.sigma_prime, w.trace1, w.trace1_prime)
-        for name, w in witnesses.items()
-    } == first_witness
+    # over all programs at once, each edge's witness comes from the first program refuting it,
+    # both edge by edge and with the refuted edges dropped from later batches
+    def witnesses(results):
+        return {
+            name: w and (w.program_index, w.sigma, w.sigma_prime, w.trace1, w.trace1_prime)
+            for name, w in results.items()
+        }
+
+    assert witnesses({
+        f"{c1} >= {c2}": contract_stronger_test(c1, c2, programs, dom) for c1, c2 in edges
+    }) == first_witness
+    monkeypatch.setattr(analysis, "lattice_edges", lambda window: edges)
+    assert witnesses(check_lattice(programs, dom, W)) == first_witness
     # every check both passes and fails somewhere, so no comparison is vacuous
     assert all(outcomes[name, ok] for name, _ in outcomes for ok in (True, False)), outcomes

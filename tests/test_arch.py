@@ -114,6 +114,14 @@ def test_state_literal_round_trip():
     assert parse_state(format_state(s), p) == s
 
 
+def test_state_literal_errors_name_the_line():
+    p = parse_program("skip")
+    with pytest.raises(ValueError, match=r"^state line 2: expected integers in '7=x'$"):
+        parse_state("reg x=1\nmem 7=x\n", p)
+    with pytest.raises(ValueError, match=r"^state line 1: expected"):
+        parse_state("mem y=1\n", p)
+
+
 def test_zero_memory_cells_are_canonical():
     p = parse_program("skip")
     assert ArchState.initial(p, {3: 0}) == ArchState.initial(p, {})

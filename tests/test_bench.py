@@ -1,0 +1,52 @@
+"""The benchmark in bench/ still fits the package: its tracer wraps every
+name it lists, its workloads build, and both ends of each workload pass
+their checks. A rename in muspec then fails here, not in a benchmark run."""
+import importlib
+import importlib.util
+import pkgutil
+import sys
+from pathlib import Path
+
+import muspec
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _attributes(modules) -> dict:
+    """Every module-level and class-level attribute, by owner and name."""
+    found = {}
+    for mod in modules.values():
+        for key, value in vars(mod).items():
+            found[mod, key] = value
+            if isinstance(value, type) and value.__module__ == mod.__name__:
+                found.update(((value, k), v) for k, v in vars(value).items())
+    return found
+
+
+def test_benchmark_installs_and_builds_every_workload(monkeypatch):
+    tracer_module, workloads = (_load(monkeypatch, name) for name in ("tracer", "workloads"))
+    modules = {"muspec": muspec}
+    for info in pkgutil.iter_modules(muspec.__path__):
+        modules[f"muspec.{info.name}"] = importlib.import_module(f"muspec.{info.name}")
+    before = _attributes(modules)
+    tracer = tracer_module.Tracer()
+    tracer.install(modules)
+    try:
+        m = workloads.Muspec(modules)
+        for name, build in workloads.WORKLOADS.items():
+            ops = build(m, 1).ops
+            for op in (ops[0], ops[-1]):
+                assert op.check(op.call())[0], (name, op.name)
+    finally:
+        tracer.remove()
+    assert _attributes(modules) == before
+    counts = tracer.snapshot()
+    assert counts["states"] > 0 and counts["analysis.check_contract_satisfaction.calls"] > 0

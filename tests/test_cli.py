@@ -162,6 +162,30 @@ def test_reversed_policy_range_exit_two(capsys, tmp_path):
     assert "9..3" in err
 
 
+def test_negative_domain_address_exit_two(capsys, tmp_path):
+    # accepted, this domain varied a cell no program reads, so ni passed
+    dom = tmp_path / "dom.txt"
+    dom.write_text("values 16\nvary -3 in 0..3\n")
+    code, out, err = run_cli(
+        capsys, "check", "ni", "P2", "--contract", "seq-arch", "--domain", str(dom),
+    )
+    assert code == 2
+    assert out == ""
+    assert "address -3" in err
+
+
+def test_hwrun_takes_fuel_from_the_config_unless_given(capsys, tmp_path):
+    cfg = tmp_path / "hw.cfg"
+    cfg.write_text("fuel = 3\n")
+    code, out, err = run_cli(capsys, "hwrun", "ex1", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "FuelExhausted" in err
+    code, out, _ = run_cli(capsys, "hwrun", "ex1", "--config", str(cfg), "--fuel", "1000")
+    assert code == 0
+    assert "reg pc=end" in out
+
+
 def test_bad_config_exit_two(capsys, tmp_path):
     cfg = tmp_path / "hw.cfg"
     cfg.write_text("cache = direct:0\n")

@@ -318,6 +318,11 @@ def test_config_parsing():
         HwConfig.parse("nonsense = 1")
 
 
+def test_config_errors_name_the_line():
+    with pytest.raises(ValueError, match=r"^config line 2: expected an integer fuel$"):
+        HwConfig.parse("cache = lru:4\nfuel = x\n")
+
+
 @pytest.mark.parametrize(
     "bad",
     [

@@ -1,4 +1,6 @@
 """Runs shared between domain states that agree on every varying cell read."""
+import gc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -137,6 +139,41 @@ def test_sharing_is_scoped_to_one_check(monkeypatch):
     for _ in range(2):
         check_contract_satisfaction(parse_program("skip"), replace(SPEC_CT, window=7), cfg, SWEEP_DOMAIN)
     assert len(runs) == 2
+
+
+def test_a_table_row_traces_each_contract_once_per_state(monkeypatch):
+    # the row's NI and both SNI checks all key on seq-ct, and share its tracer
+    p = corpus.load("P2")
+    dom = StateDomain(modulus=16, vary=corpus.default_vary("P2"))
+    runs = _counting(monkeypatch, (contracts, "contract_trace"))
+    analysis.classify_constant_time(p, analysis.Policy(corpus.TABLE_POLICY_LOW), dom, 7)
+    per_state = Counter((c, sigma.key()) for c, _p, sigma, *_ in runs)
+    assert runs and max(per_state.values()) == 1, per_state.most_common(1)
+
+
+def test_a_batch_frees_its_tracers_when_it_returns(monkeypatch):
+    # tracers hold the tries and resume points; a reference cycle would keep
+    # them alive until the next collection
+    refs = []
+
+    def recorded(*args, fn=analysis._semantics_tracer):
+        tracer = fn(*args)
+        refs.append(weakref.ref(tracer))
+        return tracer
+
+    monkeypatch.setattr(analysis, "_semantics_tracer", recorded)
+    p = corpus.load("P2")
+    dom = StateDomain(modulus=16, vary=corpus.default_vary("P2"))
+    policy = analysis.Policy(corpus.TABLE_POLICY_LOW)
+    cfg = HwConfig(countermeasure="tt", predictor="twobit")
+    checks = [("sat", SEQ_CT, cfg), ("sni", (policy, SEQ_CT), SPEC_CT), ("ni", policy, cfg)]
+    gc.disable()
+    try:
+        analysis.decide(p, dom, checks)
+        alive = [ref for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(refs) == 3 and not alive
 
 
 def test_views_account_for_every_step_and_runs_fork(monkeypatch):
