@@ -176,7 +176,7 @@ def _semantics_tracer(semantics, program, domain, fuel):
         return contract_tracer(semantics, program, domain, fuel)
     if not isinstance(semantics, HwConfig):
         raise TypeError(f"semantics must be a ContractId or HwConfig, got {semantics!r}")
-    cfg = replace(semantics, modulus=domain.modulus, fuel=fuel)
+    cfg = replace(semantics, modulus=domain.modulus)
 
     def run(sigma, start):
         # a resume point is hw_run's (h, steps, idle) with the trace before h
@@ -206,7 +206,8 @@ def decide(program: Program, domain: StateDomain, checks, fuel: int = DEFAULT_FU
     """Relate each check ``(name, key, observed)`` in order, one verdict per
     check. A side is a ContractId, an HwConfig, a Policy, or a tuple of
     these; every semantics gets one tracer for the whole batch, and each
-    check still walks the domain by itself."""
+    check still walks the domain by itself. ``fuel`` bounds the contract
+    runs; a hardware config's runs keep its own fuel."""
     tracers = {}
     return [
         relate(program, domain, *(_side(s, tracers, program, domain, fuel) for s in sides), name)

@@ -25,7 +25,7 @@ from .analysis import (
     classify_sandboxing,
     random_programs,
 )
-from .arch import ArchState, arch_run, format_state, parse_state
+from .arch import DEFAULT_FUEL, ArchState, arch_run, format_state, parse_state
 from .contracts import DEFAULT_SPEC_WINDOW, ContractId, contract_trace, format_trace
 from .isa import ParseError, Program, parse_program
 from .pipeline import HwConfig, adversary_view, hw_steps, initial_hw_state
@@ -151,26 +151,27 @@ def _cmd_hwrun(args) -> int:
 
 def _cmd_check(args) -> int:
     program = _load_program(args.program)
+    fuel = DEFAULT_FUEL if args.fuel is None else args.fuel
     domain = _load_domain(args, _default_domain(args.program))
     window = args.window
     if args.what == "sat":
         contract = ContractId.parse(args.contract, window=window)
         cfg = _load_config(args)
-        verdict = check_contract_satisfaction(program, contract, cfg, domain, fuel=args.fuel)
+        verdict = check_contract_satisfaction(program, contract, cfg, domain, fuel=fuel)
     elif args.what == "ni":
         policy = _load_policy(args)
         if args.countermeasure or args.config:
             semantics = _load_config(args)
         else:
             semantics = ContractId.parse(args.contract or "seq-ct", window=window)
-        verdict = check_ni(program, policy, semantics, domain, fuel=args.fuel)
+        verdict = check_ni(program, policy, semantics, domain, fuel=fuel)
     elif args.what == "wsni":
         contract = ContractId.parse(args.contract, window=window)
-        verdict = check_wsni(program, contract, domain, fuel=args.fuel)
+        verdict = check_wsni(program, contract, domain, fuel=fuel)
     else:  # sni
         policy = _load_policy(args)
         contract = ContractId.parse(args.contract, window=window)
-        verdict = check_sni(program, policy, contract, domain, fuel=args.fuel)
+        verdict = check_sni(program, policy, contract, domain, fuel=fuel)
     return _verdict_records(args, verdict, args.dump_states)
 
 
@@ -259,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--domain")
     p_check.add_argument("--dump-states", dest="dump_states")
     p_check.add_argument("--mask-literal", action="store_true", dest="mask_literal")
-    p_check.set_defaults(func=_cmd_check)
+    # without --fuel, a config's fuel applies to its runs
+    p_check.set_defaults(func=_cmd_check, fuel=None)
 
     p_cls = sub.add_parser("classify", help="sandboxing / constant-time tables")
     p_cls.add_argument("what", choices=("sandbox", "ct"))

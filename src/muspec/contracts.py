@@ -208,17 +208,32 @@ def trace_spec(
     raise FuelExhausted(f"no final state within {fuel} steps")
 
 
-def state_snapshot(state: ArchState, addrs: tuple = ()) -> tuple:
+class _Hole:
+    """The placeholder ``state_snapshot`` lists for a cell it does not read."""
+
+    def __repr__(self):
+        return "HOLE"
+
+
+HOLE = _Hole()
+
+
+def state_snapshot(state: ArchState, addrs=()) -> tuple:
     """Canonical full-state blob: sorted registers, then memory restricted
-    to nonzero cells plus ``addrs``, read in address order. Watched cells are
-    read through ``read_mem`` too, so a run shared by ``share_runs`` depends
-    on every varying cell whose value could show in the snapshot."""
-    cells = sorted(set(state.mem) | set(addrs) | state.watch)
-    mem = ((a, state.read_mem(a)) for a in cells)
-    return (
-        tuple(sorted((r, _obs_value(v)) for r, v in state.regs.items())),
-        tuple((a, _obs_value(v)) for a, v in mem if v != 0 or a in addrs),
-    )
+    to nonzero cells plus ``addrs``, in address order. A cell of ``addrs``
+    that the state still watches holds its initial value; it shows as HOLE
+    and is not read, so a run shared by ``share_runs`` does not depend on
+    it. Other watched cells are read through ``read_mem``, in address
+    order: whether they are listed depends on their value."""
+    mem = []
+    for a in sorted(set(state.mem) | set(addrs) | state.watch):
+        if a in addrs and a in state.watch:
+            mem.append((a, HOLE))
+            continue
+        v = state.read_mem(a)
+        if v != 0 or a in addrs:
+            mem.append((a, _obs_value(v)))
+    return tuple(sorted((r, _obs_value(v)) for r, v in state.regs.items())), tuple(mem)
 
 
 def trace_degenerate(
@@ -242,7 +257,7 @@ def trace_degenerate(
         if isinstance(ins, (Load, Store)):
             touched.add(eval_expr(ins.addr, state.regs, modulus=modulus))
         state = arch_step(p, state, modulus)
-        trace.append(("state", state_snapshot(state, tuple(touched))))
+        trace.append(("state", state_snapshot(state, touched)))
     raise FuelExhausted(f"no final state within {fuel} steps")
 
 
@@ -263,14 +278,33 @@ def contract_trace(
 
 def contract_tracer(contract: ContractId, p: Program, domain, fuel: int):
     """``contract``'s trace function on ``domain``'s states, run once per
-    distinct read of the domain's varying cells."""
+    distinct read of the domain's varying cells. A shared ``bot-inf`` run
+    lists the varying cells it has not written as HOLEs, and each state
+    fills in its own initial values."""
     snapshot_addrs = tuple(domain.addresses)
 
     def run(sigma, _start):
         # a contract run never resumes, so it gives no resume points
         return contract_trace(contract, p, sigma, fuel, domain.modulus, snapshot_addrs), {}
 
-    return share_runs(run, (a for a, *_ in domain.vary))
+    shared = share_runs(run, (a for a, *_ in domain.vary))
+    if contract.mode != "bot":
+        return shared
+    return lambda sigma: _fill(shared(sigma), sigma.mem)
+
+
+def _fill(trace: tuple, mem: dict) -> tuple:
+    """``trace``, a run's ``state`` observations, with each HOLE replaced by
+    the cell's value in ``mem``. A cell stays watched until it is written,
+    so that is the value a run from ``mem`` would have listed. Memory
+    changes only at stores, so each distinct listing is filled once."""
+    filled, done = [], {}
+    for _, (regs, cells) in trace:
+        new = done.get(cells)
+        if new is None:
+            new = done[cells] = tuple((a, mem.get(a, 0) if v is HOLE else v) for a, v in cells)
+        filled.append(("state", (regs, new)))
+    return tuple(filled)
 
 
 @dataclass(frozen=True)

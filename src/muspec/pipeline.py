@@ -76,6 +76,12 @@ class HwConfig:
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.buffer_size < 2:
             raise ValueError(f"buffer_size must be >= 2, got {self.buffer_size}")
+        if self.fuel < 1:
+            raise ValueError(f"fuel must be >= 1, got {self.fuel}")
+        if self.modulus < 2 or self.modulus & (self.modulus - 1):
+            raise ValueError(f"modulus must be a power of two >= 2, got {self.modulus}")
+        if not isinstance(self.mask_literal, bool):
+            raise ValueError(f"mask_literal must be true or false, got {self.mask_literal!r}")
         make_cache(self.cache)
         if self.countermeasure == "seq" and self.scheduler != "seq":
             object.__setattr__(self, "scheduler", "seq")
@@ -99,7 +105,10 @@ class HwConfig:
             elif key in ("cache", "predictor", "scheduler", "countermeasure"):
                 fields[key] = value
             elif key == "mask_literal":
-                fields[key] = value.lower() in ("1", "true", "yes")
+                flag = value.lower()
+                if flag not in ("1", "true", "yes", "0", "false", "no"):
+                    raise ValueError(f"config line {lineno}: expected true or false for mask_literal")
+                fields[key] = flag in ("1", "true", "yes")
             else:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
         return HwConfig(**fields)

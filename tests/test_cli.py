@@ -186,6 +186,28 @@ def test_hwrun_takes_fuel_from_the_config_unless_given(capsys, tmp_path):
     assert "reg pc=end" in out
 
 
+def test_check_takes_fuel_from_the_config_unless_given(capsys, tmp_path):
+    cfg = tmp_path / "hw.cfg"
+    cfg.write_text("fuel = 3\n")
+    args = ("check", "sat", "P1", "--contract", "spec-ct", "--config", str(cfg))
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert "FuelExhausted" in err
+    code, out, _ = run_cli(capsys, *args, "--fuel", "1000000")
+    assert code == 0
+    assert out.startswith("pass")
+
+
+def test_config_modulus_not_a_power_of_two_exit_two(capsys, tmp_path):
+    cfg = tmp_path / "hw.cfg"
+    cfg.write_text("modulus = 10\n")
+    code, out, err = run_cli(capsys, "hwrun", "P1", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "modulus" in err
+
+
 def test_bad_config_exit_two(capsys, tmp_path):
     cfg = tmp_path / "hw.cfg"
     cfg.write_text("cache = direct:0\n")

@@ -332,6 +332,11 @@ def test_config_errors_name_the_line():
         dict(cache="direct:4:0"),
         dict(predictor="oracle"),
         dict(scheduler="random"),
+        dict(mask_literal="ture"),  # silently False without the check
+        dict(modulus=0),  # a later ZeroDivisionError
+        dict(modulus=10),  # not a power of two
+        dict(fuel=0),  # every run a later FuelExhausted
+        dict(fuel=-5),
     ],
 )
 def test_config_rejected_where_built(bad):
@@ -340,6 +345,12 @@ def test_config_rejected_where_built(bad):
     text = "".join(f"{k} = {v}\n" for k, v in bad.items())
     with pytest.raises(ValueError):
         HwConfig.parse(text)
+
+
+def test_mask_literal_takes_yes_or_no_in_any_case():
+    for flag, values in ((True, ("Yes", "TRUE", "1")), (False, ("no", "False", "0"))):
+        for v in values:
+            assert HwConfig.parse(f"mask_literal = {v}\n").mask_literal is flag, v
 
 
 def test_seq_countermeasure_forces_sequential_scheduler():

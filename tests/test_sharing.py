@@ -11,13 +11,16 @@ from muspec.analysis import StateDomain, check_contract_satisfaction, check_latt
 from muspec.arch import ArchState, FuelExhausted, ReadOrderError, format_state, share_runs
 from muspec.contracts import (
     BOT_INF,
+    HOLE,
     SEQ_ARCH,
     SEQ_CT,
     SPEC_ARCH,
     SPEC_CT,
     SPEC_PC_CT,
     TOP,
+    contract_stronger_test,
     contract_trace,
+    format_trace,
     state_snapshot,
 )
 from muspec.countermeasures import COUNTERMEASURES
@@ -66,11 +69,14 @@ def test_with_mem_unwatches_and_with_regs_carries_the_watch():
 
 
 def test_state_snapshot_reads_cells_in_address_order():
-    # {16, 1} iterates 16 first as a set; the snapshot must read 1 first
+    # {16, 1, 5, 6} iterates 16 first as a set; the snapshot must read 1
+    # first. Cells 5 and 6 are watched and in addrs: they show as HOLE, zero
+    # or not, and are not read
     reads = {}
-    sigma = ArchState({PC: 0}, {16: 3, 1: 2}).watched(frozenset({1, 16}), reads)
-    state_snapshot(sigma, (1,))
+    sigma = ArchState({PC: 0}, {16: 3, 1: 2, 5: 4}).watched(frozenset({1, 5, 6, 16}), reads)
+    _regs, mem = state_snapshot(sigma, (5, 6))
     assert list(reads) == [1, 16]
+    assert mem == ((1, 2), (5, HOLE), (6, HOLE), (16, 3))
 
 
 def test_bot_inf_snapshot_reads_the_varying_cells_without_snapshot_addrs():
@@ -79,6 +85,24 @@ def test_bot_inf_snapshot_reads_the_varying_cells_without_snapshot_addrs():
     shared = share_runs(lambda s, _start: (contract_trace(BOT_INF, skip, s), {}), (7,))
     for sigma in StateDomain(modulus=16, vary=((7, 0, 1),)).initial_states(skip):
         assert shared(sigma) == contract_trace(BOT_INF, skip, sigma), format_state(sigma)
+
+
+def test_lattice_runs_bot_inf_once_on_a_program_that_reads_nothing(monkeypatch):
+    runs = _counting(monkeypatch, (contracts, "contract_trace"))
+    dom = StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3)))
+    check_lattice([parse_program("skip")], dom, 7)
+    assert sum(c == BOT_INF for c, *_ in runs) == 1
+
+
+def test_bot_inf_witness_traces_are_the_plain_traces():
+    # bot-inf is the observed side, so the witness holds its filled traces
+    programs = [corpus.load(n) for n in corpus.program_names()]
+    dom = StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3)))
+    w = contract_stronger_test(BOT_INF, SEQ_CT, programs, dom)
+    p = programs[w.program_index]
+    for sigma, trace in ((w.sigma, w.trace1), (w.sigma_prime, w.trace1_prime)):
+        assert trace == contract_trace(BOT_INF, p, sigma, snapshot_addrs=dom.addresses)
+        assert "HOLE" not in format_trace(trace)
 
 
 def test_lattice_traces_each_contract_once_per_state(monkeypatch):
@@ -107,7 +131,8 @@ def test_shared_tracer_equals_plain_run_on_every_state(monkeypatch, vary):
         HwConfig(countermeasure=cm, predictor="twobit") for cm in COUNTERMEASURES
     )
     runs = _counting(monkeypatch, (contracts, "contract_trace"), (analysis, "hw_run"))
-    states = shared_runs = branched = 0
+    states, shared_runs = Counter(), Counter()
+    branched = 0
     for p in random_programs(20, seed=5):
         for sem in semantics:
             plain = _plain_run(sem, p, dom)
@@ -115,11 +140,14 @@ def test_shared_tracer_equals_plain_run_on_every_state(monkeypatch, vary):
             shared = analysis._semantics_tracer(sem, p, dom, FUEL)
             for sigma in dom.initial_states(p):
                 assert shared(sigma) == plain(sigma), (str(p), sem, format_state(sigma))
-                states += 1
-            shared_runs += len(runs) - before
+                states[sem] += 1
+            shared_runs[sem] += len(runs) - before
             branched += len(runs) - before > 1
     # sharing happened, and so did runs that the read values told apart
-    assert shared_runs < states and branched, (shared_runs, states, branched)
+    assert sum(shared_runs.values()) < sum(states.values()) and branched
+    # a bot-inf run reads the cells it loads, as a seq-arch run does, and
+    # no others
+    assert shared_runs[BOT_INF] == shared_runs[SEQ_ARCH] < states[BOT_INF], shared_runs
 
 
 def test_sweep_domain_run_counts(monkeypatch):
