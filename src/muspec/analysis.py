@@ -42,6 +42,7 @@ from .isa import (
     Skip,
     Store,
     UnOp,
+    text_lines,
 )
 from .pipeline import HwConfig, hw_run
 
@@ -70,10 +71,7 @@ class Policy:
     @staticmethod
     def parse(text: str) -> "Policy":
         ranges = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in text_lines(text):
             parts = line.split()
             try:
                 if len(parts) != 2 or parts[0] != "low":
@@ -135,14 +133,13 @@ class StateDomain:
 
     @staticmethod
     def parse(text: str) -> "StateDomain":
-        modulus = 16
+        modulus = None
         vary = []
         fixed = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in text_lines(text):
             parts = line.split()
+            if parts[0] == "values" and modulus is not None:
+                raise ValueError(f"domain line {lineno}: values given twice")
             try:
                 if parts[0] == "values" and len(parts) == 2:
                     modulus = int(parts[1])
@@ -158,7 +155,7 @@ class StateDomain:
                     f"domain line {lineno}: expected 'values <V>', "
                     f"'vary <addr> in <lo>..<hi>', or 'fix <addr> = <v>'"
                 ) from None
-        return StateDomain(modulus, tuple(vary), tuple(fixed))
+        return StateDomain(16 if modulus is None else modulus, tuple(vary), tuple(fixed))
 
 
 def low_equivalent(sigma: ArchState, sigma_prime: ArchState, policy: Policy) -> bool:

@@ -21,6 +21,9 @@ from .isa import (
     Value,
     eval_expr,
     format_value,
+    observed,
+    parse_value,
+    text_lines,
 )
 
 DEFAULT_FUEL = 10 ** 6
@@ -94,8 +97,8 @@ class ArchState:
     def key(self) -> tuple:
         """Hashable canonical form."""
         return (
-            tuple(sorted((r, "end" if v is BOTTOM else v) for r, v in self.regs.items())),
-            tuple(sorted((a, "end" if v is BOTTOM else v) for a, v in self.mem.items())),
+            tuple(sorted((r, observed(v)) for r, v in self.regs.items())),
+            tuple(sorted((a, observed(v)) for a, v in self.mem.items())),
         )
 
     def __eq__(self, other):
@@ -242,29 +245,25 @@ def arch_run(
 
 
 def parse_state(text: str, program: Program) -> ArchState:
-    state = ArchState.initial(program)
-    regs = dict(state.regs)
-    mem = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    given = {"reg": {}, "mem": {}}
+    for lineno, line in text_lines(text):
         parts = line.split()
         if len(parts) != 2 or "=" not in parts[1]:
             raise ValueError(f"state line {lineno}: expected 'reg name=value' or 'mem addr=value'")
         kind, assignment = parts
         lhs, rhs = assignment.split("=", 1)
-        if kind not in ("reg", "mem"):
+        if kind not in given:
             raise ValueError(f"state line {lineno}: unknown kind {kind!r}")
         try:
-            value: Value = BOTTOM if rhs == "end" else int(rhs)
-            if kind == "reg":
-                regs[lhs] = value
-            else:
-                mem[int(lhs)] = value
+            value = parse_value(rhs)
+            key = lhs if kind == "reg" else int(lhs)
         except ValueError:
             raise ValueError(f"state line {lineno}: expected integers in {assignment!r}") from None
-    return ArchState(regs=regs, mem=mem)
+        if key in given[kind]:
+            raise ValueError(f"state line {lineno}: {kind} {lhs} given twice")
+        given[kind][key] = value
+    regs = {**ArchState.initial(program).regs, **given["reg"]}
+    return ArchState(regs=regs, mem=given["mem"])
 
 
 def format_state(state: ArchState) -> str:

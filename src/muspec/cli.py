@@ -31,11 +31,15 @@ from .isa import ParseError, Program, parse_program
 from .pipeline import HwConfig, adversary_view, hw_steps, initial_hw_state
 
 
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def _load_program(spec: str) -> Program:
     if spec in corpus.names():
         return corpus.load(spec)
-    with open(spec) as fh:
-        return parse_program(fh.read())
+    return parse_program(_read(spec))
 
 
 def _default_domain(spec: str) -> StateDomain:
@@ -44,42 +48,25 @@ def _default_domain(spec: str) -> StateDomain:
     return StateDomain(modulus=16, vary=((0, 0, 3), (1, 0, 3)))
 
 
-def _default_policy() -> Policy:
-    return Policy(corpus.TABLE_POLICY_LOW)
-
-
 def _load_domain(args, default: StateDomain) -> StateDomain:
-    if args.domain:
-        with open(args.domain) as fh:
-            return StateDomain.parse(fh.read())
-    return default
+    return StateDomain.parse(_read(args.domain)) if args.domain else default
 
 
 def _load_policy(args) -> Policy:
-    if args.policy:
-        with open(args.policy) as fh:
-            return Policy.parse(fh.read())
-    return _default_policy()
+    return Policy.parse(_read(args.policy)) if args.policy else Policy(corpus.TABLE_POLICY_LOW)
 
 
 def _load_state(args, program: Program) -> ArchState:
-    if args.state:
-        with open(args.state) as fh:
-            return parse_state(fh.read(), program)
-    return ArchState.initial(program)
+    return parse_state(_read(args.state), program) if args.state else ArchState.initial(program)
 
 
 def _load_config(args) -> HwConfig:
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = HwConfig.parse(fh.read())
-    else:
-        cfg = HwConfig()
-    if getattr(args, "countermeasure", None):
+    cfg = HwConfig.parse(_read(args.config)) if args.config else HwConfig()
+    if args.countermeasure:
         cfg = replace(cfg, countermeasure=args.countermeasure)
-    if getattr(args, "fuel", None) is not None:
+    if args.fuel is not None:
         cfg = replace(cfg, fuel=args.fuel)
-    if getattr(args, "mask_literal", False):
+    if args.mask_literal:
         cfg = replace(cfg, mask_literal=True)
     return cfg
 
@@ -153,37 +140,34 @@ def _cmd_check(args) -> int:
     program = _load_program(args.program)
     fuel = DEFAULT_FUEL if args.fuel is None else args.fuel
     domain = _load_domain(args, _default_domain(args.program))
-    window = args.window
-    if args.what == "sat":
-        contract = ContractId.parse(args.contract, window=window)
-        cfg = _load_config(args)
-        verdict = check_contract_satisfaction(program, contract, cfg, domain, fuel=fuel)
-    elif args.what == "ni":
+    if args.what == "ni":
         policy = _load_policy(args)
         if args.countermeasure or args.config:
             semantics = _load_config(args)
         else:
-            semantics = ContractId.parse(args.contract or "seq-ct", window=window)
+            semantics = ContractId.parse(args.contract or "seq-ct", window=args.window)
         verdict = check_ni(program, policy, semantics, domain, fuel=fuel)
+        return _verdict_records(args, verdict, args.dump_states)
+    if args.contract is None:
+        raise ValueError(f"check {args.what} requires --contract")
+    contract = ContractId.parse(args.contract, window=args.window)
+    if args.what == "sat":
+        verdict = check_contract_satisfaction(program, contract, _load_config(args), domain, fuel=fuel)
     elif args.what == "wsni":
-        contract = ContractId.parse(args.contract, window=window)
         verdict = check_wsni(program, contract, domain, fuel=fuel)
     else:  # sni
-        policy = _load_policy(args)
-        contract = ContractId.parse(args.contract, window=window)
-        verdict = check_sni(program, policy, contract, domain, fuel=fuel)
+        verdict = check_sni(program, _load_policy(args), contract, domain, fuel=fuel)
     return _verdict_records(args, verdict, args.dump_states)
 
 
 def _cmd_classify(args) -> int:
     policy = _load_policy(args)
-    window = args.window
     exit_code = 0
     classify = classify_sandboxing if args.what == "sandbox" else classify_constant_time
     for spec in args.programs:
         program = _load_program(spec)
         domain = _load_domain(args, _default_domain(spec))
-        row = classify(program, policy, domain, window, name=spec, fuel=args.fuel)
+        row = classify(program, policy, domain, args.window, name=spec, fuel=args.fuel)
         record = {"kind": "row", "program": spec, "vanilla": "Y" if row.vanilla.ok else "N"}
         for cname, text, _verdict in row.cells:
             record[cname] = text
@@ -224,14 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("plain", "json-lines"), default="plain")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, program=True):
+    def common(p, program=True, window=True):
         if program:
             p.add_argument("program", help="program file or corpus name")
-        p.add_argument("--fuel", type=int, default=10 ** 6)
-        p.add_argument("--window", type=int, default=DEFAULT_SPEC_WINDOW)
+        p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+        if window:
+            p.add_argument("--window", type=int, default=DEFAULT_SPEC_WINDOW)
 
     p_run = sub.add_parser("run", help="architectural run")
-    common(p_run)
+    common(p_run, window=False)
     p_run.add_argument("--state")
     p_run.set_defaults(func=_cmd_run)
 
@@ -242,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=_cmd_trace)
 
     p_hw = sub.add_parser("hwrun", help="hardware run with adversary views")
-    common(p_hw)
+    common(p_hw, window=False)
     p_hw.add_argument("--state")
     p_hw.add_argument("--config")
     p_hw.add_argument("--countermeasure")

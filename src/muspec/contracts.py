@@ -22,8 +22,8 @@ from .isa import (
     Program,
     Store,
     StuckError,
-    Value,
     eval_expr,
+    observed,
 )
 
 INF = math.inf
@@ -31,10 +31,6 @@ INF = math.inf
 DEFAULT_SPEC_WINDOW = 7
 
 OBSERVERS = ("ct", "arch", "pc-ct")
-
-
-def _obs_value(v: Value):
-    return "end" if v is BOTTOM else v
 
 
 @dataclass(frozen=True)
@@ -111,14 +107,14 @@ def _labeled_step(p, state, observer, modulus):
     if isinstance(ins, Load):
         n = eval_expr(ins.addr, state.regs, modulus=modulus)
         if observer == "arch":
-            obs = ("loadv", _obs_value(n), _obs_value(state.read_mem(n)))
+            obs = ("loadv", observed(n), observed(state.read_mem(n)))
         else:
-            obs = ("load", _obs_value(n))
+            obs = ("load", observed(n))
     elif isinstance(ins, Store):
         n = eval_expr(ins.addr, state.regs, modulus=modulus)
-        obs = ("store", _obs_value(n))
+        obs = ("store", observed(n))
     elif isinstance(ins, (Beqz, Jmp)):
-        obs = ("pc", _obs_value(nxt.regs[PC]))
+        obs = ("pc", observed(nxt.regs[PC]))
     return nxt, obs
 
 
@@ -169,7 +165,7 @@ def trace_spec(
             return tuple(trace)
         if w == 0:
             resumed, _ = stack[-2]
-            trace.append(("pc", _obs_value(resumed.regs[PC])))
+            trace.append(("pc", observed(resumed.regs[PC])))
             stack.pop()
             continue
         ins = p.lookup(top.regs[PC])
@@ -182,7 +178,7 @@ def trace_spec(
             mispred = pc + 1 if guard == 0 else ins.target
             new_w = INF if w == INF else w - 1
             w_mispred = window if w == INF else new_w
-            trace.append(("pc", _obs_value(mispred)))
+            trace.append(("pc", observed(mispred)))
             stack[-1] = (top.with_regs(**{PC: correct}), new_w)
             stack.append((top.with_regs(**{PC: mispred}), w_mispred))
             continue
@@ -232,8 +228,8 @@ def state_snapshot(state: ArchState, addrs=()) -> tuple:
             continue
         v = state.read_mem(a)
         if v != 0 or a in addrs:
-            mem.append((a, _obs_value(v)))
-    return tuple(sorted((r, _obs_value(v)) for r, v in state.regs.items())), tuple(mem)
+            mem.append((a, observed(v)))
+    return tuple(sorted((r, observed(v)) for r, v in state.regs.items())), tuple(mem)
 
 
 def trace_degenerate(

@@ -108,54 +108,38 @@ TRIVIA_SKIP = "skip\n"
 
 TRIVIA_LOOP = "L: jmp L\n"
 
-_SOURCES = {
-    "P1": P1,
-    "P1f": P1_F,
-    "P1'": P1_PRIME,
-    "P1'f": P1_PRIME_F,
-    "P2": P2,
-    "P2f": P2_F,
-    "P2'": P2_PRIME,
-    "P2'f": P2_PRIME_F,
-    "ex1": EX1,
-    "ex2": EX2,
-    "ex3": P2,  # the taint-tracking counterexample runs on the P2 listing
-    "skip": TRIVIA_SKIP,
-    "loop": TRIVIA_LOOP,
-}
-
 # low addresses for the P-family policy: in-bounds A plus all of B's range
 TABLE_POLICY_LOW = ((4, 5), (8, 15))
 
-# default enumeration ranges per program: (addr, lo, hi)
-_DOMAINS = {
-    "P1": ((7, 0, 3),),
-    "P1f": ((7, 0, 3),),
-    "P1'": ((7, 0, 3),),
-    "P1'f": ((7, 0, 3),),
-    "P2": ((7, 0, 3),),
-    "P2f": ((7, 0, 3),),
-    "P2'": ((7, 0, 3),),
-    "P2'f": ((7, 0, 3),),
-    "ex1": ((9, 0, 3), (12, 0, 3)),
-    "ex2": ((10, 0, 1), (11, 0, 1)),
-    "ex3": ((7, 0, 3),),
-    "skip": ((0, 0, 3),),
-    "loop": ((0, 0, 1),),
+# name -> (listing, default enumeration ranges ((addr, lo, hi), ...))
+_CORPUS = {
+    "P1": (P1, ((7, 0, 3),)),
+    "P1f": (P1_F, ((7, 0, 3),)),
+    "P1'": (P1_PRIME, ((7, 0, 3),)),
+    "P1'f": (P1_PRIME_F, ((7, 0, 3),)),
+    "P2": (P2, ((7, 0, 3),)),
+    "P2f": (P2_F, ((7, 0, 3),)),
+    "P2'": (P2_PRIME, ((7, 0, 3),)),
+    "P2'f": (P2_PRIME_F, ((7, 0, 3),)),
+    "ex1": (EX1, ((9, 0, 3), (12, 0, 3))),
+    "ex2": (EX2, ((10, 0, 1), (11, 0, 1))),
+    "ex3": (P2, ((7, 0, 3),)),  # the taint-tracking counterexample runs on the P2 listing
+    "skip": (TRIVIA_SKIP, ((0, 0, 3),)),
+    "loop": (TRIVIA_LOOP, ((0, 0, 1),)),
 }
 
 
 def names() -> tuple:
-    return tuple(_SOURCES)
+    return tuple(_CORPUS)
 
 def program_names() -> tuple:
     """Corpus members that terminate (everything but the fuel-test loop)."""
-    return tuple(n for n in _SOURCES if n != "loop")
+    return tuple(n for n in _CORPUS if n != "loop")
 
 
 def load(name: str) -> Program:
-    return parse_program(_SOURCES[name])
+    return parse_program(_CORPUS[name][0])
 
 
 def default_vary(name: str) -> tuple:
-    return _DOMAINS[name]
+    return _CORPUS[name][1]

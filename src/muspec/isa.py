@@ -13,6 +13,8 @@ DEFAULT_MODULUS = 2 ** 16
 
 PC = "pc"
 
+END = "end"
+
 
 class Bottom:
     """The undefined value. A single shared instance, never a sentinel int."""
@@ -25,13 +27,7 @@ class Bottom:
         return cls._instance
 
     def __repr__(self):
-        return "end"
-
-    def __deepcopy__(self, memo):
-        return self
-
-    def __reduce__(self):
-        return (Bottom, ())
+        return END
 
 
 BOTTOM = Bottom()
@@ -41,6 +37,16 @@ Value = Union[int, Bottom]
 
 def is_value(v) -> bool:
     return isinstance(v, int) or v is BOTTOM
+
+
+def observed(v: Value):
+    """``v`` as observations and canonical keys hold it: ``end`` for BOTTOM."""
+    return END if v is BOTTOM else v
+
+
+def parse_value(text: str) -> Value:
+    """The value ``format_value`` prints as ``text``; ValueError otherwise."""
+    return BOTTOM if text == END else int(text)
 
 
 BINARY_OPS = ("+", "-", "*", "<", "=", "&", "|", "^")
@@ -285,6 +291,21 @@ class ParseError(Exception):
         self.column = column
 
 
+def text_lines(text: str) -> Iterator:
+    """``(lineno, line)`` for each line of ``text``, cut at ``#`` and stripped, unless empty."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _name(name: str, lineno: int, column: int) -> str:
+    """A register or label name; ``end`` is reserved for the undefined value."""
+    if name == END:
+        raise ParseError(f"{END!r} is reserved for the undefined value", lineno, column)
+    return name
+
+
 def _tokenize(text: str, lineno: int) -> list:
     tokens = []
     i = 0
@@ -324,7 +345,7 @@ class _ExprParser:
 
     Grammar (loosest binding first):
         expr   := term (binop term)*          -- left associative, one level
-        term   := num | ident | 'end' | '(' expr ')' | '!' term | '-' term
+        term   := num | ident | '(' expr ')' | '!' term | '-' term
                 | 'ite' '(' expr ',' expr ',' expr ')'
     All binary operators share one precedence level; parenthesize to nest.
     """
@@ -385,7 +406,7 @@ class _ExprParser:
                 return Ite(cond, then, other)
             if val in self.labels:
                 return Const(self.labels[val])
-            return Reg(val)
+            return Reg(_name(val, self.lineno, col + 1))
         raise ParseError(f"unexpected token {val!r}", self.lineno, col + 1)
 
 
@@ -393,21 +414,18 @@ def parse_program(text: str) -> Program:
     """Parse program text into a well-formed Program.
 
     One instruction per line; ``LBL:`` prefixes define labels, ``#`` starts
-    a comment, ``end`` denotes the undefined branch target.
+    a comment, ``end`` denotes the undefined branch target and nothing else.
     """
-    # first pass: strip comments, record labels against instruction addresses
+    # first pass: record labels against instruction addresses
     lines = []
     labels = {}
     addr = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         while True:
             head, sep, rest = line.partition(":")
             if sep and head.strip() and all(c.isalnum() or c == "_" for c in head.strip()) \
                     and not head.strip()[0].isdigit():
-                label = head.strip()
+                label = _name(head.strip(), lineno, 1)
                 if label in labels:
                     raise ParseError(f"duplicate label {label!r}", lineno)
                 labels[label] = addr
@@ -420,10 +438,7 @@ def parse_program(text: str) -> Program:
             lines.append((lineno, line))
             addr += 1
 
-    instrs = []
-    for lineno, line in lines:
-        instrs.append(_parse_instr(line, lineno, labels))
-    program = Program(tuple(instrs))
+    program = Program(tuple(_parse_instr(line, lineno, labels) for lineno, line in lines))
     problems = check_well_formed(program)
     if problems:
         addr, msg = problems[0]
@@ -454,30 +469,28 @@ def _parse_instr(line: str, lineno: int, labels: dict) -> Instr:
     if kind == "ident" and head == "beqz":
         if len(tokens) < 4 or tokens[1][0] != "ident" or tokens[2][1] != ",":
             raise ParseError("expected: beqz x, LBL|end", lineno)
-        guard = tokens[1][1]
+        guard = _name(tokens[1][1], lineno, tokens[1][2] + 1)
         target_toks = tokens[3:]
         if len(target_toks) != 1:
             raise ParseError("branch target must be a label, number, or end", lineno)
         tk, tv, tc = target_toks[0]
-        if tk == "num":
-            target: Value = tv
-        elif tk == "ident" and tv == "end":
-            target = BOTTOM
-        elif tk == "ident" and tv in labels:
+        if tk == "ident" and tv in labels:
             target = labels[tv]
-        elif tk == "ident":
+        elif tk == "ident" and tv != END:
             raise ParseError(f"unknown label {tv!r}", lineno, tc + 1)
-        else:
+        elif tk == "punct":
             raise ParseError("branch target must be a label, number, or end", lineno, tc + 1)
+        else:
+            target = parse_value(str(tv))
         return Beqz(guard, target)
     if kind == "ident" and head in ("load", "store"):
         if len(tokens) < 4 or tokens[1][0] != "ident" or tokens[2][1] != ",":
             raise ParseError(f"expected: {head} x, e", lineno)
-        reg = tokens[1][1]
+        reg = _name(tokens[1][1], lineno, tokens[1][2] + 1)
         addr_expr = expr_from(tokens[3:])
         return Load(reg, addr_expr) if head == "load" else Store(reg, addr_expr)
     if kind == "ident" and len(tokens) >= 2 and tokens[1][1] == "<-":
-        target = head
+        target = _name(head, lineno, tokens[0][2] + 1)
         rhs = tokens[2:]
         qmarks = [i for i, t in enumerate(rhs) if t[0] == "punct" and t[1] == "?" and _at_top_level(rhs, i)]
         if qmarks:
@@ -505,7 +518,7 @@ def _at_top_level(tokens, index) -> bool:
 
 
 def format_value(v: Value) -> str:
-    return "end" if v is BOTTOM else str(v)
+    return str(observed(v))
 
 
 def format_expr(e: Expr) -> str:

@@ -9,7 +9,7 @@ is retainted (relabel).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Tuple
 
 from . import countermeasures as cm
@@ -31,6 +31,7 @@ from .isa import (
     Store,
     eval_expr,
     is_value,
+    text_lines,
 )
 from .uarch import (
     PREDICTORS,
@@ -88,30 +89,30 @@ class HwConfig:
 
     @staticmethod
     def parse(text: str) -> "HwConfig":
-        """Config file: `key = value` lines, # comments."""
-        fields = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        """Config file: `key = value` lines, # comments; each key a field, given once."""
+        types = {f.name: f.type for f in fields(HwConfig)}  # "int", "str" or "bool"
+        values = {}
+        for lineno, line in text_lines(text):
             if "=" not in line:
                 raise ValueError(f"config line {lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in ("buffer_size", "fuel", "modulus"):
+            if key not in types:
+                raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"config line {lineno}: {key} given twice")
+            if types[key] == "int":
                 try:
-                    fields[key] = int(value)
+                    values[key] = int(value)
                 except ValueError:
                     raise ValueError(f"config line {lineno}: expected an integer {key}") from None
-            elif key in ("cache", "predictor", "scheduler", "countermeasure"):
-                fields[key] = value
-            elif key == "mask_literal":
+            elif types[key] == "bool":
                 flag = value.lower()
                 if flag not in ("1", "true", "yes", "0", "false", "no"):
-                    raise ValueError(f"config line {lineno}: expected true or false for mask_literal")
-                fields[key] = flag in ("1", "true", "yes")
+                    raise ValueError(f"config line {lineno}: expected true or false for {key}")
+                values[key] = flag in ("1", "true", "yes")
             else:
-                raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        return HwConfig(**fields)
+                values[key] = value
+        return HwConfig(**values)
 
 
 @dataclass(frozen=True)

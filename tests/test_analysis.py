@@ -119,6 +119,12 @@ def test_domain_rejects_an_address_listed_twice():
     assert StateDomain.parse("vary 7 in 0..3\nvary 9 in 0..1\nfix 5 = 5\n").size() == 8
 
 
+def test_domain_rejects_values_given_twice():
+    # the last line used to win
+    with pytest.raises(ValueError, match=r"^domain line 3: values given twice$"):
+        StateDomain.parse("values 16\nvary 7 in 0..3\nvalues 8\n")
+
+
 def test_domain_guard():
     skip = parse_program("skip")
     dom = StateDomain(vary=tuple((a, 0, 15) for a in range(4)))

@@ -122,6 +122,16 @@ def test_state_literal_errors_name_the_line():
         parse_state("mem y=1\n", p)
 
 
+def test_state_literal_rejects_a_cell_given_twice():
+    # the last value used to win
+    p = parse_program("skip")
+    with pytest.raises(ValueError, match=r"^state line 3: reg x given twice$"):
+        parse_state("reg x=1\n# c\nreg x=2\n", p)
+    with pytest.raises(ValueError, match=r"^state line 2: mem 07 given twice$"):
+        parse_state("mem 7=1\nmem 07=end\n", p)
+    assert parse_state("reg x=1\nmem 1=1\n", p) == ArchState({"pc": 0, "x": 1}, {1: 1})
+
+
 def test_zero_memory_cells_are_canonical():
     p = parse_program("skip")
     assert ArchState.initial(p, {3: 0}) == ArchState.initial(p, {})

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, formats, exit codes."""
 import json
 
+import pytest
+
+from muspec import cli
 from muspec.cli import main
 
 
@@ -233,3 +236,35 @@ def test_policy_and_domain_files(capsys, tmp_path):
     )
     assert code == 1
     assert "spec-ct=N" in out
+
+
+def test_config_key_given_twice_exit_two(capsys, tmp_path):
+    cfg = tmp_path / "hw.cfg"
+    cfg.write_text("countermeasure = tt\n\n# then\ncountermeasure = none\n")
+    code, out, err = run_cli(capsys, "hwrun", "P1", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == "error: config line 4: countermeasure given twice\n"
+
+
+def test_run_and_hwrun_take_no_window(capsys):
+    # accepted and ignored before
+    for command in ("run", "hwrun"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "ex1", "--window", "3"])
+        assert info.value.code == 2
+        assert "--window" in capsys.readouterr().err
+
+
+def test_fuel_default_is_the_architectural_default(monkeypatch):
+    monkeypatch.setattr(cli, "DEFAULT_FUEL", 7)
+    assert cli.build_parser().parse_args(["run", "ex1"]).fuel == 7
+
+
+def test_check_without_contract_says_it_is_required(capsys):
+    for what in ("sat", "wsni", "sni"):
+        code, out, err = run_cli(capsys, "check", what, "P1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: check {what} requires --contract\n"
+    assert run_cli(capsys, "check", "ni", "P2")[0] == 0  # ni defaults to seq-ct

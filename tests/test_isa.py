@@ -1,4 +1,7 @@
 """Parser, printer, expression evaluation, and well-formedness checks."""
+import copy
+import pickle
+
 import pytest
 
 from muspec.isa import (
@@ -80,6 +83,31 @@ def test_parse_errors():
         parse_program("L: skip\nL: skip")
     with pytest.raises(ParseError):
         parse_program("x <- $")
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("jmp end", 5),  # parsed as Reg("end"): a jump to 0, looping until the fuel ran out
+        ("x <- end", 6),
+        ("x <- y + end", 10),
+        ("end <- 1", 1),
+        ("load end, 3", 6),
+        ("beqz end, 3\nskip\nskip", 6),
+        ("end: skip", 1),  # a label that `beqz x, end` could never reach
+    ],
+)
+def test_end_is_reserved_for_the_undefined_branch_target(text, column):
+    with pytest.raises(ParseError, match="'end' is reserved") as info:
+        parse_program(text)
+    assert (info.value.line, info.value.column) == (1, column)
+
+
+def test_bottom_stays_the_single_instance():
+    assert copy.copy(BOTTOM) is BOTTOM
+    assert copy.deepcopy(BOTTOM) is BOTTOM
+    assert copy.deepcopy([Const(BOTTOM)])[0].value is BOTTOM
+    assert pickle.loads(pickle.dumps(BOTTOM)) is BOTTOM
 
 
 def test_fall_through_branch_rejected():

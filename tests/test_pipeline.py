@@ -347,6 +347,12 @@ def test_config_rejected_where_built(bad):
         HwConfig.parse(text)
 
 
+def test_config_rejects_a_key_given_twice():
+    # the last value used to win: this built countermeasure none
+    with pytest.raises(ValueError, match=r"^config line 2: countermeasure given twice$"):
+        HwConfig.parse("countermeasure = tt\ncountermeasure = none\n")
+
+
 def test_mask_literal_takes_yes_or_no_in_any_case():
     for flag, values in ((True, ("Yes", "TRUE", "1")), (False, ("no", "False", "0"))):
         for v in values:
