@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Union
 
-from .arch import DEFAULT_FUEL, ArchState, share_runs
+from .arch import DEFAULT_FUEL, ArchState
 from .contracts import (
     BOT_INF,
     SEQ_ARCH,
@@ -44,7 +44,7 @@ from .isa import (
     UnOp,
     text_lines,
 )
-from .pipeline import HwConfig, hw_run
+from .pipeline import HwConfig, hw_tracer
 
 STATE_GUARD = 4096
 
@@ -166,25 +166,6 @@ def _low_fingerprint(sigma: ArchState, policy: Policy) -> tuple:
     return tuple(sorted((a, v) for a, v in sigma.mem.items() if policy.is_low(a)))
 
 
-def _semantics_tracer(semantics, program, domain, fuel):
-    """Trace function for either a ContractId or a hardware HwConfig, run
-    once per distinct read of the domain's varying cells."""
-    if isinstance(semantics, ContractId):
-        return contract_tracer(semantics, program, domain, fuel)
-    if not isinstance(semantics, HwConfig):
-        raise TypeError(f"semantics must be a ContractId or HwConfig, got {semantics!r}")
-    cfg = replace(semantics, modulus=domain.modulus)
-
-    def run(sigma, start):
-        # a resume point is hw_run's (h, steps, idle) with the trace before h
-        point, prefix = start or (None, ())
-        starts = {}
-        trace = prefix + hw_run(program, sigma, cfg, point, starts)[0]
-        return trace, {cell: (at, trace[: at[1]]) for cell, at in starts.items()}
-
-    return share_runs(run, (a for a, *_ in domain.vary))
-
-
 def _side(side, tracers, program, domain, fuel):
     """One side of a check as a function of the initial state: a Policy is
     the low fingerprint, a tuple the tuple of its parts, and a semantics
@@ -195,7 +176,12 @@ def _side(side, tracers, program, domain, fuel):
     if isinstance(side, Policy):
         return lambda sigma: _low_fingerprint(sigma, side)
     if side not in tracers:
-        tracers[side] = _semantics_tracer(side, program, domain, fuel)
+        if isinstance(side, ContractId):
+            tracers[side] = contract_tracer(side, program, domain, fuel)
+        elif isinstance(side, HwConfig):
+            tracers[side] = hw_tracer(side, program, domain)
+        else:
+            raise TypeError(f"semantics must be a ContractId or HwConfig, got {side!r}")
     return tracers[side]
 
 

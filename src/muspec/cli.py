@@ -164,9 +164,10 @@ def _cmd_classify(args) -> int:
     policy = _load_policy(args)
     exit_code = 0
     classify = classify_sandboxing if args.what == "sandbox" else classify_constant_time
+    given = _load_domain(args, None)
     for spec in args.programs:
         program = _load_program(spec)
-        domain = _load_domain(args, _default_domain(spec))
+        domain = given or _default_domain(spec)
         row = classify(program, policy, domain, args.window, name=spec, fuel=args.fuel)
         record = {"kind": "row", "program": spec, "vanilla": "Y" if row.vanilla.ok else "N"}
         for cname, text, _verdict in row.cells:

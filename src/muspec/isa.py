@@ -285,7 +285,9 @@ def check_well_formed(p: Program) -> list:
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int, column: int = 0):
+    """A malformed program text, at a 1-based line and column of the raw text."""
+
+    def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
@@ -306,108 +308,166 @@ def _name(name: str, lineno: int, column: int) -> str:
     return name
 
 
-def _tokenize(text: str, lineno: int) -> list:
+def _tokenize(code: str) -> list:
+    """``(kind, value, column)`` tokens of one line; a punctuation token's
+    kind is its text. The last token is ``eol``, or ``bad`` at the first
+    character that starts no token, which the line's parser reports only
+    when it reads the instruction, after every line's labels are bound."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if text.startswith("<-", i):
-            tokens.append(("punct", "<-", i))
-            i += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
+    i, n = 0, len(code)
+    while i < n:
+        ch = code[i]
+        j = i + 1
+        if ch.isspace():
+            pass
+        elif code.startswith("<-", i):
+            j = i + 2
+            tokens.append(("<-", "<-", i + 1))
+        elif ch.isdecimal():
+            while j < n and code[j].isdecimal():
                 j += 1
-            tokens.append(("num", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            tokens.append(("num", int(code[i:j]), i + 1))
+        elif ch.isalpha() or ch == "_":
+            while j < n and (code[j].isalnum() or code[j] == "_"):
                 j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in "()?,+-*<=&|^!:":
-            tokens.append(("punct", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", lineno, i + 1)
+            tokens.append(("ident", code[i:j], i + 1))
+        elif ch in "()?,+-*<=&|^!:":
+            tokens.append((ch, ch, i + 1))
+        else:
+            return tokens + [("bad", ch, i + 1)]
+        i = j
+    tokens.append(("eol", None, n + 1))
     return tokens
 
 
-class _ExprParser:
-    """Recursive-descent expression parser.
+class _Line:
+    """Recursive-descent parser of one program line, label prefixes first.
 
     Grammar (loosest binding first):
+        line   := (ident ':')* [instr]
+        instr  := 'skip' | 'spbarr' | 'jmp' expr | 'beqz' ident ',' target
+                | ('load' | 'store') ident ',' expr
+                | ident '<-' expr ['?' expr]   -- guard first: x <- g ? e
         expr   := term (binop term)*          -- left associative, one level
         term   := num | ident | '(' expr ')' | '!' term | '-' term
                 | 'ite' '(' expr ',' expr ',' expr ')'
     All binary operators share one precedence level; parenthesize to nest.
     """
 
-    def __init__(self, tokens, lineno, labels):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, raw: str, lineno: int, labels: dict, addr: int):
+        """Tokenize ``raw`` and bind its labels in ``labels`` to ``addr``."""
+        self.code = raw.split("#", 1)[0]
         self.lineno = lineno
+        self.tokens = _tokenize(self.code)
+        self.pos = 0
         self.labels = labels
+        while self.tokens[self.pos][0] == "ident" and self.tokens[self.pos + 1][0] == ":":
+            _, label, column = self.tokens[self.pos]
+            if _name(label, lineno, column) in labels:
+                raise ParseError(f"duplicate label {label!r}", lineno, column)
+            labels[label] = addr
+            self.pos += 2
+        self.column = self.peek()[2]
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of line", self.lineno)
+        tok = self.tokens[self.pos]
+        if tok[0] == "eol":
+            raise ParseError("unexpected end of line", self.lineno, tok[2])
         self.pos += 1
         return tok
 
-    def expect(self, value):
-        tok = self.take()
-        if tok[0] != "punct" or tok[1] != value:
-            raise ParseError(f"expected {value!r}, found {tok[1]!r}", self.lineno, tok[2] + 1)
+    def accept(self, kind) -> bool:
+        """Take the next token when it is a ``kind``."""
+        if self.tokens[self.pos][0] != kind:
+            return False
+        self.pos += 1
+        return True
 
-    def parse_expr(self) -> Expr:
-        left = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "punct" or tok[1] not in BINARY_OPS:
-                return left
+    def expect(self, kind):
+        tok = self.take()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", self.lineno, tok[2])
+
+    def instr(self) -> Instr:
+        """The line's instruction, which must end the line."""
+        kind, ch, column = self.tokens[-1]
+        if kind == "bad":
+            raise ParseError(f"unexpected character {ch!r}", self.lineno, column)
+        kind, head, column = self.take()
+        after = self.peek()[0]
+        if head in ("skip", "spbarr") and after == "eol":
+            ins = Skip() if head == "skip" else Barrier()
+        elif head == "jmp":
+            ins = Jmp(self.expr())
+        elif head == "beqz":
+            ins = Beqz(self.operand("expected: beqz x, LBL|end"), self.branch_target())
+        elif head in ("load", "store"):
+            reg = self.operand(f"expected: {head} x, e")
+            ins = (Load if head == "load" else Store)(reg, self.expr())
+        elif kind == "ident" and after == "<-":
+            target = _name(head, self.lineno, column)
             self.take()
-            right = self.parse_term()
-            left = BinOp(tok[1], left, right)
+            g = self.expr()  # the guard when a '?' follows
+            ins = CondAssign(target, self.expr(), g) if self.accept("?") else Assign(target, g)
+        else:
+            text = self.code[column - 1:].strip()
+            raise ParseError(f"unrecognized instruction {text!r}", self.lineno, column)
+        _, val, column = self.peek()
+        if val is not None:
+            raise ParseError(f"trailing tokens starting at {val!r}", self.lineno, column)
+        return ins
 
-    def parse_term(self) -> Expr:
-        tok = self.take()
-        kind, val, col = tok
+    def operand(self, usage: str) -> str:
+        """The register ``x`` of ``op x, ...``; ``usage`` where that shape breaks."""
+        _, reg, column = self.peek()
+        if self.accept("ident") and self.accept(",") and self.peek()[0] != "eol":
+            return _name(reg, self.lineno, column)
+        raise ParseError(usage, self.lineno, self.peek()[2])
+
+    def branch_target(self) -> Value:
+        kind, val, column = self.take()
+        if kind not in ("ident", "num") or self.peek()[0] != "eol":
+            raise ParseError("branch target must be a label, number, or end", self.lineno, column)
+        if kind == "num" or val == END:
+            return parse_value(str(val))
+        if val not in self.labels:
+            raise ParseError(f"unknown label {val!r}", self.lineno, column)
+        return self.labels[val]
+
+    def expr(self) -> Expr:
+        left = self.term()
+        while self.peek()[0] in BINARY_OPS:
+            left = BinOp(self.take()[0], left, self.term())
+        return left
+
+    def term(self) -> Expr:
+        kind, val, column = self.take()
         if kind == "num":
             return Const(val)
-        if kind == "punct" and val == "(":
-            inner = self.parse_expr()
+        if kind == "(":
+            inner = self.expr()
             self.expect(")")
             return inner
-        if kind == "punct" and val == "!":
-            return UnOp("not", self.parse_term())
-        if kind == "punct" and val == "-":
-            return UnOp("neg", self.parse_term())
+        if kind == "!":
+            return UnOp("not", self.term())
+        if kind == "-":
+            return UnOp("neg", self.term())
         if kind == "ident":
-            if val == "ite" and self.peek() is not None and self.peek()[1] == "(":
-                self.take()
-                cond = self.parse_expr()
+            if val == "ite" and self.accept("("):
+                cond = self.expr()
                 self.expect(",")
-                then = self.parse_expr()
+                then = self.expr()
                 self.expect(",")
-                other = self.parse_expr()
+                other = self.expr()
                 self.expect(")")
                 return Ite(cond, then, other)
             if val in self.labels:
                 return Const(self.labels[val])
-            return Reg(_name(val, self.lineno, col + 1))
-        raise ParseError(f"unexpected token {val!r}", self.lineno, col + 1)
+            return Reg(_name(val, self.lineno, column))
+        raise ParseError(f"unexpected token {val!r}", self.lineno, column)
 
 
 def parse_program(text: str) -> Program:
@@ -415,102 +475,17 @@ def parse_program(text: str) -> Program:
 
     One instruction per line; ``LBL:`` prefixes define labels, ``#`` starts
     a comment, ``end`` denotes the undefined branch target and nothing else.
+    Errors name the 1-based line and column of the raw text.
     """
-    # first pass: record labels against instruction addresses
-    lines = []
-    labels = {}
-    addr = 0
-    for lineno, line in text_lines(text):
-        while True:
-            head, sep, rest = line.partition(":")
-            if sep and head.strip() and all(c.isalnum() or c == "_" for c in head.strip()) \
-                    and not head.strip()[0].isdigit():
-                label = _name(head.strip(), lineno, 1)
-                if label in labels:
-                    raise ParseError(f"duplicate label {label!r}", lineno)
-                labels[label] = addr
-                line = rest.strip()
-                if not line:
-                    break
-            else:
-                break
-        if line:
-            lines.append((lineno, line))
-            addr += 1
-
-    program = Program(tuple(_parse_instr(line, lineno, labels) for lineno, line in lines))
-    problems = check_well_formed(program)
-    if problems:
-        addr, msg = problems[0]
-        raise ParseError(f"ill-formed program: {msg}", 0)
+    labels, lines = {}, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _Line(raw, lineno, labels, len(lines))
+        if line.peek()[0] != "eol":
+            lines.append(line)
+    program = Program(tuple(line.instr() for line in lines))
+    for addr, msg in check_well_formed(program)[:1]:
+        raise ParseError(f"ill-formed program: {msg}", lines[addr].lineno, lines[addr].column)
     return program
-
-
-def _parse_instr(line: str, lineno: int, labels: dict) -> Instr:
-    tokens = _tokenize(line, lineno)
-    if not tokens:
-        raise ParseError("empty instruction", lineno)
-    kind, head, _ = tokens[0]
-
-    def expr_from(toks) -> Expr:
-        parser = _ExprParser(toks, lineno, labels)
-        e = parser.parse_expr()
-        if parser.peek() is not None:
-            tok = parser.peek()
-            raise ParseError(f"trailing tokens starting at {tok[1]!r}", lineno, tok[2] + 1)
-        return e
-
-    if kind == "ident" and head == "skip" and len(tokens) == 1:
-        return Skip()
-    if kind == "ident" and head == "spbarr" and len(tokens) == 1:
-        return Barrier()
-    if kind == "ident" and head == "jmp":
-        return Jmp(expr_from(tokens[1:]))
-    if kind == "ident" and head == "beqz":
-        if len(tokens) < 4 or tokens[1][0] != "ident" or tokens[2][1] != ",":
-            raise ParseError("expected: beqz x, LBL|end", lineno)
-        guard = _name(tokens[1][1], lineno, tokens[1][2] + 1)
-        target_toks = tokens[3:]
-        if len(target_toks) != 1:
-            raise ParseError("branch target must be a label, number, or end", lineno)
-        tk, tv, tc = target_toks[0]
-        if tk == "ident" and tv in labels:
-            target = labels[tv]
-        elif tk == "ident" and tv != END:
-            raise ParseError(f"unknown label {tv!r}", lineno, tc + 1)
-        elif tk == "punct":
-            raise ParseError("branch target must be a label, number, or end", lineno, tc + 1)
-        else:
-            target = parse_value(str(tv))
-        return Beqz(guard, target)
-    if kind == "ident" and head in ("load", "store"):
-        if len(tokens) < 4 or tokens[1][0] != "ident" or tokens[2][1] != ",":
-            raise ParseError(f"expected: {head} x, e", lineno)
-        reg = _name(tokens[1][1], lineno, tokens[1][2] + 1)
-        addr_expr = expr_from(tokens[3:])
-        return Load(reg, addr_expr) if head == "load" else Store(reg, addr_expr)
-    if kind == "ident" and len(tokens) >= 2 and tokens[1][1] == "<-":
-        target = _name(head, lineno, tokens[0][2] + 1)
-        rhs = tokens[2:]
-        qmarks = [i for i, t in enumerate(rhs) if t[0] == "punct" and t[1] == "?" and _at_top_level(rhs, i)]
-        if qmarks:
-            guard = expr_from(rhs[: qmarks[0]])
-            expr = expr_from(rhs[qmarks[0] + 1:])
-            return CondAssign(target, expr, guard)
-        return Assign(target, expr_from(rhs))
-    raise ParseError(f"unrecognized instruction {line!r}", lineno)
-
-
-def _at_top_level(tokens, index) -> bool:
-    depth = 0
-    for i, (kind, val, _) in enumerate(tokens):
-        if i == index:
-            return depth == 0
-        if kind == "punct" and val == "(":
-            depth += 1
-        elif kind == "punct" and val == ")":
-            depth -= 1
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ is retainted (relabel).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, Tuple
 
 from . import countermeasures as cm
-from .arch import DEFAULT_FUEL, ArchState, FuelExhausted
+from .arch import DEFAULT_FUEL, ArchState, FuelExhausted, share_runs
 from .isa import (
     BOTTOM,
     DEFAULT_MODULUS,
@@ -358,3 +358,19 @@ def hw_run(
     for h, _directive in hw_steps(p, h, cfg, steps, idle, starts):
         views.append(adversary_view(h))
     return tuple(views), h
+
+
+def hw_tracer(cfg: HwConfig, p: Program, domain):
+    """``cfg``'s adversary-trace function on ``domain``'s states, run once
+    per distinct read of the domain's varying cells. Runs take the domain's
+    modulus and keep ``cfg``'s fuel."""
+    cfg = replace(cfg, modulus=domain.modulus)
+
+    def run(sigma, start):
+        # a resume point is hw_run's (h, steps, idle) with the trace before h
+        point, prefix = start or (None, ())
+        starts = {}
+        trace = prefix + hw_run(p, sigma, cfg, point, starts)[0]
+        return trace, {cell: (at, trace[: at[1]]) for cell, at in starts.items()}
+
+    return share_runs(run, (a for a, *_ in domain.vary))

@@ -238,6 +238,29 @@ def test_policy_and_domain_files(capsys, tmp_path):
     assert "spec-ct=N" in out
 
 
+def test_classify_reads_the_domain_file_once(capsys, tmp_path, monkeypatch):
+    dom = tmp_path / "dom.txt"
+    dom.write_text("vary 7 in 0..1\n")
+    reads = []
+
+    def counted(path, fn=cli._read):
+        reads.append(path)
+        return fn(path)
+
+    monkeypatch.setattr(cli, "_read", counted)
+    _, out, _ = run_cli(capsys, "classify", "ct", "P2", "P2f", "--domain", str(dom))
+    assert len(out.splitlines()) == 2
+    assert reads == [str(dom)]
+
+
+def test_parse_error_names_the_raw_line_and_column(capsys, tmp_path):
+    prog = tmp_path / "p.asm"
+    prog.write_text("skip  # first\n  L: x <- \u00b2\n")
+    code, out, err = run_cli(capsys, "run", str(prog))
+    assert code == 2 and out == ""
+    assert err == "error: line 2, column 11: unexpected character '\u00b2'\n"
+
+
 def test_config_key_given_twice_exit_two(capsys, tmp_path):
     cfg = tmp_path / "hw.cfg"
     cfg.write_text("countermeasure = tt\n\n# then\ncountermeasure = none\n")

@@ -3,7 +3,10 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from muspec import corpus
 from muspec.isa import (
     BOTTOM,
     Assign,
@@ -74,15 +77,67 @@ def test_parse_ite_expression():
     assert p.instrs[0] == Assign("x", Ite(Reg("y"), Const(1), Const(2)))
 
 
-def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_program("load x 5")  # missing comma
-    with pytest.raises(ParseError):
-        parse_program("beqz x, NOWHERE")
-    with pytest.raises(ParseError):
-        parse_program("L: skip\nL: skip")
-    with pytest.raises(ParseError):
-        parse_program("x <- $")
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        # columns are 1-based and count from the raw line
+        ("load x 5", 1, 8),  # missing comma
+        ("  beqz x, NOWHERE", 1, 11),
+        ("L: skip\nL: skip", 2, 1),
+        ("L: skip\nM: L: skip", 2, 4),  # a duplicate label at its own column
+        ("\tx <- $", 1, 7),
+        ("  L: x <- $", 1, 11),
+        ("A: end: skip", 1, 4),
+        ("x <- 1 +", 1, 9),  # the end of the line is one past its last character
+        ("skip\njmp  # nowhere", 2, 6),
+        ("x <- \u00b2", 1, 6),  # a digit that int() does not read
+        # an ill-formed program names its instruction's line
+        ("skip\nbeqz x, L\nL: skip", 2, 1),
+        ("skip\n\nL:  pc <- 1", 3, 5),
+    ],
+)
+def test_parse_errors(text, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_program(text)
+    assert (info.value.line, info.value.column) == (line, column), str(info.value)
+
+
+def test_decimal_digits_parse_as_numbers():
+    assert parse_program("x <- \u0663") == Program((Assign("x", Const(3)),))
+
+
+_LISTINGS = (
+    corpus.P1, corpus.P1_F, corpus.P1_PRIME, corpus.P1_PRIME_F, corpus.P2, corpus.P2_F,
+    corpus.P2_PRIME, corpus.P2_PRIME_F, corpus.EX1, corpus.EX2, corpus.TRIVIA_SKIP,
+    corpus.TRIVIA_LOOP,
+)
+_PIECES = (
+    "", "L:", "L", "end", "pc", "x", "<-", "?", ":", "(", ")", ",", "+", "#", "$", " ", "\t",
+    "\n", "0", "9", "\u00b2", "\u0663", "\u00a0", "beqz x, ", "ite(",
+    "\npc <- 1\n", "\nbeqz x, L\nL: ",  # ill-formed when they parse
+)
+
+
+def _mutated(draw) -> str:
+    """A corpus listing with one to three pieces of uAsm written over it."""
+    text = draw(st.sampled_from(_LISTINGS))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(_PIECES)) + text[i + draw(st.integers(0, 3)):]
+    return text
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.composite(_mutated)())
+def test_parse_gives_a_program_or_a_positioned_error(text):
+    try:
+        p = parse_program(text)
+    except ParseError as error:
+        lines = text.splitlines()
+        assert 1 <= error.line <= len(lines), str(error)
+        assert 1 <= error.column <= len(lines[error.line - 1]) + 1, str(error)
+    else:
+        assert parse_program(format_program(p)) == p
 
 
 @pytest.mark.parametrize(
@@ -132,8 +187,6 @@ def test_check_well_formed_reports_addresses():
 
 
 def test_round_trip_corpus():
-    from muspec import corpus
-
     for name in corpus.names():
         p = corpus.load(name)
         assert parse_program(format_program(p)) == p

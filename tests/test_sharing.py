@@ -130,14 +130,14 @@ def test_shared_tracer_equals_plain_run_on_every_state(monkeypatch, vary):
     semantics = CONTRACTS + tuple(
         HwConfig(countermeasure=cm, predictor="twobit") for cm in COUNTERMEASURES
     )
-    runs = _counting(monkeypatch, (contracts, "contract_trace"), (analysis, "hw_run"))
+    runs = _counting(monkeypatch, (contracts, "contract_trace"), (pipeline, "hw_run"))
     states, shared_runs = Counter(), Counter()
     branched = 0
     for p in random_programs(20, seed=5):
         for sem in semantics:
             plain = _plain_run(sem, p, dom)
             before = len(runs)
-            shared = analysis._semantics_tracer(sem, p, dom, FUEL)
+            shared = analysis._side(sem, {}, p, dom, FUEL)
             for sigma in dom.initial_states(p):
                 assert shared(sigma) == plain(sigma), (str(p), sem, format_state(sigma))
                 states[sem] += 1
@@ -153,7 +153,7 @@ def test_shared_tracer_equals_plain_run_on_every_state(monkeypatch, vary):
 def test_sweep_domain_run_counts(monkeypatch):
     cfg = HwConfig(countermeasure="none", predictor="twobit")
     spec_ct = replace(SPEC_CT, window=7)
-    runs = _counting(monkeypatch, (analysis, "hw_run"))
+    runs = _counting(monkeypatch, (pipeline, "hw_run"))
     assert check_contract_satisfaction(corpus.load("P1"), spec_ct, cfg, SWEEP_DOMAIN).ok
     assert 1 < len(runs) <= 16
     runs.clear()
@@ -163,7 +163,7 @@ def test_sweep_domain_run_counts(monkeypatch):
 
 def test_sharing_is_scoped_to_one_check(monkeypatch):
     cfg = HwConfig(countermeasure="none", predictor="twobit")
-    runs = _counting(monkeypatch, (analysis, "hw_run"))
+    runs = _counting(monkeypatch, (pipeline, "hw_run"))
     for _ in range(2):
         check_contract_satisfaction(parse_program("skip"), replace(SPEC_CT, window=7), cfg, SWEEP_DOMAIN)
     assert len(runs) == 2
@@ -184,12 +184,16 @@ def test_a_batch_frees_its_tracers_when_it_returns(monkeypatch):
     # them alive until the next collection
     refs = []
 
-    def recorded(*args, fn=analysis._semantics_tracer):
-        tracer = fn(*args)
-        refs.append(weakref.ref(tracer))
-        return tracer
+    def recording(fn):
+        def recorded(*args):
+            tracer = fn(*args)
+            refs.append(weakref.ref(tracer))
+            return tracer
 
-    monkeypatch.setattr(analysis, "_semantics_tracer", recorded)
+        return recorded
+
+    for name in ("contract_tracer", "hw_tracer"):
+        monkeypatch.setattr(analysis, name, recording(getattr(analysis, name)))
     p = corpus.load("P2")
     dom = StateDomain(modulus=16, vary=corpus.default_vary("P2"))
     policy = analysis.Policy(corpus.TABLE_POLICY_LOW)
@@ -212,12 +216,12 @@ def test_views_account_for_every_step_and_runs_fork(monkeypatch):
     steps = _counting(monkeypatch, (pipeline, "hw_step"))
     runs = []  # (arguments, views) per hw_run call
 
-    def recorded(*args, fn=analysis.hw_run):
+    def recorded(*args, fn=pipeline.hw_run):
         result = fn(*args)
         runs.append((args, result[0]))
         return result
 
-    monkeypatch.setattr(analysis, "hw_run", recorded)
+    monkeypatch.setattr(pipeline, "hw_run", recorded)
     assert check_contract_satisfaction(p, replace(SPEC_CT, window=7), cfg, SWEEP_DOMAIN).ok
     n_steps = len(steps)
     assert len(runs) > 1 and sum(len(views) for _, views in runs) == n_steps + len(runs)
@@ -249,8 +253,8 @@ def test_resumed_run_raises_what_the_plain_run_raises(monkeypatch):
     # run that restarted its step count would finish instead
     cfg = replace(cfg, fuel=long)
     states = list(dom.initial_states(p))
-    runs = _counting(monkeypatch, (analysis, "hw_run"))
-    shared = _first_raise(analysis._semantics_tracer(cfg, p, dom, cfg.fuel), states)
+    runs = _counting(monkeypatch, (pipeline, "hw_run"))
+    shared = _first_raise(pipeline.hw_tracer(cfg, p, dom), states)
     assert runs[-1][3] is not None  # the raising run resumed
     assert shared == _first_raise(lambda s: hw_run(p, s, cfg), states)
     assert shared[:2] == (1, FuelExhausted)
