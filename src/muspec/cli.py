@@ -66,8 +66,6 @@ def _load_config(args) -> HwConfig:
         cfg = replace(cfg, countermeasure=args.countermeasure)
     if args.fuel is not None:
         cfg = replace(cfg, fuel=args.fuel)
-    if args.mask_literal:
-        cfg = replace(cfg, mask_literal=True)
     return cfg
 
 
@@ -122,7 +120,7 @@ def _cmd_trace(args) -> int:
 def _cmd_hwrun(args) -> int:
     program = _load_program(args.program)
     cfg = _load_config(args)
-    h = initial_hw_state(program, _load_state(args, program), cfg)
+    h = initial_hw_state(_load_state(args, program), cfg)
     # collected first, so that a run that raises prints nothing
     lines = [f"step 0 dir=- view={adversary_view(h)}"]
     for k, (h, directive) in enumerate(hw_steps(program, h, cfg), start=1):
@@ -232,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hw.add_argument("--state")
     p_hw.add_argument("--config")
     p_hw.add_argument("--countermeasure")
-    p_hw.add_argument("--mask-literal", action="store_true", dest="mask_literal")
     # without --fuel, the config's fuel applies
     p_hw.set_defaults(func=_cmd_hwrun, fuel=None)
 
@@ -245,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--policy")
     p_check.add_argument("--domain")
     p_check.add_argument("--dump-states", dest="dump_states")
-    p_check.add_argument("--mask-literal", action="store_true", dest="mask_literal")
     # without --fuel, a config's fuel applies to its runs
     p_check.set_defaults(func=_cmd_check, fuel=None)
 

@@ -81,7 +81,7 @@ class ContractId:
             return ContractId(mode, obs, window if mode == "spec" else None)
         if name == "top":
             return ContractId("top")
-        if name in ("bot-inf", "bot"):
+        if name == "bot-inf":
             return ContractId("bot")
         raise ValueError(f"unknown contract {name!r}")
 

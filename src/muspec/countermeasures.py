@@ -4,7 +4,8 @@ family (STT-style tt, NDA strict/permissive).
 Taint labels are frozensets of 1-based buffer positions naming the
 unresolved branch entries a command may transitively depend on.  The
 pipeline consults ``unlabel`` before a stage (masking possibly-transient
-data) and ``relabel`` after it (propagating taint through the new buffer).
+data, or holding a load back) and ``relabel`` after it (propagating taint
+through the new buffer).
 """
 from __future__ import annotations
 
@@ -40,18 +41,12 @@ def loaddelay_guard(buf, directive) -> bool:
 # Unlabeling: how labels affect what a stage may see.
 
 
-def _mask(buf, mask_literal: bool) -> tuple:
-    """Hide possibly-transient assignment values as BOTTOM.
-
-    The shipped behavior masks assignments carrying a non-empty label;
-    ``mask_literal`` switches to masking empty-labeled ones instead, for
-    comparison against the less plausible reading of the defining equation.
-    """
+def _mask(buf) -> tuple:
+    """Hide possibly-transient assignment values (non-empty label) as BOTTOM."""
     out = []
     for cmd, label in buf:
         kind, x, _payload, tag, marked = cmd
-        hit = (not label) if mask_literal else bool(label)
-        if kind == "assign" and hit:
+        if kind == "assign" and label:
             out.append(("assign", x, BOTTOM, tag, marked))
         else:
             out.append(cmd)
@@ -62,30 +57,33 @@ def _drop(buf) -> tuple:
     return tuple(cmd for cmd, _label in buf)
 
 
-def tt_unlabel(buf, directive, mask_literal: bool = False) -> tuple:
+def tt_unlabel(buf, directive) -> tuple:
     """STT: mask on fetch and on executes of transmit instructions, plain
     label erasure otherwise."""
     if directive[0] == "fetch":
-        return _mask(buf, mask_literal)
+        return _mask(buf)
     if directive[0] == "retire":
         return _drop(buf)
     i = directive[1]
     if 1 <= i <= len(buf) and is_transmit(buf[i - 1][0]):
-        return _mask(buf, mask_literal)
+        return _mask(buf)
     return _drop(buf)
 
 
-def nda_unlabel(buf, directive, mask_literal: bool = False) -> tuple:
+def nda_unlabel(buf, directive) -> tuple:
     """NDA: masking applies regardless of directive and transmit status."""
-    return _mask(buf, mask_literal)
+    return _mask(buf)
 
 
-def unlabel(countermeasure: str, buf, directive, mask_literal: bool) -> tuple:
-    """The plain commands a stage may see of the labeled buffer."""
+def unlabel(countermeasure: str, buf, directive):
+    """The plain commands a stage may see of the labeled buffer, or None
+    when the countermeasure holds the directive back."""
     if countermeasure == "tt":
-        return tt_unlabel(buf, directive, mask_literal)
+        return tt_unlabel(buf, directive)
     if countermeasure in TAINT:
-        return nda_unlabel(buf, directive, mask_literal)
+        return nda_unlabel(buf, directive)
+    if countermeasure == "loaddelay" and not loaddelay_guard(buf, directive):
+        return None
     return _drop(buf)
 
 

@@ -260,14 +260,6 @@ class Program:
                 regs.add(ins.guard)
         return tuple(sorted(regs))
 
-    def branch_targets(self) -> dict:
-        """Map from branch address to its taken target."""
-        return {
-            addr: ins.target
-            for addr, ins in enumerate(self.instrs)
-            if isinstance(ins, Beqz)
-        }
-
 
 def check_well_formed(p: Program) -> list:
     """Return a list of (address, message) violations; empty means ok."""
@@ -408,7 +400,7 @@ class _Line:
             reg = self.operand(f"expected: {head} x, e")
             ins = (Load if head == "load" else Store)(reg, self.expr())
         elif kind == "ident" and after == "<-":
-            target = _name(head, self.lineno, column)
+            target = self.register(head, column)
             self.take()
             g = self.expr()  # the guard when a '?' follows
             ins = CondAssign(target, self.expr(), g) if self.accept("?") else Assign(target, g)
@@ -424,8 +416,14 @@ class _Line:
         """The register ``x`` of ``op x, ...``; ``usage`` where that shape breaks."""
         _, reg, column = self.peek()
         if self.accept("ident") and self.accept(",") and self.peek()[0] != "eol":
-            return _name(reg, self.lineno, column)
+            return self.register(reg, column)
         raise ParseError(usage, self.lineno, self.peek()[2])
+
+    def register(self, name: str, column: int) -> str:
+        """A name in a register position, which no label may share."""
+        if name in self.labels:
+            raise ParseError(f"label {name!r} used as a register", self.lineno, column)
+        return _name(name, self.lineno, column)
 
     def branch_target(self) -> Value:
         kind, val, column = self.take()

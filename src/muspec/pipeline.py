@@ -66,7 +66,6 @@ class HwConfig:
     countermeasure: str = "none"
     fuel: int = DEFAULT_FUEL
     modulus: int = DEFAULT_MODULUS
-    mask_literal: bool = False
 
     def __post_init__(self):
         if self.countermeasure not in cm.COUNTERMEASURES:
@@ -81,8 +80,6 @@ class HwConfig:
             raise ValueError(f"fuel must be >= 1, got {self.fuel}")
         if self.modulus < 2 or self.modulus & (self.modulus - 1):
             raise ValueError(f"modulus must be a power of two >= 2, got {self.modulus}")
-        if not isinstance(self.mask_literal, bool):
-            raise ValueError(f"mask_literal must be true or false, got {self.mask_literal!r}")
         make_cache(self.cache)
         if self.countermeasure == "seq" and self.scheduler != "seq":
             object.__setattr__(self, "scheduler", "seq")
@@ -90,7 +87,7 @@ class HwConfig:
     @staticmethod
     def parse(text: str) -> "HwConfig":
         """Config file: `key = value` lines, # comments; each key a field, given once."""
-        types = {f.name: f.type for f in fields(HwConfig)}  # "int", "str" or "bool"
+        types = {f.name: f.type for f in fields(HwConfig)}  # "int" or "str"
         values = {}
         for lineno, line in text_lines(text):
             if "=" not in line:
@@ -105,11 +102,6 @@ class HwConfig:
                     values[key] = int(value)
                 except ValueError:
                     raise ValueError(f"config line {lineno}: expected an integer {key}") from None
-            elif types[key] == "bool":
-                flag = value.lower()
-                if flag not in ("1", "true", "yes", "0", "false", "no"):
-                    raise ValueError(f"config line {lineno}: expected true or false for {key}")
-                values[key] = flag in ("1", "true", "yes")
             else:
                 values[key] = value
         return HwConfig(**values)
@@ -127,12 +119,12 @@ class HwState:
         return not self.buf and self.sigma.regs[PC] is BOTTOM
 
 
-def initial_hw_state(program: Program, sigma: ArchState, cfg: HwConfig) -> HwState:
+def initial_hw_state(sigma: ArchState, cfg: HwConfig) -> HwState:
     return HwState(
         sigma=sigma,
         buf=(),
         cs=make_cache(cfg.cache),
-        bp=make_predictor(cfg.predictor, program),
+        bp=make_predictor(cfg.predictor),
         sc=make_scheduler(cfg.scheduler, cfg.buffer_size),
     )
 
@@ -173,7 +165,7 @@ def fetch_step(p: Program, sigma: ArchState, buf, cs, bp, mu_w: int):
         return (sigma, buf, cs2, bp)
     ins = p.lookup(pc)
     if isinstance(ins, Beqz):
-        predicted = bp.predict(pc)
+        predicted = bp.predict(pc, ins.target)
         return (sigma, buf + (cmd_assign(PC, predicted, tag=pc),), cs2, bp)
     if isinstance(ins, Jmp):
         return (sigma, buf + (cmd_assign(PC, ins.target),), cs2, bp)
@@ -222,9 +214,9 @@ def execute_step(p: Program, sigma: ArchState, buf, cs, bp, i: int, modulus: int
         correct = ins0.target if guard == 0 else tag + 1
         if B == correct:
             resolved = cmd_assign(PC, B)
-            return (sigma, prefix + (resolved,) + suffix, cs, bp.update(tag, B))
+            return (sigma, prefix + (resolved,) + suffix, cs, bp.update(tag, B, ins0.target))
         corrected = cmd_assign(PC, correct)
-        return (sigma, prefix + (corrected,), cs, bp.update(tag, correct))
+        return (sigma, prefix + (corrected,), cs, bp.update(tag, correct, ins0.target))
 
     if kind == "assign":
         v = B if is_value(B) else eval_expr(B, a, partial=True, modulus=modulus)
@@ -272,15 +264,15 @@ def hw_step(p: Program, h: HwState, cfg: HwConfig) -> Tuple[HwState, tuple, bool
     state still advances, so a later step can pick a different directive.
     """
     directive = h.sc.next()
-    result = STUCK
-    if cfg.countermeasure != "loaddelay" or cm.loaddelay_guard(h.buf, directive):
-        plain = cm.unlabel(cfg.countermeasure, h.buf, directive, cfg.mask_literal)
-        if directive[0] == "fetch":
-            result = fetch_step(p, h.sigma, plain, h.cs, h.bp, cfg.buffer_size)
-        elif directive[0] == "execute":
-            result = execute_step(p, h.sigma, plain, h.cs, h.bp, directive[1], cfg.modulus)
-        else:
-            result = retire_step(h.sigma, plain, h.cs, h.bp)
+    plain = cm.unlabel(cfg.countermeasure, h.buf, directive)
+    if plain is None:  # the countermeasure holds the directive back
+        result = STUCK
+    elif directive[0] == "fetch":
+        result = fetch_step(p, h.sigma, plain, h.cs, h.bp, cfg.buffer_size)
+    elif directive[0] == "execute":
+        result = execute_step(p, h.sigma, plain, h.cs, h.bp, directive[1], cfg.modulus)
+    else:
+        result = retire_step(h.sigma, plain, h.cs, h.bp)
 
     if result is STUCK:
         sigma, new_buf, cs2, bp2 = h.sigma, h.buf, h.cs, h.bp
@@ -350,7 +342,7 @@ def hw_run(
     and the trace begins with the view of ``h``.
     """
     if start is None:
-        h, steps, idle = initial_hw_state(p, sigma, cfg), 0, 0
+        h, steps, idle = initial_hw_state(sigma, cfg), 0, 0
     else:
         h, steps, idle = start
         h = HwState(h.sigma.resumed(sigma), h.buf, h.cs, h.bp, h.sc)

@@ -159,15 +159,15 @@ def make_cache(spec: str):
 
 # ---------------------------------------------------------------------------
 # Branch predictors. Prediction must be one of the two legal outcomes, so
-# predictors carry the (immutable) branch target table of the program.
+# the stages hand each call the branch's taken target.
 
 
 @dataclass(unsafe_hash=True)
 class FallthroughPredictor:
-    def predict(self, addr):
+    def predict(self, addr, target):
         return addr + 1
 
-    def update(self, addr, outcome):
+    def update(self, addr, outcome, target):
         return self
 
     def key(self):
@@ -178,15 +178,12 @@ class FallthroughPredictor:
 class BackwardTakenPredictor:
     """Static heuristic: backward branches predicted taken, forward not."""
 
-    targets: dict = field(compare=False)
-
-    def predict(self, addr):
-        target = self.targets.get(addr)
+    def predict(self, addr, target):
         if isinstance(target, int) and target <= addr:
             return target
         return addr + 1
 
-    def update(self, addr, outcome):
+    def update(self, addr, outcome, target):
         return self
 
     def key(self):
@@ -197,7 +194,6 @@ class BackwardTakenPredictor:
 class TwoBitPredictor:
     """Per-address saturating counters, 0..3, taken when >= 2, cold state 0."""
 
-    targets: dict = field(compare=False)
     counters: tuple = ()  # sorted ((addr, counter), ...)
 
     def _counter(self, addr) -> int:
@@ -206,35 +202,31 @@ class TwoBitPredictor:
                 return c
         return 0
 
-    def predict(self, addr):
-        if self._counter(addr) >= 2 and addr in self.targets:
-            return self.targets[addr]
-        return addr + 1
+    def predict(self, addr, target):
+        return target if self._counter(addr) >= 2 else addr + 1
 
-    def update(self, addr, outcome) -> "TwoBitPredictor":
-        taken = outcome == self.targets.get(addr)
+    def update(self, addr, outcome, target) -> "TwoBitPredictor":
         c = self._counter(addr)
-        c = min(c + 1, 3) if taken else max(c - 1, 0)
+        c = min(c + 1, 3) if outcome == target else max(c - 1, 0)
         table = {a: v for a, v in self.counters}
         table[addr] = c
-        return TwoBitPredictor(self.targets, tuple(sorted(table.items())))
+        return TwoBitPredictor(tuple(sorted(table.items())))
 
     def key(self):
         return ("twobit", self.counters)
 
 
-PREDICTORS = ("fallthrough", "backward", "twobit")
+PREDICTORS = {
+    "fallthrough": FallthroughPredictor,
+    "backward": BackwardTakenPredictor,
+    "twobit": TwoBitPredictor,
+}
 
 
-def make_predictor(kind: str, program):
-    targets = program.branch_targets()
-    if kind == "fallthrough":
-        return FallthroughPredictor()
-    if kind == "backward":
-        return BackwardTakenPredictor(targets)
-    if kind == "twobit":
-        return TwoBitPredictor(targets)
-    raise ValueError(f"unknown predictor {kind!r}")
+def make_predictor(kind: str):
+    if kind not in PREDICTORS:
+        raise ValueError(f"unknown predictor {kind!r}")
+    return PREDICTORS[kind]()
 
 
 # ---------------------------------------------------------------------------

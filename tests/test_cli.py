@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, formats, exit codes."""
+import hashlib
 import json
 
 import pytest
@@ -114,6 +115,7 @@ def test_lattice_report(capsys):
 
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "trace", "--contract", "bogus", "P1")[0] == 2
+    assert run_cli(capsys, "trace", "--contract", "bot", "P1")[0] == 2  # bot-inf only
     assert run_cli(capsys, "run", "no_such_file.asm")[0] == 2
 
 
@@ -259,6 +261,33 @@ def test_parse_error_names_the_raw_line_and_column(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", str(prog))
     assert code == 2 and out == ""
     assert err == "error: line 2, column 11: unexpected character '\u00b2'\n"
+
+
+def test_stale_mask_literal_config_key_exit_two(capsys, tmp_path):
+    cfg = tmp_path / "hw.cfg"
+    cfg.write_text("mask_literal = true\n")
+    code, out, err = run_cli(capsys, "hwrun", "P1", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == "error: config line 1: unknown key 'mask_literal'\n"
+
+
+@pytest.mark.parametrize(
+    "predictor, digest",
+    [
+        # the two-bit counter of the branch at 3 reaches 2 and 3: predictions turn taken
+        ("twobit", "e7e9ea9470a006b60c9c9e1662d1b3a4a30fabbc3daca8430cbde17029c3f0b7"),
+        ("backward", "2a74eac2329db284bfad8d7e82ddcb0cce639b040bb4dc391155eb97214b7160"),
+    ],
+)
+def test_hwrun_views_under_stateful_predictors_byte_stable(capsys, tmp_path, predictor, digest):
+    prog = tmp_path / "loop.asm"
+    prog.write_text("x <- 4\nL: x <- x - 1\ny <- x = 0\nbeqz y, L\n")
+    cfg = tmp_path / "hw.cfg"
+    cfg.write_text(f"predictor = {predictor}\n")
+    code, out, _ = run_cli(capsys, "hwrun", str(prog), "--config", str(cfg))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_config_key_given_twice_exit_two(capsys, tmp_path):

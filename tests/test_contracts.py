@@ -183,6 +183,8 @@ def test_contract_id_rejects_invalid_combinations():
         ContractId("top", "ct")
     with pytest.raises(ValueError):
         ContractId.parse("spec-bogus")
+    with pytest.raises(ValueError):
+        ContractId.parse("bot")  # bot-inf has one spelling
 
 
 # -- strength test ------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Eager load delay and the taint-tracking label machinery."""
-from muspec import corpus
+from muspec import corpus, countermeasures
 from muspec.arch import ArchState
 from muspec.countermeasures import (
     is_transmit,
@@ -85,12 +85,6 @@ def test_execute_of_non_transmit_drops_instead_of_masking():
     assert unl == (cmd_assign("x", 5), cmd_assign("y", Reg("x")))
 
 
-def test_mask_literal_flag_inverts_the_guard():
-    buf = lbl((cmd_assign("x", 5), E), (cmd_assign("y", 6), frozenset((1,))))
-    unl = tt_unlabel(buf, FETCH, mask_literal=True)
-    assert unl == (cmd_assign("x", BOTTOM), cmd_assign("y", 6))
-
-
 def test_nda_masks_for_every_directive():
     buf = lbl((cmd_assign("x", 5), frozenset((1,))),)
     for directive in (FETCH, RETIRE, execute(1)):
@@ -168,9 +162,9 @@ def test_branch_rollback_discards_labeled_suffix():
 # -- end-to-end countermeasure behavior -------------------------------------------
 
 
-def leak_traces(name, cell, cm, predictor="fallthrough", **kw):
+def leak_traces(name, cell, cm, predictor="fallthrough"):
     p = corpus.load(name)
-    cfg = HwConfig(countermeasure=cm, predictor=predictor, **kw)
+    cfg = HwConfig(countermeasure=cm, predictor=predictor)
     return [hw_run(p, ArchState.initial(p, {cell: v}), cfg)[0] for v in (0, 1)]
 
 
@@ -184,9 +178,17 @@ def test_tt_permits_the_dependent_load_leak():
     assert t0 != t1
 
 
-def test_mask_literal_does_not_reproduce_the_leak():
-    # the figure-literal guard over-masks and the dependent load stays stuck
-    t0, t1 = leak_traces("ex3", 7, "tt", mask_literal=True)
+def test_mask_literal_does_not_reproduce_the_leak(monkeypatch):
+    # the figure-literal guard masks the empty-labeled assignments instead:
+    # it over-masks and the dependent load stays stuck
+    def literal_mask(buf):
+        return tuple(
+            ("assign", cmd[1], BOTTOM, cmd[3], cmd[4]) if cmd[0] == "assign" and not label else cmd
+            for cmd, label in buf
+        )
+
+    monkeypatch.setattr(countermeasures, "_mask", literal_mask)
+    t0, t1 = leak_traces("ex3", 7, "tt")
     assert t0 == t1
 
 
@@ -212,7 +214,7 @@ def test_label_hygiene_through_a_run():
     # every index in every label names a currently tagged pc assignment
     p = corpus.load("ex3")
     cfg = HwConfig(countermeasure="tt")
-    h = initial_hw_state(p, ArchState.initial(p, {7: 2}), cfg)
+    h = initial_hw_state(ArchState.initial(p, {7: 2}), cfg)
     for _ in range(500):
         if h.is_final():
             break

@@ -60,6 +60,7 @@ def test_parse_labels_resolve_to_addresses():
 def test_parse_label_in_expression():
     p = parse_program("jmp L\nskip\nL: skip")
     assert p.instrs[0].target == Const(2)
+    assert parse_program("L: jmp L").instrs[0].target == Const(0)
 
 
 def test_parse_cond_assign():
@@ -94,6 +95,12 @@ def test_parse_ite_expression():
         # an ill-formed program names its instruction's line
         ("skip\nbeqz x, L\nL: skip", 2, 1),
         ("skip\n\nL:  pc <- 1", 3, 5),
+        # a label's name in a register position
+        ("x: x <- x + 1", 1, 4),  # parsed as x <- 0 + 1: register x written, never read
+        ("L: skip\nL <- 1 ? 2", 2, 1),
+        ("L: skip\nload L, 3", 2, 6),
+        ("L: skip\nstore L, 3", 2, 7),
+        ("L: skip\nbeqz L, L", 2, 6),  # register L as the guard, label L as the target
     ],
 )
 def test_parse_errors(text, line, column):

@@ -47,7 +47,7 @@ def warm_cache(*addrs):
 
 def test_fetch_branch_appends_tagged_prediction():
     p = parse_program("beqz x, 5\nskip\nskip\nskip\nskip\nskip")
-    bp = make_predictor("fallthrough", p)
+    bp = make_predictor("fallthrough")
     regs = {PC: 0, "x": 0}
     result = fetch_step(p, ArchState(regs), (), warm_cache(0), bp, MU_W)
     assert result is not STUCK
@@ -58,7 +58,7 @@ def test_fetch_branch_appends_tagged_prediction():
 
 def test_fetch_cold_cache_misses_then_hits():
     p = parse_program("skip")
-    bp = make_predictor("fallthrough", p)
+    bp = make_predictor("fallthrough")
     regs = {PC: 0}
     r1 = fetch_step(p, ArchState(regs), (), LruCache(4), bp, MU_W)
     _, buf1, cs1, _ = r1
@@ -71,7 +71,7 @@ def test_fetch_cold_cache_misses_then_hits():
 
 def test_fetch_load_appends_marked_pc_increment():
     p = parse_program("load z, 4 + 3")
-    bp = make_predictor("fallthrough", p)
+    bp = make_predictor("fallthrough")
     result = fetch_step(p, ArchState({PC: 0, "z": 0}), (), warm_cache(0), bp, MU_W)
     _, buf, _, _ = result
     assert buf == (cmd_load("z", BinOp("+", Const(4), Const(3))), cmd_assign(PC, 1, marked=True))
@@ -127,7 +127,7 @@ def test_execute_load_miss_only_updates_cache():
 
 def test_execute_branch_rollback_squashes_suffix():
     p = parse_program("beqz x, 5\nskip\nskip\nskip\nskip\nskip")
-    bp = make_predictor("twobit", p)
+    bp = make_predictor("twobit")
     buf = plain(cmd_assign(PC, 1, tag=0), cmd_skip(), cmd_assign(PC, 2, marked=True))
     result = execute_step(p, ArchState({PC: 0, "x": 0}), buf, warm_cache(), bp, 1, MOD)
     _, buf2, _, bp2 = result
@@ -137,7 +137,7 @@ def test_execute_branch_rollback_squashes_suffix():
 
 def test_execute_branch_commit_keeps_suffix():
     p = parse_program("beqz x, 5\nskip\nskip\nskip\nskip\nskip")
-    bp = make_predictor("fallthrough", p)
+    bp = make_predictor("fallthrough")
     buf = plain(cmd_assign(PC, 1, tag=0), cmd_skip())
     result = execute_step(p, ArchState({PC: 0, "x": 3}), buf, warm_cache(), bp, 1, MOD)
     _, buf2, _, _ = result
@@ -211,7 +211,7 @@ def test_ooo_run_performs_rollback_on_misprediction():
     p = corpus.load("P1")
     cfg = HwConfig()
     sigma = ArchState.initial(p, {7: 1})
-    h = initial_hw_state(p, sigma, cfg)
+    h = initial_hw_state(sigma, cfg)
     shrunk = False
     prev_len = 0
     for _ in range(1000):
@@ -228,7 +228,7 @@ def test_buffer_never_exceeds_capacity():
     for name in ("P1", "ex2", "ex1"):
         p = corpus.load(name)
         cfg = HwConfig(buffer_size=4)
-        h = initial_hw_state(p, ArchState.initial(p, {7: 1, 10: 1}), cfg)
+        h = initial_hw_state(ArchState.initial(p, {7: 1, 10: 1}), cfg)
         for _ in range(2000):
             if h.is_final():
                 break
@@ -259,7 +259,7 @@ def test_final_state_matches_architectural_run(name, countermeasure):
 def test_adversary_view_initial_and_cache_sensitivity():
     p = corpus.load("skip")
     cfg = HwConfig()
-    h = initial_hw_state(p, ArchState.initial(p), cfg)
+    h = initial_hw_state(ArchState.initial(p), cfg)
     proj, cs, bp, sc = adversary_view(h)
     assert proj == ()
     h2 = h.__class__(h.sigma, h.buf, h.cs.update(3), h.bp, h.sc)
@@ -269,7 +269,7 @@ def test_adversary_view_initial_and_cache_sensitivity():
 def test_adversary_view_ignores_resolved_values():
     p = corpus.load("skip")
     cfg = HwConfig()
-    h = initial_hw_state(p, ArchState.initial(p), cfg)
+    h = initial_hw_state(ArchState.initial(p), cfg)
     buf1 = ((cmd_assign("x", 5), frozenset()),)
     buf2 = ((cmd_assign("x", 9), frozenset()),)
     v1 = adversary_view(h.__class__(h.sigma, buf1, h.cs, h.bp, h.sc.update(buf_project(buf1))))
@@ -287,7 +287,7 @@ def test_view_projection_is_buffer_projection_on_every_state(countermeasure, sch
     cfg = HwConfig(countermeasure=countermeasure, scheduler=scheduler)
     for name in corpus.program_names():
         p = corpus.load(name)
-        h = initial_hw_state(p, ArchState.initial(p, mem), cfg)
+        h = initial_hw_state(ArchState.initial(p, mem), cfg)
         assert adversary_view(h)[0] == buf_project(h.buf)
         for h, _directive in hw_steps(p, h, cfg):
             assert adversary_view(h)[0] == buf_project(h.buf)
@@ -332,7 +332,7 @@ def test_config_errors_name_the_line():
         dict(cache="direct:4:0"),
         dict(predictor="oracle"),
         dict(scheduler="random"),
-        dict(mask_literal="ture"),  # silently False without the check
+        dict(countermeasure="stt"),
         dict(modulus=0),  # a later ZeroDivisionError
         dict(modulus=10),  # not a power of two
         dict(fuel=0),  # every run a later FuelExhausted
@@ -351,12 +351,6 @@ def test_config_rejects_a_key_given_twice():
     # the last value used to win: this built countermeasure none
     with pytest.raises(ValueError, match=r"^config line 2: countermeasure given twice$"):
         HwConfig.parse("countermeasure = tt\ncountermeasure = none\n")
-
-
-def test_mask_literal_takes_yes_or_no_in_any_case():
-    for flag, values in ((True, ("Yes", "TRUE", "1")), (False, ("no", "False", "0"))):
-        for v in values:
-            assert HwConfig.parse(f"mask_literal = {v}\n").mask_literal is flag, v
 
 
 def test_seq_countermeasure_forces_sequential_scheduler():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from muspec.isa import BOTTOM, PC, BinOp, Const, Reg, parse_program
+from muspec.isa import BOTTOM, PC, BinOp, Const, Reg
 from muspec.uarch import (
     FETCH,
     RETIRE,
@@ -178,51 +178,51 @@ def test_make_cache_specs():
 
 # -- predictors ---------------------------------------------------------------
 
-BRANCHY = parse_program("beqz x, end\nskip\nbeqz y, L\nskip\nL: skip")
+# the branches of "beqz x, end\nskip\nbeqz y, 4\nskip\nskip": address to taken target
+BRANCHY = {0: BOTTOM, 2: 4}
 
 
 def test_fallthrough_always_predicts_next():
     bp = FallthroughPredictor()
-    assert bp.predict(0) == 1
-    assert bp.predict(2) == 3
-    assert bp.update(0, BOTTOM) is bp
+    assert bp.predict(0, BOTTOM) == 1
+    assert bp.predict(2, 4) == 3
+    assert bp.update(0, BOTTOM, BOTTOM) is bp
 
 
 def test_backward_taken_splits_on_direction():
-    p = parse_program("L: skip\nbeqz x, L\nbeqz y, 4\nskip\nskip")
-    bp = make_predictor("backward", p)
-    assert bp.predict(1) == 0  # backward: predicted taken
-    assert bp.predict(2) == 3  # forward: fall through
+    # "L: skip\nbeqz x, L\nbeqz y, 4\nskip\nskip"
+    bp = make_predictor("backward")
+    assert bp.predict(1, 0) == 0  # backward: predicted taken
+    assert bp.predict(2, 4) == 3  # forward: fall through
 
 
 def test_twobit_warms_up_to_taken():
-    bp = make_predictor("twobit", BRANCHY)
-    assert bp.predict(2) == 3  # cold counter predicts fall-through
-    bp = bp.update(2, 4)  # taken (target of branch at 2 is 4)
-    assert bp.predict(2) == 3
-    bp = bp.update(2, 4)
-    assert bp.predict(2) == 4  # counter reached 2: predict taken
+    bp = make_predictor("twobit")
+    assert bp.predict(2, 4) == 3  # cold counter predicts fall-through
+    bp = bp.update(2, 4, 4)  # taken
+    assert bp.predict(2, 4) == 3
+    bp = bp.update(2, 4, 4)
+    assert bp.predict(2, 4) == 4  # counter reached 2: predict taken
 
 
 def test_twobit_counter_oscillation():
     # 1 -> 2 -> 1 under taken then not-taken
-    bp = TwoBitPredictor({2: 4}, counters=((2, 1),))
-    bp = bp.update(2, 4)
+    bp = TwoBitPredictor(counters=((2, 1),))
+    bp = bp.update(2, 4, 4)
     assert bp.counters == ((2, 2),)
-    bp = bp.update(2, 3)
+    bp = bp.update(2, 3, 4)
     assert bp.counters == ((2, 1),)
 
 
 def test_predictions_always_legal_outcomes():
     rng = random.Random(9)
-    targets = BRANCHY.branch_targets()
     for kind in ("fallthrough", "backward", "twobit"):
-        bp = make_predictor(kind, BRANCHY)
+        bp = make_predictor(kind)
         for _ in range(1000):
-            addr = rng.choice(list(targets))
-            assert bp.predict(addr) in (targets[addr], addr + 1)
-            outcome = rng.choice((targets[addr], addr + 1))
-            bp = bp.update(addr, outcome)
+            addr = rng.choice(list(BRANCHY))
+            target = BRANCHY[addr]
+            assert bp.predict(addr, target) in (target, addr + 1)
+            bp = bp.update(addr, rng.choice((target, addr + 1)), target)
 
 
 # -- schedulers ---------------------------------------------------------------
