@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Union
 
-from .arch import DEFAULT_FUEL, ArchState
+from .arch import DEFAULT_FUEL, ArchState, _state
 from .contracts import (
     BOT_INF,
     SEQ_ARCH,
@@ -119,17 +119,22 @@ class StateDomain:
         return n
 
     def initial_states(self, program: Program):
+        """Each state of the domain in enumeration order, the last varying
+        cell fastest: registers zero, memory without its zero cells, fresh
+        dicts for each state."""
         n = self.size()
         if n > STATE_GUARD:
             raise DomainTooLarge(f"domain has {n} states (> {STATE_GUARD})")
-        base = dict(self.fixed)
+        base = {a: v for a, v in self.fixed if v}
         ranges = [range(lo, hi + 1) for _, lo, hi in self.vary]
         addrs = [a for a, *_ in self.vary]
-        regs = {r: 0 for r in program.registers}
+        regs = dict.fromkeys(program.registers, 0)
         for values in itertools.product(*ranges):
-            mem = dict(base)
-            mem.update(zip(addrs, values))
-            yield ArchState(dict(regs), mem)
+            mem = base.copy()
+            for a, v in zip(addrs, values):
+                if v:
+                    mem[a] = v
+            yield _state(regs.copy(), mem, frozenset(), None)
 
     @staticmethod
     def parse(text: str) -> "StateDomain":
@@ -177,7 +182,7 @@ def _side(side, tracers, program, domain, fuel):
         return lambda sigma: _low_fingerprint(sigma, side)
     if side not in tracers:
         if isinstance(side, ContractId):
-            tracers[side] = contract_tracer(side, program, domain, fuel)
+            tracers[side] = contract_tracer(side, program, domain, fuel, tracers)
         elif isinstance(side, HwConfig):
             tracers[side] = hw_tracer(side, program, domain)
         else:
@@ -188,8 +193,9 @@ def _side(side, tracers, program, domain, fuel):
 def decide(program: Program, domain: StateDomain, checks, fuel: int = DEFAULT_FUEL) -> list:
     """Relate each check ``(name, key, observed)`` in order, one verdict per
     check. A side is a ContractId, an HwConfig, a Policy, or a tuple of
-    these; every semantics gets one tracer for the whole batch, and each
-    check still walks the domain by itself. ``fuel`` bounds the contract
+    these; every semantics gets one tracer for the whole batch (a ct
+    contract's is the erasure of the arch contract's), and each check still
+    walks the domain by itself. ``fuel`` bounds the contract
     runs; a hardware config's runs keep its own fuel."""
     tracers = {}
     return [

@@ -111,7 +111,8 @@ class ArchState:
 def _state(regs, mem, watch, reads) -> ArchState:
     """An ArchState from already normalised memory, without ``__post_init__``."""
     state = object.__new__(ArchState)
-    state.__dict__.update(regs=regs, mem=mem, watch=watch, reads=reads)
+    d = state.__dict__
+    d["regs"], d["mem"], d["watch"], d["reads"] = regs, mem, watch, reads
     return state
 
 

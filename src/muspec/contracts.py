@@ -7,7 +7,7 @@ where v is an int or the string "end" for the undefined value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .arch import DEFAULT_FUEL, ArchState, FuelExhausted, arch_step, share_runs
@@ -272,21 +272,48 @@ def contract_trace(
     return trace_degenerate(p, state, contract.mode, fuel, modulus, snapshot_addrs)
 
 
-def contract_tracer(contract: ContractId, p: Program, domain, fuel: int):
+def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers: dict = None):
     """``contract``'s trace function on ``domain``'s states, run once per
     distinct read of the domain's varying cells. A shared ``bot-inf`` run
     lists the varying cells it has not written as HOLEs, and each state
-    fills in its own initial values."""
-    snapshot_addrs = tuple(domain.addresses)
+    fills in its own initial values. A ct contract's tracer is the value
+    erasure of the arch tracer of the same mode and window. ``tracers``, a
+    batch's tracers by semantics, keeps each tracer built here, the arch
+    tracer behind a ct one included, so that the batch builds it once."""
+    if tracers is None:
+        tracers = {}
+    if contract in tracers:
+        return tracers[contract]
+    if contract.observer == "ct":
+        tracer = _erased(contract_tracer(replace(contract, observer="arch"), p, domain, fuel, tracers))
+    else:
+        snapshot_addrs = tuple(domain.addresses)
 
-    def run(sigma, _start):
-        # a contract run never resumes, so it gives no resume points
-        return contract_trace(contract, p, sigma, fuel, domain.modulus, snapshot_addrs), {}
+        def run(sigma, _start):
+            # a contract run never resumes, so it gives no resume points
+            return contract_trace(contract, p, sigma, fuel, domain.modulus, snapshot_addrs), {}
 
-    shared = share_runs(run, (a for a, *_ in domain.vary))
-    if contract.mode != "bot":
-        return shared
-    return lambda sigma: _fill(shared(sigma), sigma.mem)
+        shared = share_runs(run, (a for a, *_ in domain.vary))
+        tracer = (lambda sigma: _fill(shared(sigma), sigma.mem)) if contract.mode == "bot" else shared
+    tracers[contract] = tracer
+    return tracer
+
+
+def _erased(arch_tracer):
+    """The ct tracer of ``arch_tracer``'s mode and window: each
+    ``("loadv", n, v)`` becomes ``("load", n)``. A ct run takes the steps
+    and reads of the arch run, so this is its trace. The arch tracer returns
+    one trace object per read path and keeps it, so each is erased once."""
+    done = {}
+
+    def erased(sigma):
+        trace = arch_tracer(sigma)
+        ct = done.get(id(trace))
+        if ct is None:
+            ct = done[id(trace)] = tuple(("load", o[1]) if o[0] == "loadv" else o for o in trace)
+        return ct
+
+    return erased
 
 
 def _fill(trace: tuple, mem: dict) -> tuple:
@@ -335,20 +362,17 @@ def relate(program: Program, domain, key, observe, check: str) -> Verdict:
     for sigma in domain.initial_states(program):
         k = key(sigma)
         trace = observe(sigma)
-        if k in groups:
-            rep_sigma, rep_trace = groups[k]
-            if rep_trace != trace:
-                return Verdict(
-                    ok=False,
-                    check=check,
-                    sigma=rep_sigma,
-                    sigma_prime=sigma,
-                    position=_first_divergence(rep_trace, trace),
-                    trace=rep_trace,
-                    trace_prime=trace,
-                )
-        else:
-            groups[k] = (sigma, trace)
+        rep_sigma, rep_trace = groups.setdefault(k, (sigma, trace))
+        if rep_trace is not trace and rep_trace != trace:
+            return Verdict(
+                ok=False,
+                check=check,
+                sigma=rep_sigma,
+                sigma_prime=sigma,
+                position=_first_divergence(rep_trace, trace),
+                trace=rep_trace,
+                trace_prime=trace,
+            )
     return Verdict(ok=True, check=check)
 
 
@@ -376,7 +400,8 @@ def contract_stronger_test(
     program, else the first witness in program and enumeration order.
     """
     for idx, p in enumerate(corpus):
-        c1_tracer, c2_tracer = (contract_tracer(c, p, domain, fuel) for c in (c1, c2))
+        tracers = {}
+        c1_tracer, c2_tracer = (contract_tracer(c, p, domain, fuel, tracers) for c in (c1, c2))
         v = relate(p, domain, c2_tracer, c1_tracer, f"{c1} >= {c2}")
         if not v.ok:
             return StrengthWitness(idx, v.sigma, v.sigma_prime, v.trace, v.trace_prime)

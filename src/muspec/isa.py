@@ -7,6 +7,7 @@ at 0.  Values are naturals plus a distinguished undefined value ``BOTTOM``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 DEFAULT_MODULUS = 2 ** 16
@@ -237,9 +238,10 @@ class Program:
     def __iter__(self) -> Iterator[Instr]:
         return iter(self.instrs)
 
-    @property
+    @cached_property
     def registers(self) -> tuple:
-        """All register names mentioned by the program, plus pc, sorted."""
+        """All register names mentioned by the program, plus pc, sorted;
+        computed once per program."""
         regs = {PC}
         for ins in self.instrs:
             if isinstance(ins, Assign):

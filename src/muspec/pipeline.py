@@ -107,7 +107,7 @@ class HwConfig:
         return HwConfig(**values)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HwState:
     sigma: ArchState
     buf: tuple  # ((command, label), ...)
@@ -275,15 +275,13 @@ def hw_step(p: Program, h: HwState, cfg: HwConfig) -> Tuple[HwState, tuple, bool
         result = retire_step(h.sigma, plain, h.cs, h.bp)
 
     if result is STUCK:
-        sigma, new_buf, cs2, bp2 = h.sigma, h.buf, h.cs, h.bp
-        progressed = False
-    else:
-        sigma, buf_plain, cs2, bp2 = result
-        new_buf = cm.relabel(buf_plain, h.buf, directive, cfg.countermeasure)
-        progressed = True
-
+        # the buffer stays put, and the scheduler already holds its projection
+        sc2 = h.sc.update(h.sc.proj)
+        return HwState(h.sigma, h.buf, h.cs, h.bp, sc2), directive, False
+    sigma, buf_plain, cs2, bp2 = result
+    new_buf = cm.relabel(buf_plain, h.buf, directive, cfg.countermeasure)
     sc2 = h.sc.update(buf_project(new_buf))
-    return HwState(sigma, new_buf, cs2, bp2, sc2), directive, progressed
+    return HwState(sigma, new_buf, cs2, bp2, sc2), directive, True
 
 
 def adversary_view(h: HwState) -> tuple:

@@ -151,7 +151,10 @@ def make_cache(spec: str):
     caches = {"lru": LruCache, "direct": DirectCache}
     if parts[0] not in caches or len(parts) not in (2, 3):
         raise ValueError(f"unknown cache spec {spec!r}")
-    size, line = int(parts[1]), int(parts[2]) if len(parts) == 3 else 1
+    try:
+        size, line = int(parts[1]), int(parts[2]) if len(parts) == 3 else 1
+    except ValueError:
+        raise ValueError(f"cache spec {spec!r}: size and line must be integers") from None
     if size < 1 or line < 1:
         raise ValueError(f"cache spec {spec!r}: size and line must be >= 1")
     return caches[parts[0]](size, line)

@@ -136,6 +136,23 @@ def test_domain_guard():
         next(replace(at_limit, vary=at_limit.vary + ((3, 0, 1),)).initial_states(skip))
 
 
+def test_initial_states_are_plain_fresh_states():
+    p = parse_program("x <- 1\nload y, 7")
+    dom = StateDomain(modulus=16, vary=((7, 0, 1), (9, 2, 3)), fixed=((3, 0), (5, 4)))
+    states = list(dom.initial_states(p))
+    want = [ArchState({r: 0 for r in p.registers}, {5: 4, 7: v7, 9: v9}) for v7 in (0, 1) for v9 in (2, 3)]
+    assert states == want
+    for sigma in states:
+        assert all(sigma.mem.values())  # zero cells, fixed or varying, are dropped
+        assert sigma.watch == frozenset() and sigma.reads is None
+    assert states[0].mem == {5: 4, 9: 2}
+    assert len({id(s.regs) for s in states}) == len({id(s.mem) for s in states}) == len(states)
+    # the guard fires on the first next(), before any state is built
+    big = StateDomain(vary=tuple((a, 0, 15) for a in range(4)))
+    with pytest.raises(DomainTooLarge):
+        next(big.initial_states(p))
+
+
 # -- contract satisfaction --------------------------------------------------------
 
 

@@ -221,6 +221,16 @@ def test_bad_config_exit_two(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("spec", ["lru:x", "lru:4:"])
+def test_config_cache_spec_not_integers_exit_two(capsys, tmp_path, spec):
+    cfg = tmp_path / "hw.cfg"
+    cfg.write_text(f"cache = {spec}\n")
+    code, out, err = run_cli(capsys, "hwrun", "P1", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cache spec {spec!r}: size and line must be integers\n"
+
+
 def test_classify_output_byte_stable(capsys):
     first = run_cli(capsys, "classify", "ct", "P2", "P2f")
     second = run_cli(capsys, "classify", "ct", "P2", "P2f")

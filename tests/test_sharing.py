@@ -21,6 +21,7 @@ from muspec.contracts import (
     contract_stronger_test,
     contract_trace,
     format_trace,
+    relate,
     state_snapshot,
 )
 from muspec.countermeasures import COUNTERMEASURES
@@ -30,6 +31,7 @@ from muspec.pipeline import DeadlockError, HwConfig, hw_run
 FUEL = 10_000
 CONTRACTS = (TOP, BOT_INF, SEQ_CT, SEQ_ARCH, SPEC_CT, SPEC_PC_CT, SPEC_ARCH)
 SWEEP_DOMAIN = StateDomain(modulus=16, vary=((7, 0, 15), (9, 0, 15)))
+LATTICE_DOMAIN = StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3)))
 
 
 def _counting(monkeypatch, *targets):
@@ -108,9 +110,12 @@ def test_bot_inf_witness_traces_are_the_plain_traces():
 def test_lattice_traces_each_contract_once_per_state(monkeypatch):
     programs = [corpus.load(n) for n in corpus.program_names()]
     runs = _counting(monkeypatch, (contracts, "contract_trace"))
-    check_lattice(programs, StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3))), 7)
+    check_lattice(programs, LATTICE_DOMAIN, 7)
     per_state = Counter((c, id(p), sigma.key()) for c, p, sigma, *_ in runs)
     assert runs and max(per_state.values()) == 1, per_state.most_common(1)
+    # the ct contracts never run: their traces are erasures of the arch runs
+    spec = (SPEC_ARCH, SPEC_PC_CT)
+    assert {c for c, *_ in runs} == {TOP, BOT_INF, SEQ_ARCH, *(replace(c, window=7) for c in spec)}
 
 
 def _plain_run(semantics, p, dom):
@@ -177,6 +182,59 @@ def test_a_table_row_traces_each_contract_once_per_state(monkeypatch):
     analysis.classify_constant_time(p, analysis.Policy(corpus.TABLE_POLICY_LOW), dom, 7)
     per_state = Counter((c, sigma.key()) for c, _p, sigma, *_ in runs)
     assert runs and max(per_state.values()) == 1, per_state.most_common(1)
+    # seq-ct and spec-ct are erasures of the seq-arch and spec-arch runs
+    assert {c for c, *_ in runs} == {SEQ_ARCH, *(replace(c, window=7) for c in (SPEC_ARCH, SPEC_PC_CT))}
+
+
+def _read_paths(trace, p, dom):
+    """The distinct read paths of the domain's states under ``trace``: the
+    varying cells a run reads, in order, with their values."""
+    cells = frozenset(a for a, *_ in dom.vary)
+    paths = set()
+    for sigma in dom.initial_states(p):
+        reads = {}
+        trace(p, sigma.watched(cells, reads))
+        paths.add(tuple(reads.items()))
+    return len(paths)
+
+
+OBSERVER_CONTRACTS = (SEQ_CT, SEQ_ARCH, replace(SPEC_CT, window=7), replace(SPEC_ARCH, window=7))
+OBSERVER_PAIRS = [(f"{k} ~> {o}", k, o) for k in OBSERVER_CONTRACTS for o in OBSERVER_CONTRACTS if k != o]
+
+
+def test_ct_and_arch_batch_equals_plain_relate():
+    # every ordered pair of the four, and each one against top (NI with no low input)
+    checks = OBSERVER_PAIRS + [(f"top ~> {o}", TOP, o) for o in OBSERVER_CONTRACTS]
+    programs = [corpus.load(n) for n in corpus.program_names()] + random_programs(50, seed=12)
+    failed = Counter()
+    for p in programs:
+        plain = {}
+        for c in OBSERVER_CONTRACTS + (TOP,):
+            traces = {
+                s.key(): contract_trace(c, p, s, modulus=16, snapshot_addrs=LATTICE_DOMAIN.addresses)
+                for s in LATTICE_DOMAIN.initial_states(p)
+            }
+            plain[c] = lambda s, traces=traces: traces[s.key()]
+        for (name, key, observe), v in zip(checks, analysis.decide(p, LATTICE_DOMAIN, checks)):
+            assert v == relate(p, LATTICE_DOMAIN, plain[key], plain[observe], name), (name, str(p))
+            failed[observe.observer] += not v.ok
+    # counterexamples with ct traces and with arch traces were both compared
+    assert failed["ct"] and failed["arch"], failed
+
+
+def test_ct_and_arch_batch_runs_each_read_path_once_as_arch(monkeypatch):
+    programs = [corpus.load(n) for n in corpus.program_names()]
+    seq_paths = spec_paths = 0
+    for p in programs:
+        seq_paths += _read_paths(lambda p, s: contracts.trace_seq(p, s, "arch"), p, LATTICE_DOMAIN)
+        spec_paths += _read_paths(lambda p, s: contracts.trace_spec(p, s, "arch", 7), p, LATTICE_DOMAIN)
+    seq = _counting(monkeypatch, (contracts, "trace_seq"))
+    spec = _counting(monkeypatch, (contracts, "trace_spec"))
+    for p in programs:
+        analysis.decide(p, LATTICE_DOMAIN, OBSERVER_PAIRS)
+    assert {args[2] for args in seq + spec} == {"arch"}
+    assert (len(seq), len(spec)) == (seq_paths, spec_paths)
+    assert seq_paths < len(programs) * LATTICE_DOMAIN.size()  # sharing happened
 
 
 def test_a_batch_frees_its_tracers_when_it_returns(monkeypatch):
