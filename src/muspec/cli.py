@@ -202,6 +202,20 @@ def _cmd_lattice(args) -> int:
     return bad
 
 
+def _int_at_least(low: int, what: str):
+    """An argparse type: an int no smaller than ``low``, named ``what`` in
+    the error, so that a bad value is a usage error where it is parsed."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's word for text that is no int
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="muspec", description=__doc__)
     parser.add_argument("--format", choices=("plain", "json-lines"), default="plain")
@@ -210,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, program=True, window=True):
         if program:
             p.add_argument("program", help="program file or corpus name")
-        p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+        p.add_argument("--fuel", type=_int_at_least(1, "fuel"), default=DEFAULT_FUEL)
         if window:
             p.add_argument("--window", type=int, default=DEFAULT_SPEC_WINDOW)
 
@@ -255,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lat = sub.add_parser("lattice", help="contract lattice edge report")
     common(p_lat, program=False)
-    p_lat.add_argument("--random", type=int, default=0)
+    p_lat.add_argument("--random", type=_int_at_least(0, "random program count"), default=0)
     p_lat.add_argument("--seed", type=int, default=0)
     p_lat.add_argument("--domain")
     p_lat.set_defaults(func=_cmd_lattice)

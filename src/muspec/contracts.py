@@ -356,14 +356,24 @@ def relate(program: Program, domain, key, observe, check: str) -> Verdict:
     equal ``observe``.
 
     Each state is compared against the first state with its key, so the
-    first counterexample in enumeration order wins deterministically.
+    first counterexample in enumeration order wins deterministically. A
+    shared tracer returns one trace object per run, so each distinct pair
+    of trace objects is compared once: ``equal`` keeps the pairs found
+    equal, keyed by their ids, and holds the state's trace so that its id
+    is not reused while the check runs.
     """
     groups: dict = {}
+    equal: dict = {}
     for sigma in domain.initial_states(program):
         k = key(sigma)
         trace = observe(sigma)
         rep_sigma, rep_trace = groups.setdefault(k, (sigma, trace))
-        if rep_trace is not trace and rep_trace != trace:
+        if rep_trace is trace:
+            continue
+        pair = (id(rep_trace), id(trace))
+        if pair in equal:
+            continue
+        if rep_trace != trace:
             return Verdict(
                 ok=False,
                 check=check,
@@ -373,6 +383,7 @@ def relate(program: Program, domain, key, observe, check: str) -> Verdict:
                 trace=rep_trace,
                 trace_prime=trace,
             )
+        equal[pair] = trace
     return Verdict(ok=True, check=check)
 
 

@@ -330,3 +330,31 @@ def test_check_without_contract_says_it_is_required(capsys):
         assert out == ""
         assert err == f"error: check {what} requires --contract\n"
     assert run_cli(capsys, "check", "ni", "P2")[0] == 0  # ni defaults to seq-ct
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "P1", "--fuel", "-1"),
+        ("trace", "P1", "--contract", "seq-ct", "--fuel", "0"),
+        ("check", "sat", "P1", "--contract", "spec-ct", "--fuel", "0"),
+    ],
+)
+def test_fuel_below_one_is_a_usage_error(capsys, argv):
+    # run reported FuelExhausted, as if the program had looped
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument --fuel: fuel must be >= 1, got {argv[-1]}" in out.err
+
+
+def test_lattice_negative_random_count_is_a_usage_error(capsys):
+    # checked the corpus alone and passed before
+    with pytest.raises(SystemExit) as info:
+        main(["lattice", "--random", "-3"])
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --random: random program count must be >= 0, got -3" in out.err

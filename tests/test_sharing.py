@@ -18,6 +18,7 @@ from muspec.contracts import (
     SPEC_CT,
     SPEC_PC_CT,
     TOP,
+    Verdict,
     contract_stronger_test,
     contract_trace,
     format_trace,
@@ -202,6 +203,138 @@ OBSERVER_CONTRACTS = (SEQ_CT, SEQ_ARCH, replace(SPEC_CT, window=7), replace(SPEC
 OBSERVER_PAIRS = [(f"{k} ~> {o}", k, o) for k in OBSERVER_CONTRACTS for o in OBSERVER_CONTRACTS if k != o]
 
 
+def _reference_relate(program, domain, key, observe, check):
+    """``relate`` with no memo: every state is compared with the first
+    state of its key."""
+    first = {}
+    for sigma in domain.initial_states(program):
+        k = key(sigma)
+        trace = observe(sigma)
+        rep_sigma, rep_trace = first.setdefault(k, (sigma, trace))
+        if rep_trace != trace:
+            diff = [i for i, (a, b) in enumerate(zip(rep_trace, trace)) if a != b]
+            position = diff[0] if diff else min(len(rep_trace), len(trace))
+            return Verdict(False, check, rep_sigma, sigma, position, rep_trace, trace)
+    return Verdict(True, check)
+
+
+# (domain, policy) pairs whose policy makes some varying cells low and some high
+DIFFERENTIAL_DOMAINS = (
+    (LATTICE_DOMAIN, analysis.Policy(corpus.TABLE_POLICY_LOW)),
+    (StateDomain(modulus=16, vary=((0, 0, 2), (1, 0, 1), (3, 0, 1))), analysis.Policy(((1, 15),))),
+)
+
+
+def _differential_checks(policy, buffer_size):
+    spec_ct = replace(SPEC_CT, window=buffer_size + 2)
+    none, tt = (HwConfig(buffer_size=buffer_size, predictor="twobit", countermeasure=cm) for cm in ("none", "tt"))
+    return [
+        ("sat[seq-ct vs none]", SEQ_CT, none),
+        ("sat[spec-ct vs none]", spec_ct, none),
+        ("sat[seq-ct vs tt]", SEQ_CT, tt),
+        ("ni[seq-ct]", policy, SEQ_CT),
+        ("ni[hw:none]", policy, none),
+        ("wsni[spec-ct]", SEQ_ARCH, spec_ct),
+        ("sni[spec-ct]", (policy, SEQ_CT), spec_ct),
+        # sides that build a fresh object on every call: bot-inf's filled
+        # trace, a policy fingerprint and a tuple
+        ("seq-ct ~> bot-inf", SEQ_CT, BOT_INF),
+        ("top ~> low", TOP, policy),
+        ("seq-arch ~> (seq-ct, spec-ct)", SEQ_ARCH, (SEQ_CT, spec_ct)),
+    ]
+
+
+def test_relate_equals_the_reference_without_a_memo(monkeypatch):
+    programs = [corpus.load(n) for n in corpus.program_names()] + random_programs(50, seed=13)
+    failed = Counter()
+    for buffer_size in (5, 7):
+        for dom, policy in DIFFERENTIAL_DOMAINS:
+            checks = _differential_checks(policy, buffer_size)
+            for p in programs:
+                got = analysis.decide(p, dom, checks)
+                with monkeypatch.context() as m:
+                    m.setattr(analysis, "relate", _reference_relate)
+                    want = analysis.decide(p, dom, checks)
+                assert got == want, str(p)
+                failed[buffer_size] += sum(not v.ok for v in got)
+    # at each buffer size some check fails, so counterexamples were compared
+    assert failed[5] and failed[7], failed
+
+
+def test_fresh_equal_traces_do_not_hide_a_counterexample():
+    # each call builds a new tuple, so an equal one freed earlier may leave
+    # its id to the first unequal one
+    p = parse_program("skip")
+    dom = StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 15)))
+
+    def observe(sigma):
+        return tuple([sigma.read_mem(7) > 0])
+
+    v = relate(p, dom, lambda sigma: (), observe, "fresh")
+    assert v == _reference_relate(p, dom, lambda sigma: (), observe, "fresh")
+    assert not v.ok and v.position == 0
+    assert (v.sigma_prime.read_mem(7), v.sigma_prime.read_mem(9)) == (1, 0)
+
+
+def test_a_trace_found_equal_is_compared_again_under_another_key():
+    # one trace object, equal to the first trace of cell 7 = 0 but not to
+    # that of cell 7 = 1
+    p = parse_program("skip")
+    dom = StateDomain(modulus=16, vary=((7, 0, 1), (9, 0, 2)))
+    first_a, shared_a, first_b = ("a",), tuple(["a"]), ("b",)
+
+    def observe(sigma):
+        if sigma.read_mem(9) == 0:
+            return first_b if sigma.read_mem(7) else first_a
+        return shared_a
+
+    key = lambda sigma: sigma.read_mem(7)
+    v = relate(p, dom, key, observe, "shared")
+    assert v == _reference_relate(p, dom, key, observe, "shared")
+    assert not v.ok and (v.trace, v.trace_prime) == (first_b, shared_a)
+
+
+def test_sat_check_compares_each_distinct_pair_of_runs_once(monkeypatch):
+    comparisons = []
+
+    class Counted(tuple):
+        """A trace that counts the comparisons made with it."""
+
+        __hash__ = tuple.__hash__
+
+        def __eq__(self, other):
+            comparisons.append(self)
+            return tuple.__eq__(self, other)
+
+        def __ne__(self, other):
+            comparisons.append(self)
+            return tuple.__ne__(self, other)
+
+    pairs, unshared = set(), []
+
+    def counting_relate(program, domain, key, observe, check):
+        copies, firsts = {}, {}  # id of a trace -> (the trace, its copy); key -> first copy
+
+        def counted(sigma):
+            trace = observe(sigma)
+            _, copy = copies.setdefault(id(trace), (trace, Counted(trace)))
+            rep = firsts.setdefault(key(sigma), copy)
+            if rep is not copy:
+                pairs.add((id(rep), id(copy)))
+                unshared.append(sigma)
+            return copy
+
+        return relate(program, domain, key, counted, check)
+
+    monkeypatch.setattr(analysis, "relate", counting_relate)
+    cfg = HwConfig(countermeasure="none", predictor="twobit")
+    assert check_contract_satisfaction(corpus.load("P1"), replace(SPEC_CT, window=7), cfg, SWEEP_DOMAIN).ok
+    # one comparison per state whose trace is not its key's first trace
+    # would be many more than one per distinct pair
+    assert len(pairs) < len(unshared)
+    assert len(comparisons) <= len(pairs), (len(comparisons), len(pairs), len(unshared))
+
+
 def test_ct_and_arch_batch_equals_plain_relate():
     # every ordered pair of the four, and each one against top (NI with no low input)
     checks = OBSERVER_PAIRS + [(f"top ~> {o}", TOP, o) for o in OBSERVER_CONTRACTS]
@@ -216,7 +349,7 @@ def test_ct_and_arch_batch_equals_plain_relate():
             }
             plain[c] = lambda s, traces=traces: traces[s.key()]
         for (name, key, observe), v in zip(checks, analysis.decide(p, LATTICE_DOMAIN, checks)):
-            assert v == relate(p, LATTICE_DOMAIN, plain[key], plain[observe], name), (name, str(p))
+            assert v == _reference_relate(p, LATTICE_DOMAIN, plain[key], plain[observe], name), (name, str(p))
             failed[observe.observer] += not v.ok
     # counterexamples with ct traces and with arch traces were both compared
     assert failed["ct"] and failed["arch"], failed
