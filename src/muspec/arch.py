@@ -72,6 +72,11 @@ class ArchState:
         regs.update(updates)
         return _state(regs, self.mem, self.watch, self.reads)
 
+    def with_reg(self, reg: str, value: Value) -> "ArchState":
+        regs = dict(self.regs)
+        regs[reg] = value
+        return _state(regs, self.mem, self.watch, self.reads)
+
     def with_mem(self, addr: int, value: Value) -> "ArchState":
         mem = dict(self.mem)
         if value == 0:

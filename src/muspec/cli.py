@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("program", help="program file or corpus name")
         p.add_argument("--fuel", type=_int_at_least(1, "fuel"), default=DEFAULT_FUEL)
         if window:
-            p.add_argument("--window", type=int, default=DEFAULT_SPEC_WINDOW)
+            p.add_argument("--window", type=_int_at_least(1, "window"), default=DEFAULT_SPEC_WINDOW)
 
     p_run = sub.add_parser("run", help="architectural run")
     common(p_run, window=False)

@@ -1,11 +1,13 @@
 """Out-of-order speculative hardware semantics: fetch/execute/retire
 micro-steps, the top-level step rule, runs, and the adversary view.
 
-A hardware state is the architectural state plus a labeled reorder buffer
-and the cache / branch predictor / scheduler component states.  Stages
-communicate through plain (unlabeled) command tuples; the configured
-countermeasure decides what a stage may see (unlabel) and how the result
-is retainted (relabel).
+A hardware state is the architectural state plus a reorder buffer, kept as
+a tuple of plain commands beside a parallel tuple of taint labels, and the
+cache / branch predictor / scheduler component states.  Stages take and
+return plain command tuples; the configured countermeasure decides what a
+stage may see (unlabel) and how its output is labeled (relabel).  A step
+re-projects only the buffer entries it changed, and a component it leaves
+alone stays the same object.
 """
 from __future__ import annotations
 
@@ -46,6 +48,7 @@ from .uarch import (
     make_cache,
     make_predictor,
     make_scheduler,
+    project_entry,
 )
 
 STUCK = object()  # stage outcome: no rule applies for the directive
@@ -110,7 +113,8 @@ class HwConfig:
 @dataclass(slots=True)
 class HwState:
     sigma: ArchState
-    buf: tuple  # ((command, label), ...)
+    buf: tuple  # (command, ...)
+    labels: tuple  # a taint label per command, EMPTY outside taint tracking
     cs: object
     bp: object
     sc: object
@@ -123,6 +127,7 @@ def initial_hw_state(sigma: ArchState, cfg: HwConfig) -> HwState:
     return HwState(
         sigma=sigma,
         buf=(),
+        labels=(),
         cs=make_cache(cfg.cache),
         bp=make_predictor(cfg.predictor),
         sc=make_scheduler(cfg.scheduler, cfg.buffer_size),
@@ -152,9 +157,23 @@ def _instr_commands(ins) -> tuple:
     raise TypeError(f"not fetchable as a plain instruction: {ins!r}")
 
 
+def _fetch_pc(buf, regs):
+    """``apply_buffer(buf, regs)[PC]`` without copying the register file."""
+    pc = regs[PC]
+    for kind, x, payload, _tag, _marked in buf:
+        if kind == "assign":
+            if x == PC:
+                pc = payload if is_value(payload) else BOTTOM
+        elif kind == "load":
+            if x == PC:
+                pc = BOTTOM
+        elif kind == "barrier":
+            return BOTTOM
+    return pc
+
+
 def fetch_step(p: Program, sigma: ArchState, buf, cs, bp, mu_w: int):
-    a = apply_buffer(buf, sigma.regs)
-    pc = a[PC]
+    pc = _fetch_pc(buf, sigma.regs)
     if pc is BOTTOM:
         return STUCK
     if len(buf) >= mu_w:
@@ -247,7 +266,7 @@ def retire_step(sigma: ArchState, buf, cs, bp):
     if kind == "assign":
         if not is_value(B):
             return STUCK
-        return (sigma.with_regs(**{A: B}), rest, cs, bp)
+        return (sigma.with_reg(A, B), rest, cs, bp)
     if kind == "store":
         if not (isinstance(A, int) and isinstance(B, int)):
             return STUCK
@@ -264,7 +283,7 @@ def hw_step(p: Program, h: HwState, cfg: HwConfig) -> Tuple[HwState, tuple, bool
     state still advances, so a later step can pick a different directive.
     """
     directive = h.sc.next()
-    plain = cm.unlabel(cfg.countermeasure, h.buf, directive)
+    plain = cm.unlabel(cfg.countermeasure, h.buf, h.labels, directive)
     if plain is None:  # the countermeasure holds the directive back
         result = STUCK
     elif directive[0] == "fetch":
@@ -277,18 +296,50 @@ def hw_step(p: Program, h: HwState, cfg: HwConfig) -> Tuple[HwState, tuple, bool
     if result is STUCK:
         # the buffer stays put, and the scheduler already holds its projection
         sc2 = h.sc.update(h.sc.proj)
-        return HwState(h.sigma, h.buf, h.cs, h.bp, sc2), directive, False
-    sigma, buf_plain, cs2, bp2 = result
-    new_buf = cm.relabel(buf_plain, h.buf, directive, cfg.countermeasure)
-    sc2 = h.sc.update(buf_project(new_buf))
-    return HwState(sigma, new_buf, cs2, bp2, sc2), directive, True
+        return HwState(h.sigma, h.buf, h.labels, h.cs, h.bp, sc2), directive, False
+    sigma, out, cs2, bp2 = result
+    buf, labels = cm.relabel(out, h.buf, h.labels, directive, cfg.countermeasure)
+    sc2 = h.sc.update(_projection(h, buf, labels, directive))
+    return HwState(sigma, buf, labels, cs2, bp2, sc2), directive, True
 
 
-def adversary_view(h: HwState) -> tuple:
+def _projection(h: HwState, buf, labels, directive) -> tuple:
+    """``buf_project(zip(buf, labels))`` for the step from ``h``, edited from
+    the projection the scheduler holds: a fetch appends, a retire drops the
+    head, an execute replaces entry i or truncates the buffer after it. A
+    step that changes other labels, a taint retire or a commit, projects the
+    whole buffer."""
+    proj, n = h.sc.proj, len(h.buf)
+    if directive[0] == "fetch":
+        return proj + tuple(map(project_entry, buf[n:], labels[n:])) if len(buf) > n else proj
+    if directive[0] == "retire":
+        if labels == h.labels[1:]:
+            return proj[1:]
+    else:
+        i = directive[1]
+        if len(buf) < n:
+            return proj[: i - 1] + (project_entry(buf[i - 1], labels[i - 1]),)
+        if labels == h.labels:
+            if buf[i - 1] is h.buf[i - 1]:
+                return proj
+            return proj[: i - 1] + (project_entry(buf[i - 1], labels[i - 1]),) + proj[i:]
+    return buf_project(zip(buf, labels))
+
+
+def adversary_view(h: HwState, before: HwState = None, seen: tuple = None) -> tuple:
     """What the microarchitectural adversary sees: the data-independent
-    buffer projection (the scheduler's, always ``buf_project(h.buf)``)
-    plus cache, predictor, and scheduler state."""
-    return (h.sc.proj, h.cs.key(), h.bp.key(), h.sc.key())
+    buffer projection (the scheduler's, always
+    ``buf_project(zip(h.buf, h.labels))``) plus cache, predictor, and
+    scheduler state. ``seen``, the view of an earlier state ``before``,
+    lends its cache and predictor keys where ``h`` kept those components."""
+    if before is None:
+        return (h.sc.proj, h.cs.key(), h.bp.key(), h.sc.key())
+    return (
+        h.sc.proj,
+        seen[1] if h.cs is before.cs else h.cs.key(),
+        seen[2] if h.bp is before.bp else h.bp.key(),
+        h.sc.key(),
+    )
 
 
 def hw_steps(
@@ -312,8 +363,13 @@ def hw_steps(
         if len(reads) > n:
             for cell in list(reads)[n:]:
                 starts[cell] = (h, steps, idle)
-        # only retire changes sigma, and a retire that progresses shortens the buffer
-        changed = progressed and (h2.buf != h.buf or h2.cs != h.cs or h2.bp != h.bp)
+        # only retire changes sigma, and a retire that progresses shortens the
+        # buffer; labels change only with the commands
+        changed = progressed and (
+            h2.buf is not h.buf and h2.buf != h.buf
+            or h2.cs is not h.cs and h2.cs != h.cs
+            or h2.bp is not h.bp and h2.bp != h.bp
+        )
         idle = 0 if changed else idle + 1
         if idle > idle_limit:
             raise DeadlockError(
@@ -343,10 +399,13 @@ def hw_run(
         h, steps, idle = initial_hw_state(sigma, cfg), 0, 0
     else:
         h, steps, idle = start
-        h = HwState(h.sigma.resumed(sigma), h.buf, h.cs, h.bp, h.sc)
-    views = [adversary_view(h)]
-    for h, _directive in hw_steps(p, h, cfg, steps, idle, starts):
-        views.append(adversary_view(h))
+        h = HwState(h.sigma.resumed(sigma), h.buf, h.labels, h.cs, h.bp, h.sc)
+    view = adversary_view(h)
+    views = [view]
+    for h2, _directive in hw_steps(p, h, cfg, steps, idle, starts):
+        view = adversary_view(h2, h, view)
+        views.append(view)
+        h = h2
     return tuple(views), h
 
 

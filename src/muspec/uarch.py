@@ -11,8 +11,9 @@ Reorder-buffer commands are 5-tuples ``(kind, a, b, tag, marked)``:
 
 A payload is an Expr (unresolved) or a Value (resolved).  ``tag`` is None
 for untagged entries or the branch address whose prediction produced the
-entry.  The labeled buffer used by the pipeline pairs each command with a
-frozenset of 1-based buffer indexes (empty outside taint tracking).
+entry.  The pipeline keeps a reorder buffer as a tuple of commands and a
+parallel tuple of taint labels, frozensets of 1-based buffer indexes (empty
+outside taint tracking).
 """
 from __future__ import annotations
 
@@ -56,19 +57,20 @@ def cmd_store(value_payload, addr_payload, tag=None):
     return ("store", value_payload, addr_payload, tag, False)
 
 
-def buf_project(buf) -> tuple:
-    """Data-independent projection: payloads become R/UR, labels and tags
-    stay, values never appear."""
-    out = []
-    for cmd, label in buf:
-        kind, a, b, tag, marked = cmd
-        if kind in ("skip", "barrier"):
-            out.append((kind, None, None, tag, marked, label))
-        elif kind == "store":
-            out.append((kind, R if is_value(a) else UR, R if is_value(b) else UR, tag, marked, label))
-        else:
-            out.append((kind, a, R if is_value(b) else UR, tag, marked, label))
-    return tuple(out)
+def project_entry(cmd, label) -> tuple:
+    """Data-independent projection of one labeled command: payloads become
+    R/UR, the label and tag stay, values never appear."""
+    kind, a, b, tag, marked = cmd
+    if kind in ("skip", "barrier"):
+        return (kind, None, None, tag, marked, label)
+    if kind == "store":
+        return (kind, R if is_value(a) else UR, R if is_value(b) else UR, tag, marked, label)
+    return (kind, a, R if is_value(b) else UR, tag, marked, label)
+
+
+def buf_project(entries) -> tuple:
+    """Projection of a labeled buffer, given as ``(command, label)`` pairs."""
+    return tuple(project_entry(cmd, label) for cmd, label in entries)
 
 
 def apply_buffer(buf, regs: dict) -> dict:
@@ -89,7 +91,8 @@ def apply_buffer(buf, regs: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Caches (metadata only: which lines are present, never their contents)
+# Caches (metadata only: which lines are present, never their contents).
+# An update that leaves the lines in place returns the cache itself.
 
 
 @dataclass(unsafe_hash=True)
@@ -108,6 +111,8 @@ class LruCache:
 
     def update(self, addr) -> "LruCache":
         lid = self._lid(addr)
+        if self.entries and self.entries[0] == lid:
+            return self
         rest = tuple(e for e in self.entries if e != lid)
         return LruCache(self.capacity, self.line, ((lid,) + rest)[: self.capacity])
 
@@ -136,6 +141,8 @@ class DirectCache:
 
     def update(self, addr) -> "DirectCache":
         lid = self._lid(addr)
+        if self.slots[lid % self.sets] == lid:
+            return self
         slots = list(self.slots)
         slots[lid % self.sets] = lid
         return DirectCache(self.sets, self.line, tuple(slots))
@@ -162,7 +169,8 @@ def make_cache(spec: str):
 
 # ---------------------------------------------------------------------------
 # Branch predictors. Prediction must be one of the two legal outcomes, so
-# the stages hand each call the branch's taken target.
+# the stages hand each call the branch's taken target. An update that moves
+# no counter returns the predictor itself.
 
 
 @dataclass(unsafe_hash=True)
@@ -209,8 +217,10 @@ class TwoBitPredictor:
         return target if self._counter(addr) >= 2 else addr + 1
 
     def update(self, addr, outcome, target) -> "TwoBitPredictor":
-        c = self._counter(addr)
-        c = min(c + 1, 3) if outcome == target else max(c - 1, 0)
+        old = self._counter(addr)
+        c = min(old + 1, 3) if outcome == target else max(old - 1, 0)
+        if c == old and (addr, c) in self.counters:
+            return self
         table = {a: v for a, v in self.counters}
         table[addr] = c
         return TwoBitPredictor(tuple(sorted(table.items())))
@@ -340,7 +350,7 @@ class OooScheduler:
         return cands[(self.stall // 2) % len(cands)]
 
     def update(self, proj: tuple) -> "OooScheduler":
-        stall = self.stall + 1 if proj == self.proj else 0
+        stall = self.stall + 1 if proj is self.proj or proj == self.proj else 0
         return OooScheduler(self.mu_w, proj, stall, self.memo)
 
     def key(self):

@@ -1,9 +1,13 @@
 """The benchmark in bench/ still fits the package: its tracer wraps every
-name it lists, its workloads build, and both ends of each workload pass
-their checks. A rename in muspec then fails here, not in a benchmark run."""
+name it lists, its workloads build, both ends of each workload pass their
+checks, and a traced round reports no problem. A rename in muspec, or a
+refactor that goes round a traced function or drops a view, then fails
+here, not in a benchmark run."""
 import importlib
 import importlib.util
+import json
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,3 +54,19 @@ def test_benchmark_installs_and_builds_every_workload(monkeypatch):
     assert _attributes(modules) == before
     counts = tracer.snapshot()
     assert counts["states"] > 0 and counts["analysis.check_contract_satisfaction.calls"] > 0
+
+
+def test_a_traced_paper_suite_round_reports_no_problem():
+    # run.py checks that the traced views are one per hardware step plus one
+    # per run, and that the traced enumeration yields the states decided
+    run = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "paper-suite", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, check=True,
+    )
+    lines = run.stdout.splitlines()
+    assert [line for line in lines if line.startswith(("PROBLEM", "FAILED"))] == []
+    result = json.loads(lines[-1])
+    assert result["correct"] and result["failed"] == 0
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metrics["pipeline.hw_run.calls"] > 0 and metrics["pipeline.hw_step.calls"] > 0

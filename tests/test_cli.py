@@ -350,6 +350,26 @@ def test_fuel_below_one_is_a_usage_error(capsys, argv):
     assert f"argument --fuel: fuel must be >= 1, got {argv[-1]}" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "P1", "--contract", "seq-ct", "--window", "0"),
+        ("check", "wsni", "P1", "--contract", "seq-arch", "--window", "-3"),
+        ("check", "sat", "P1", "--contract", "spec-ct", "--window", "0"),
+        ("classify", "sandbox", "P1", "--window", "0"),
+        ("lattice", "--window", "-1"),
+    ],
+)
+def test_window_below_one_is_a_usage_error(capsys, argv):
+    # trace and check under a seq contract ignored it and exited 0
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument --window: window must be >= 1, got {argv[-1]}" in out.err
+
+
 def test_lattice_negative_random_count_is_a_usage_error(capsys):
     # checked the corpus alone and passed before
     with pytest.raises(SystemExit) as info:

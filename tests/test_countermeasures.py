@@ -2,11 +2,14 @@
 from muspec import corpus, countermeasures
 from muspec.arch import ArchState
 from muspec.countermeasures import (
+    COUNTERMEASURES,
+    TAINT,
     is_transmit,
     loaddelay_guard,
     nda_unlabel,
     relabel,
     tt_unlabel,
+    unlabel,
 )
 from muspec.isa import BOTTOM, PC, BinOp, Const, Reg
 from muspec.pipeline import HwConfig, hw_run, hw_step, initial_hw_state
@@ -18,7 +21,8 @@ RETIRE = ("retire",)
 
 
 def lbl(*pairs):
-    return tuple(pairs)
+    """The commands and the parallel labels of ``(command, label)`` pairs."""
+    return tuple(cmd for cmd, _ in pairs), tuple(label for _, label in pairs)
 
 
 # -- transmit classification ---------------------------------------------------
@@ -41,17 +45,17 @@ def test_plain_assignments_do_not_transmit():
 
 
 def test_load_delayed_behind_unresolved_branch():
-    buf = lbl((cmd_assign(PC, 3, tag=1), E), (cmd_load("x", Const(4)), E))
+    buf = (cmd_assign(PC, 3, tag=1), cmd_load("x", Const(4)))
     assert loaddelay_guard(buf, execute(2)) is False
 
 
 def test_load_allowed_after_branch_resolves():
-    buf = lbl((cmd_assign(PC, 3), E), (cmd_load("x", Const(4)), E))
+    buf = (cmd_assign(PC, 3), cmd_load("x", Const(4)))
     assert loaddelay_guard(buf, execute(2)) is True
 
 
 def test_non_load_directives_always_allowed():
-    buf = lbl((cmd_assign(PC, 3, tag=1), E), (cmd_assign("x", Reg("y")), E))
+    buf = (cmd_assign(PC, 3, tag=1), cmd_assign("x", Reg("y")))
     assert loaddelay_guard(buf, RETIRE) is True
     assert loaddelay_guard(buf, FETCH) is True
     assert loaddelay_guard(buf, execute(2)) is True
@@ -61,102 +65,110 @@ def test_non_load_directives_always_allowed():
 
 
 def test_drop_strips_labels_only():
-    buf = lbl((cmd_assign("x", 5), frozenset((1,))))
-    assert tt_unlabel(buf, RETIRE) == (cmd_assign("x", 5),)
+    buf, labels = lbl((cmd_assign("x", 5), frozenset((1,))))
+    assert tt_unlabel(buf, labels, RETIRE) is buf
 
 
 def test_mask_hides_tainted_assignments_on_transmit_execute():
-    buf = lbl(
+    buf, labels = lbl(
         (cmd_assign(PC, 3, tag=1), E),
         (cmd_assign("x", 5), frozenset((1,))),
         (cmd_load("y", Reg("x")), frozenset((1,))),
     )
-    unl = tt_unlabel(buf, execute(3))  # the load is a transmit
+    unl = tt_unlabel(buf, labels, execute(3))  # the load is a transmit
     assert unl[1] == cmd_assign("x", BOTTOM)
     assert unl[0] == cmd_assign(PC, 3, tag=1)  # empty label untouched
 
 
 def test_execute_of_non_transmit_drops_instead_of_masking():
-    buf = lbl(
+    buf, labels = lbl(
         (cmd_assign("x", 5), frozenset((1,))),
         (cmd_assign("y", Reg("x")), frozenset((1,))),
     )
-    unl = tt_unlabel(buf, execute(2))
+    unl = tt_unlabel(buf, labels, execute(2))
     assert unl == (cmd_assign("x", 5), cmd_assign("y", Reg("x")))
 
 
 def test_nda_masks_for_every_directive():
-    buf = lbl((cmd_assign("x", 5), frozenset((1,))),)
+    buf, labels = lbl((cmd_assign("x", 5), frozenset((1,))),)
     for directive in (FETCH, RETIRE, execute(1)):
-        assert nda_unlabel(buf, directive) == (cmd_assign("x", BOTTOM),)
+        assert nda_unlabel(buf, labels, directive) == (cmd_assign("x", BOTTOM),)
+
+
+def test_unlabel_hands_the_buffer_itself_when_nothing_is_masked():
+    buf, labels = lbl((cmd_assign(PC, 3, tag=1), E), (cmd_load("x", Const(4)), E))
+    for countermeasure in COUNTERMEASURES:
+        for directive in (FETCH, RETIRE, execute(1), execute(2)):
+            plain = unlabel(countermeasure, buf, labels, directive)
+            assert plain is buf or plain is None
 
 
 # -- labeling --------------------------------------------------------------------
 
 
 def test_fetched_load_labeled_with_unresolved_branch_indexes():
-    old = lbl(
+    buf, labels = lbl(
         (cmd_skip(), E),
         (cmd_assign(PC, 3, tag=1), E),
         (cmd_assign(PC, 4, tag=2), E),
     )
-    new_plain = tuple(c for c, _ in old) + (
+    new_plain = buf + (
         cmd_load("w", Const(9)),
         cmd_assign(PC, 5, marked=True),
     )
-    out = relabel(new_plain, old, FETCH, "tt")
-    assert out[3][1] == frozenset((2, 3))
-    assert out[4][1] == E  # the marked pc increment is never tainted
+    out, out_labels = relabel(new_plain, buf, labels, FETCH, "tt")
+    assert out == new_plain
+    assert out_labels[3] == frozenset((2, 3))
+    assert out_labels[4] == E  # the marked pc increment is never tainted
 
 
 def test_fetched_assignment_inherits_operand_labels():
-    old = lbl(
+    buf, labels = lbl(
         (cmd_assign(PC, 2, tag=0), E),
         (cmd_load("z", Const(7)), frozenset((1,))),
     )
-    new_plain = tuple(c for c, _ in old) + (
+    new_plain = buf + (
         cmd_assign("q", BinOp("+", Reg("z"), Const(1))),
         cmd_assign(PC, 3, marked=True),
     )
-    out = relabel(new_plain, old, FETCH, "tt")
-    assert out[2][1] == frozenset((1,))
-    out = relabel(new_plain, old, FETCH, "nda-strict")
-    assert out[2][1] == frozenset((1,))  # strict: any fresh instruction
-    out = relabel(new_plain, old, FETCH, "nda-permissive")
-    assert out[2][1] == E  # permissive: loads only
+    _, out = relabel(new_plain, buf, labels, FETCH, "tt")
+    assert out[2] == frozenset((1,))
+    _, out = relabel(new_plain, buf, labels, FETCH, "nda-strict")
+    assert out[2] == frozenset((1,))  # strict: any fresh instruction
+    _, out = relabel(new_plain, buf, labels, FETCH, "nda-permissive")
+    assert out[2] == E  # permissive: loads only
 
 
 def test_retire_decrements_labels():
-    old = lbl(
+    buf, labels = lbl(
         (cmd_assign("x", 5), E),
         (cmd_assign(PC, 3, tag=1), E),
         (cmd_load("w", Const(9)), frozenset((2,))),
         (cmd_load("v", Const(9)), frozenset((1, 2))),
     )
-    new_plain = tuple(c for c, _ in old[1:])
-    out = relabel(new_plain, old, RETIRE, "tt")
-    assert [label for _, label in out] == [E, frozenset((1,)), frozenset((1,))]
+    out, out_labels = relabel(buf[1:], buf, labels, RETIRE, "tt")
+    assert out == buf[1:]
+    assert out_labels == (E, frozenset((1,)), frozenset((1,)))
 
 
 def test_branch_commit_strips_its_index_from_later_labels():
-    old = lbl(
+    buf, labels = lbl(
         (cmd_assign(PC, 3, tag=2), E),
         (cmd_load("w", Const(9)), frozenset((1,))),
     )
     new_plain = (cmd_assign(PC, 3), cmd_load("w", Const(9)))
-    out = relabel(new_plain, old, execute(1), "tt")
-    assert out[0] == (cmd_assign(PC, 3), E)
-    assert out[1][1] == E
+    out, out_labels = relabel(new_plain, buf, labels, execute(1), "tt")
+    assert out == new_plain
+    assert out_labels == (E, E)
 
 
 def test_branch_rollback_discards_labeled_suffix():
-    old = lbl(
+    buf, labels = lbl(
         (cmd_assign(PC, 3, tag=2), E),
         (cmd_load("w", Const(9)), frozenset((1,))),
     )
     new_plain = (cmd_assign(PC, BOTTOM),)
-    out = relabel(new_plain, old, execute(1), "tt")
-    assert out == ((cmd_assign(PC, BOTTOM), E),)
+    assert relabel(new_plain, buf, labels, execute(1), "tt") == (new_plain, (E,))
 
 
 # -- end-to-end countermeasure behavior -------------------------------------------
@@ -181,10 +193,10 @@ def test_tt_permits_the_dependent_load_leak():
 def test_mask_literal_does_not_reproduce_the_leak(monkeypatch):
     # the figure-literal guard masks the empty-labeled assignments instead:
     # it over-masks and the dependent load stays stuck
-    def literal_mask(buf):
+    def literal_mask(buf, labels):
         return tuple(
             ("assign", cmd[1], BOTTOM, cmd[3], cmd[4]) if cmd[0] == "assign" and not label else cmd
-            for cmd, label in buf
+            for cmd, label in zip(buf, labels)
         )
 
     monkeypatch.setattr(countermeasures, "_mask", literal_mask)
@@ -211,16 +223,21 @@ def test_sequential_countermeasure_blocks_everything():
 
 
 def test_label_hygiene_through_a_run():
-    # every index in every label names a currently tagged pc assignment
-    p = corpus.load("ex3")
-    cfg = HwConfig(countermeasure="tt")
-    h = initial_hw_state(ArchState.initial(p, {7: 2}), cfg)
-    for _ in range(500):
-        if h.is_final():
-            break
-        h, _, _ = hw_step(p, h, cfg)
-        for cmd, label in h.buf:
-            for j in label:
-                tagged_cmd = h.buf[j - 1][0]
-                assert tagged_cmd[0] == "assign" and tagged_cmd[3] is not None
-    assert h.is_final()
+    # every index in every label names a currently tagged pc assignment, on
+    # every corpus program under every taint-tracking countermeasure
+    mem = {7: 2, 9: 1, 10: 1, 11: 3, 12: 2}
+    for countermeasure in TAINT:
+        cfg = HwConfig(countermeasure=countermeasure)
+        for name in corpus.program_names():
+            p = corpus.load(name)
+            h = initial_hw_state(ArchState.initial(p, mem), cfg)
+            for _ in range(500):
+                if h.is_final():
+                    break
+                h, _, _ = hw_step(p, h, cfg)
+                assert len(h.labels) == len(h.buf)
+                for label in h.labels:
+                    for j in label:
+                        tagged_cmd = h.buf[j - 1]
+                        assert tagged_cmd[0] == "assign" and tagged_cmd[3] is not None
+            assert h.is_final(), (countermeasure, name)

@@ -1,13 +1,18 @@
 """Hardware stage rules, top-level stepping, runs, and the adversary view."""
+import hashlib
+import itertools
+
 import pytest
 
 from muspec import corpus
+from muspec.analysis import StateDomain
 from muspec.arch import ArchState, arch_run
 from muspec.countermeasures import COUNTERMEASURES
 from muspec.isa import BOTTOM, PC, BinOp, Const, Reg, parse_program
 from muspec.pipeline import (
     STUCK,
     HwConfig,
+    _fetch_pc,
     adversary_view,
     execute_step,
     fetch_step,
@@ -19,8 +24,10 @@ from muspec.pipeline import (
 )
 from muspec.uarch import (
     LruCache,
+    apply_buffer,
     buf_project,
     cmd_assign,
+    cmd_barrier,
     cmd_load,
     cmd_skip,
     cmd_store,
@@ -29,6 +36,13 @@ from muspec.uarch import (
 
 MU_W = 5
 MOD = 16
+
+# The three micro-architectures of acceptance criterion 3.
+MICROARCHS = (
+    dict(cache="lru:4", predictor="fallthrough", scheduler="ooo"),
+    dict(cache="direct:4:1", predictor="twobit", scheduler="ooo"),
+    dict(cache="lru:2", predictor="backward", scheduler="seq"),
+)
 
 
 def plain(*cmds):
@@ -102,6 +116,19 @@ def test_fetch_stuck_on_undefined_pc_or_full_buffer():
     # two-entry fetch needs two free slots
     nearly = plain(*(cmd_skip() for _ in range(MU_W - 1)))
     assert fetch_step(p, ArchState({PC: 0, "x": 1}), nearly, warm_cache(0), None, MU_W) is STUCK
+
+
+def test_fetch_pc_is_the_pc_after_the_pending_commands():
+    # fetch reads the pc alone; apply_buffer is the reference
+    commands = (
+        cmd_assign(PC, 4), cmd_assign(PC, Reg("x")), cmd_assign(PC, BOTTOM, tag=1),
+        cmd_assign("x", 2), cmd_load("x", Const(3)), cmd_load(PC, Const(3)),
+        cmd_store(Reg("x"), Const(3)), cmd_skip(), cmd_barrier(),
+    )
+    regs = {PC: 2, "x": 0}
+    for n in range(4):
+        for buf in itertools.product(commands, repeat=n):
+            assert _fetch_pc(buf, regs) == apply_buffer(buf, regs)[PC]
 
 
 # -- execute ------------------------------------------------------------------
@@ -262,7 +289,7 @@ def test_adversary_view_initial_and_cache_sensitivity():
     h = initial_hw_state(ArchState.initial(p), cfg)
     proj, cs, bp, sc = adversary_view(h)
     assert proj == ()
-    h2 = h.__class__(h.sigma, h.buf, h.cs.update(3), h.bp, h.sc)
+    h2 = h.__class__(h.sigma, h.buf, h.labels, h.cs.update(3), h.bp, h.sc)
     assert adversary_view(h2) != adversary_view(h)
 
 
@@ -270,10 +297,10 @@ def test_adversary_view_ignores_resolved_values():
     p = corpus.load("skip")
     cfg = HwConfig()
     h = initial_hw_state(ArchState.initial(p), cfg)
-    buf1 = ((cmd_assign("x", 5), frozenset()),)
-    buf2 = ((cmd_assign("x", 9), frozenset()),)
-    v1 = adversary_view(h.__class__(h.sigma, buf1, h.cs, h.bp, h.sc.update(buf_project(buf1))))
-    v2 = adversary_view(h.__class__(h.sigma, buf2, h.cs, h.bp, h.sc.update(buf_project(buf2))))
+    labels = (frozenset(),)
+    buf1, buf2 = (cmd_assign("x", 5),), (cmd_assign("x", 9),)
+    v1 = adversary_view(h.__class__(h.sigma, buf1, labels, h.cs, h.bp, h.sc.update(buf_project(zip(buf1, labels)))))
+    v2 = adversary_view(h.__class__(h.sigma, buf2, labels, h.cs, h.bp, h.sc.update(buf_project(zip(buf2, labels)))))
     assert v1 == v2
     assert v1[0]  # the entry is in the view, only its value is not
 
@@ -281,16 +308,58 @@ def test_adversary_view_ignores_resolved_values():
 @pytest.mark.parametrize("scheduler", ["seq", "ooo"])
 @pytest.mark.parametrize("countermeasure", COUNTERMEASURES)
 def test_view_projection_is_buffer_projection_on_every_state(countermeasure, scheduler):
-    # adversary_view reads the projection the scheduler keeps, so every
-    # state a run reaches must keep it equal to the buffer's own projection
+    # adversary_view reads the projection the scheduler keeps, edited step by
+    # step, so every state a run reaches must keep it equal to the buffer's
+    # own projection. Buffer sizes 3 and 7 and the two-bit predictor bring
+    # squashes, commits and taint retires, which project the whole buffer.
     mem = {7: 2, 9: 1, 10: 1, 11: 3, 12: 2}
-    cfg = HwConfig(countermeasure=countermeasure, scheduler=scheduler)
+    micros = (dict(), dict(cache="direct:4:1", predictor="twobit"))
+    for mu_w in (3, 5, 7):
+        for micro in micros:
+            cfg = HwConfig(buffer_size=mu_w, countermeasure=countermeasure, scheduler=scheduler, **micro)
+            for name in corpus.program_names():
+                p = corpus.load(name)
+                h = initial_hw_state(ArchState.initial(p, mem), cfg)
+                assert adversary_view(h)[0] == buf_project(zip(h.buf, h.labels))
+                for h, _directive in hw_steps(p, h, cfg):
+                    assert adversary_view(h)[0] == buf_project(zip(h.buf, h.labels))
+
+
+@pytest.mark.parametrize("micro", MICROARCHS)
+@pytest.mark.parametrize("countermeasure", COUNTERMEASURES)
+def test_run_views_are_the_views_of_its_states(countermeasure, micro):
+    # hw_run lends one view's cache and predictor keys to the next while
+    # the step keeps those components; the views must still be each state's own
+    mem = {7: 2, 9: 1, 10: 1, 11: 3, 12: 2}
+    cfg = HwConfig(countermeasure=countermeasure, **micro)
     for name in corpus.program_names():
         p = corpus.load(name)
-        h = initial_hw_state(ArchState.initial(p, mem), cfg)
-        assert adversary_view(h)[0] == buf_project(h.buf)
-        for h, _directive in hw_steps(p, h, cfg):
-            assert adversary_view(h)[0] == buf_project(h.buf)
+        sigma = ArchState.initial(p, mem)
+        h = initial_hw_state(sigma, cfg)
+        expected = [adversary_view(h)] + [adversary_view(h) for h, _ in hw_steps(p, h, cfg)]
+        assert list(hw_run(p, sigma, cfg)[0]) == expected
+
+
+# sha256 of the views and final states below, recorded before the pipeline
+# kept labels beside its commands and projected buffers by edit
+HARDWARE_PIN = "de7234b3bbfbcdadd93453c2a829d7fa144af2106793dd3522c2944594461e6b"
+
+
+def test_hardware_runs_are_pinned():
+    # every corpus program on its default domain, under every countermeasure,
+    # micro-architecture and buffer size 3, 5 and 7: 3,240 runs
+    digest = hashlib.sha256()
+    for name in corpus.program_names():
+        p = corpus.load(name)
+        states = list(StateDomain(modulus=MOD, vary=corpus.default_vary(name)).initial_states(p))
+        for countermeasure in COUNTERMEASURES:
+            for micro in MICROARCHS:
+                for mu_w in (3, 5, 7):
+                    cfg = HwConfig(buffer_size=mu_w, countermeasure=countermeasure, modulus=MOD, **micro)
+                    for sigma in states:
+                        views, final = hw_run(p, sigma, cfg)
+                        digest.update(repr((views, final.sigma.key())).encode())
+    assert digest.hexdigest() == HARDWARE_PIN
 
 
 def test_projection_invariance_of_runs():

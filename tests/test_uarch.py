@@ -169,6 +169,15 @@ def test_cache_access_is_pure():
     assert cs.key() == before
 
 
+def test_cache_update_keeps_the_cache_when_the_line_is_in_place():
+    # a step that leaves a component alone keeps it as the same object
+    for cs in (LruCache(2).update(8).update(3), DirectCache(4).update(3)):
+        assert cs.update(3) is cs
+        assert cs.update(3 + 4 * 4) is not cs
+    lru = LruCache(2).update(3).update(8)
+    assert lru.update(3).entries == (3, 8)  # in the cache but not most recent
+
+
 def test_make_cache_specs():
     assert make_cache("lru:4").key()[:3] == ("lru", 4, 1)
     assert make_cache("direct:4:2").key()[:3] == ("direct", 4, 2)
@@ -212,6 +221,15 @@ def test_twobit_counter_oscillation():
     assert bp.counters == ((2, 2),)
     bp = bp.update(2, 3, 4)
     assert bp.counters == ((2, 1),)
+
+
+def test_twobit_update_keeps_the_predictor_when_no_counter_moves():
+    bp = TwoBitPredictor(counters=((2, 3),))
+    assert bp.update(2, 4, 4) is bp  # saturated at 3
+    cold = make_predictor("twobit")
+    assert cold.update(2, 3, 4).counters == ((2, 0),)  # a first update records the branch
+    zero = TwoBitPredictor(counters=((2, 0),))
+    assert zero.update(2, 3, 4) is zero
 
 
 def test_predictions_always_legal_outcomes():
