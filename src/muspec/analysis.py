@@ -160,7 +160,10 @@ class StateDomain:
                     f"domain line {lineno}: expected 'values <V>', "
                     f"'vary <addr> in <lo>..<hi>', or 'fix <addr> = <v>'"
                 ) from None
-        return StateDomain(16 if modulus is None else modulus, tuple(vary), tuple(fixed))
+        domain = StateDomain(16 if modulus is None else modulus, tuple(vary), tuple(fixed))
+        if not vary:
+            raise ValueError("domain has no 'vary' line: its one state forms no pair, so every check would pass")
+        return domain
 
 
 def low_equivalent(sigma: ArchState, sigma_prime: ArchState, policy: Policy) -> bool:

@@ -134,7 +134,27 @@ def _cmd_hwrun(args) -> int:
     return 0
 
 
+# the options each check never reads
+_UNREAD = {
+    "sat": ("policy",),
+    "ni": (),
+    "wsni": ("countermeasure", "config", "policy"),
+    "sni": ("countermeasure", "config"),
+}
+
+
+def _reject_unread_options(args):
+    """A usage error naming an option that ``args.what``'s check would not
+    read, so that it is not silently dropped."""
+    if args.what == "ni" and args.contract is not None and (args.countermeasure or args.config):
+        args.usage_error("check ni reads --contract or a hardware config (--countermeasure, --config), not both")
+    for option in _UNREAD[args.what]:
+        if getattr(args, option) is not None:
+            args.usage_error(f"check {args.what} does not read --{option}")
+
+
 def _cmd_check(args) -> int:
+    _reject_unread_options(args)
     program = _load_program(args.program)
     fuel = DEFAULT_FUEL if args.fuel is None else args.fuel
     domain = _load_domain(args, _default_domain(args.program))
@@ -257,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--domain")
     p_check.add_argument("--dump-states", dest="dump_states")
     # without --fuel, a config's fuel applies to its runs
-    p_check.set_defaults(func=_cmd_check, fuel=None)
+    p_check.set_defaults(func=_cmd_check, fuel=None, usage_error=p_check.error)
 
     p_cls = sub.add_parser("classify", help="sandboxing / constant-time tables")
     p_cls.add_argument("what", choices=("sandbox", "ct"))

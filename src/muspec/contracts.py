@@ -357,17 +357,28 @@ def relate(program: Program, domain, key, observe, check: str) -> Verdict:
 
     Each state is compared against the first state with its key, so the
     first counterexample in enumeration order wins deterministically. A
-    shared tracer returns one trace object per run, so each distinct pair
-    of trace objects is compared once: ``equal`` keeps the pairs found
-    equal, keyed by their ids, and holds the state's trace so that its id
-    is not reused while the check runs.
+    state alone in its key class forms no pair, so ``observe`` runs on a
+    class's first state only when its second state arrives, and then on
+    each later state of the class. A key error is raised at the first
+    state whose key raises; an observation error at the arrival of the
+    state whose comparison first needs that observation, and never for a
+    state alone in its class. A shared tracer returns one trace object per
+    run, so each distinct pair of trace objects is compared once: ``equal``
+    keeps the pairs found equal, keyed by their ids, and holds the state's
+    trace so that its id is not reused while the check runs.
     """
-    groups: dict = {}
+    groups: dict = {}  # key -> [first state, its trace once observed, else None]
     equal: dict = {}
     for sigma in domain.initial_states(program):
         k = key(sigma)
+        group = groups.get(k)
+        if group is None:
+            groups[k] = [sigma, None]
+            continue
+        rep_sigma, rep_trace = group
+        if rep_trace is None:
+            rep_trace = group[1] = observe(rep_sigma)
         trace = observe(sigma)
-        rep_sigma, rep_trace = groups.setdefault(k, (sigma, trace))
         if rep_trace is trace:
             continue
         pair = (id(rep_trace), id(trace))

@@ -103,6 +103,11 @@ def test_domain_rejects_empty_and_out_of_range_values():
     ):
         with pytest.raises(ValueError):
             StateDomain.parse(text)
+    # a file with no vary line is one state, which forms no pair: every
+    # check on it passed
+    for text in ("", "# nothing\n", "values 16\n", "fix 7 = 3\n", "values 8\nfix 7 = 3\n"):
+        with pytest.raises(ValueError, match="no 'vary' line"):
+            StateDomain.parse(text)
 
 
 def test_domain_rejects_an_address_listed_twice():

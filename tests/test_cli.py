@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, formats, exit codes."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from muspec import cli
+from muspec import cli, pipeline
 from muspec.cli import main
 
 
@@ -144,6 +148,17 @@ def test_empty_domain_exit_two(capsys, tmp_path):
     assert "3..0" in err
 
 
+@pytest.mark.parametrize("text", ["", "values 16\n", "fix 7 = 3\n"])
+def test_domain_without_vary_exit_two(capsys, tmp_path, text):
+    # accepted, its one state made every check pass
+    dom = tmp_path / "dom.txt"
+    dom.write_text(text)
+    code, out, err = run_cli(capsys, "check", "sat", "P1", "--contract", "seq-ct", "--domain", str(dom))
+    assert code == 2
+    assert out == ""
+    assert "no 'vary' line" in err
+
+
 def test_domain_listing_an_address_twice_exit_two(capsys, tmp_path):
     dom = tmp_path / "dom.txt"
     dom.write_text("values 16\nvary 7 in 0..3\nfix 7 = 5\n")
@@ -192,15 +207,28 @@ def test_hwrun_takes_fuel_from_the_config_unless_given(capsys, tmp_path):
 
 
 def test_check_takes_fuel_from_the_config_unless_given(capsys, tmp_path):
+    # P1's default states share one seq-ct trace, so the hardware runs
     cfg = tmp_path / "hw.cfg"
     cfg.write_text("fuel = 3\n")
-    args = ("check", "sat", "P1", "--contract", "spec-ct", "--config", str(cfg))
+    args = ("check", "sat", "P1", "--contract", "seq-ct", "--config", str(cfg))
     code, out, err = run_cli(capsys, *args)
     assert code == 2
     assert out == ""
     assert "FuelExhausted" in err
     code, out, _ = run_cli(capsys, *args, "--fuel", "1000000")
     assert code == 0
+    assert out.startswith("pass")
+
+
+def test_check_runs_no_hardware_for_states_alone_in_their_key_class(capsys, tmp_path, monkeypatch):
+    # each of P1's default states has its own spec-ct trace: no pair to
+    # compare, so the fuel too short for any run is never spent
+    cfg = tmp_path / "hw.cfg"
+    cfg.write_text("fuel = 3\n")
+    runs = []
+    monkeypatch.setattr(pipeline, "hw_run", lambda *args: runs.append(args))
+    code, out, err = run_cli(capsys, "check", "sat", "P1", "--contract", "spec-ct", "--config", str(cfg))
+    assert (code, err, runs) == (0, "", [])
     assert out.startswith("pass")
 
 
@@ -378,3 +406,36 @@ def test_lattice_negative_random_count_is_a_usage_error(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "argument --random: random program count must be >= 0, got -3" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("check", "ni", "P2", "--contract", "seq-arch", "--countermeasure", "tt"), "--contract"),
+        (("check", "ni", "P2", "--contract", "seq-arch", "--config", "/nonexistent"), "--contract"),
+        (("check", "wsni", "P1", "--contract", "spec-ct", "--countermeasure", "tt"), "--countermeasure"),
+        (("check", "wsni", "P1", "--contract", "spec-ct", "--config", "/nonexistent"), "--config"),
+        (("check", "sni", "P2", "--contract", "spec-ct", "--countermeasure", "tt"), "--countermeasure"),
+        (("check", "sni", "P2", "--contract", "spec-ct", "--config", "/nonexistent"), "--config"),
+        (("check", "sat", "P1", "--contract", "seq-ct", "--policy", "/nonexistent"), "--policy"),
+        (("check", "wsni", "P1", "--contract", "spec-ct", "--policy", "/nonexistent"), "--policy"),
+    ],
+)
+def test_check_rejects_options_it_does_not_read(capsys, argv, option):
+    # ni dropped the contract; the others ignored the option, or failed to
+    # open a file they never read
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"muspec check: error: check {argv[1]} " in out.err and option in out.err
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "muspec", "check", "wsni", "P1", "--contract", "spec-ct"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.startswith("counterexample check=wsni[spec-ct]")

@@ -294,6 +294,69 @@ def test_a_trace_found_equal_is_compared_again_under_another_key():
     assert not v.ok and (v.trace, v.trace_prime) == (first_b, shared_a)
 
 
+def _cell7_relate(key_of, observe_of):
+    """``relate`` on cell 7 in 0..3 of ``skip``, with the key and the
+    observation functions of the cell's value; returns the verdict, or the
+    error raised, and the values keyed and observed, in call order."""
+    keyed, observed = [], []
+
+    def key(sigma):
+        keyed.append(sigma.read_mem(7))
+        return key_of(keyed[-1])
+
+    def observe(sigma):
+        observed.append(sigma.read_mem(7))
+        return observe_of(observed[-1])
+
+    dom = StateDomain(modulus=16, vary=((7, 0, 3),))
+    try:
+        result = relate(parse_program("skip"), dom, key, observe, "cell 7")
+    except ValueError as error:
+        result = str(error)
+    return result, keyed, observed
+
+
+def _raising_on(*values):
+    def f(v):
+        if v in values:
+            raise ValueError(f"raised on {v}")
+        return (v > 2,)
+
+    return f
+
+
+def test_relate_never_observes_a_state_alone_in_its_key_class():
+    # classes {0}, {1}, {2, 3}; an observation of 0 or 1 would raise
+    verdict, keyed, observed = _cell7_relate(lambda v: min(v, 2), _raising_on(0, 1))
+    assert keyed == [0, 1, 2, 3]
+    assert observed == [2, 3]  # the class's first state once its second arrives
+    assert not verdict.ok and verdict.position == 0
+    assert (verdict.sigma.read_mem(7), verdict.sigma_prime.read_mem(7)) == (2, 3)
+
+
+def test_relate_raises_a_first_state_observation_error_when_the_second_arrives():
+    # classes {0, 1}, {2, 3}: state 2 is observed when state 3 arrives
+    result, keyed, observed = _cell7_relate(lambda v: v // 2, _raising_on(2))
+    assert (result, keyed, observed) == ("raised on 2", [0, 1, 2, 3], [0, 1, 2])
+
+
+def test_relate_raises_a_key_error_at_the_first_state_whose_key_raises():
+    result, keyed, observed = _cell7_relate(_raising_on(1, 3), lambda v: (v,))
+    assert (result, keyed, observed) == ("raised on 1", [0, 1], [])
+
+
+def test_a_check_runs_hardware_only_for_key_classes_with_a_pair(monkeypatch):
+    # seq-arch shows the value P2 loads from its varying cell, so each
+    # default state is alone in its class; all of them share one seq-ct trace
+    p, cfg = corpus.load("P2"), HwConfig()
+    dom = StateDomain(modulus=16, vary=corpus.default_vary("P2"))
+    runs = _counting(monkeypatch, (pipeline, "hw_run"))
+    assert check_contract_satisfaction(p, SEQ_ARCH, cfg, dom).ok
+    assert runs == []
+    assert not check_contract_satisfaction(p, SEQ_CT, cfg, dom).ok  # P2 leaks z speculatively
+    assert runs
+
+
 def test_sat_check_compares_each_distinct_pair_of_runs_once(monkeypatch):
     comparisons = []
 
