@@ -12,6 +12,7 @@ from .isa import (
     Barrier,
     Beqz,
     CondAssign,
+    Deferred,
     Jmp,
     Load,
     Program,
@@ -42,7 +43,9 @@ class ArchState:
 
     ``watch`` holds the varying cells whose initial value this state has not
     yet overwritten, and ``reads`` the first-read log its run shares: the
-    first read of a watched cell records ``cell -> value`` there. Neither
+    first read of a watched cell records ``cell -> value`` there. ``read_mem``
+    records it at once; a hardware ``load`` hands out a ``Deferred`` value
+    instead, which records it when the run first uses the value. Neither
     takes part in equality, hashing, ``key()`` or ``format_state``.
     """
 
@@ -62,6 +65,20 @@ class ArchState:
         v = self.mem.get(addr, 0)
         if addr in self.watch:
             self.reads.setdefault(addr, v)
+        return v
+
+    def load(self, addr: int) -> Value:
+        """``read_mem`` for a hardware load: a watched cell the reads log does
+        not hold yet gives a deferred value, logged when it is used."""
+        if addr in self.watch and addr not in self.reads:
+            return Deferred(addr, self.mem.get(addr, 0), self.reads)
+        return self.mem.get(addr, 0)
+
+    def rebound(self, v: Value) -> Value:
+        """``v`` for a run that resumes from this initial state: a deferred
+        value takes its cell's value here and this state's reads log."""
+        if v.__class__ is Deferred:
+            return Deferred(v.cell, self.mem.get(v.cell, 0), self.reads)
         return v
 
     def is_final(self) -> bool:
@@ -93,11 +110,13 @@ class ArchState:
     def resumed(self, sigma: "ArchState") -> "ArchState":
         """This state, taken midway through a run, continued for ``sigma``:
         the cells it still watches and sigma's reads log does not hold yet
-        take sigma's values, and first reads go to sigma's log."""
+        take sigma's values, deferred values in the registers are rebound
+        to sigma, and first reads go to sigma's log."""
         unread = self.watch - sigma.reads.keys()
         mem = {a: v for a, v in self.mem.items() if a not in unread}
         mem.update((a, sigma.mem[a]) for a in unread if a in sigma.mem)
-        return _state(self.regs, mem, self.watch, sigma.reads)
+        regs = {r: sigma.rebound(v) for r, v in self.regs.items()}
+        return _state(regs, mem, self.watch, sigma.reads)
 
     def key(self) -> tuple:
         """Hashable canonical form."""
@@ -123,7 +142,8 @@ def _state(regs, mem, watch, reads) -> ArchState:
 
 class ReadOrderError(Exception):
     """A run read the varying cells in another order than an earlier run that
-    read the same values: it looked at memory other than through read_mem."""
+    read the same values: it looked at memory, or at a value it had not yet
+    logged, other than through read_mem or a deferred value's force."""
 
 
 class _Read:
@@ -140,16 +160,18 @@ class _Read:
 
 def share_runs(run, cells) -> Callable:
     """Share ``run``'s results between states that agree on every cell of
-    ``cells`` the run reads, and resume a run where its reads diverge.
+    ``cells`` the run uses, and resume a run where its reads diverge.
 
-    ``run(sigma, start)`` returns ``(result, starts)``. It must look at
-    memory only through ``read_mem``, in an order that depends only on the
-    values read so far, and the states it is given must differ only in
-    ``cells``. A trie branches on those cells in the order the runs read
-    them: a state whose values lead to a leaf gets the stored result, any
-    other is run once, watched, and its read path inserted. ``starts`` maps
-    each cell the run first read to the point just before that read, kept
-    on the cell's new node; a run that cannot resume gives none. A state
+    ``run(sigma, start)`` returns ``(result, starts)``. It must log a cell
+    of ``cells`` in sigma's reads (``read_mem``, or ``force`` of a value
+    that ``load`` deferred) before its result first depends on the cell's
+    value, in an order that depends only on the values logged so far, and
+    the states it is given must differ only in ``cells``. A trie branches
+    on those cells in the order the runs log them: a state whose values
+    lead to a leaf gets the stored result, any other is run once, watched,
+    and its read path inserted. ``starts`` maps each cell the run logged
+    to the point just before the step that logged it, kept on the cell's
+    new node; a run that cannot resume gives none. A state
     whose values leave the trie at a node with a point is run from it:
     ``start`` is that point, and the state's reads log already holds the
     path to the node. Otherwise ``start`` is None. A run whose reads

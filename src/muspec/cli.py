@@ -109,9 +109,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _contract(args, name: str) -> ContractId:
+    """The contract ``name``, with ``--window`` if given: a usage error
+    unless the contract is speculative, the only kind that reads it."""
+    contract = ContractId.parse(name, window=args.window)
+    if args.window is not None and contract.mode != "spec":
+        args.usage_error(f"{contract} is not speculative and does not read --window")
+    return contract
+
+
 def _cmd_trace(args) -> int:
+    contract = _contract(args, args.contract)
     program = _load_program(args.program)
-    contract = ContractId.parse(args.contract, window=args.window)
     trace = contract_trace(contract, program, _load_state(args, program), fuel=args.fuel)
     sys.stdout.write(format_trace(trace))
     return 0
@@ -146,8 +155,11 @@ _UNREAD = {
 def _reject_unread_options(args):
     """A usage error naming an option that ``args.what``'s check would not
     read, so that it is not silently dropped."""
-    if args.what == "ni" and args.contract is not None and (args.countermeasure or args.config):
-        args.usage_error("check ni reads --contract or a hardware config (--countermeasure, --config), not both")
+    if args.what == "ni" and (args.countermeasure or args.config):
+        if args.contract is not None:
+            args.usage_error("check ni reads --contract or a hardware config (--countermeasure, --config), not both")
+        if args.window is not None:
+            args.usage_error("check ni with a hardware config does not read --window")
     for option in _UNREAD[args.what]:
         if getattr(args, option) is not None:
             args.usage_error(f"check {args.what} does not read --{option}")
@@ -155,20 +167,17 @@ def _reject_unread_options(args):
 
 def _cmd_check(args) -> int:
     _reject_unread_options(args)
+    if args.what != "ni" and args.contract is None:
+        raise ValueError(f"check {args.what} requires --contract")
+    hardware = args.what == "ni" and (args.countermeasure or args.config)
+    contract = None if hardware else _contract(args, args.contract or "seq-ct")
     program = _load_program(args.program)
     fuel = DEFAULT_FUEL if args.fuel is None else args.fuel
     domain = _load_domain(args, _default_domain(args.program))
     if args.what == "ni":
-        policy = _load_policy(args)
-        if args.countermeasure or args.config:
-            semantics = _load_config(args)
-        else:
-            semantics = ContractId.parse(args.contract or "seq-ct", window=args.window)
-        verdict = check_ni(program, policy, semantics, domain, fuel=fuel)
+        semantics = _load_config(args) if hardware else contract
+        verdict = check_ni(program, _load_policy(args), semantics, domain, fuel=fuel)
         return _verdict_records(args, verdict, args.dump_states)
-    if args.contract is None:
-        raise ValueError(f"check {args.what} requires --contract")
-    contract = ContractId.parse(args.contract, window=args.window)
     if args.what == "sat":
         verdict = check_contract_satisfaction(program, contract, _load_config(args), domain, fuel=fuel)
     elif args.what == "wsni":
@@ -257,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_trace)
     p_trace.add_argument("--contract", required=True)
     p_trace.add_argument("--state")
-    p_trace.set_defaults(func=_cmd_trace)
+    # without --window, a speculative contract takes DEFAULT_SPEC_WINDOW
+    p_trace.set_defaults(func=_cmd_trace, window=None, usage_error=p_trace.error)
 
     p_hw = sub.add_parser("hwrun", help="hardware run with adversary views")
     common(p_hw, window=False)
@@ -276,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--policy")
     p_check.add_argument("--domain")
     p_check.add_argument("--dump-states", dest="dump_states")
-    # without --fuel, a config's fuel applies to its runs
-    p_check.set_defaults(func=_cmd_check, fuel=None, usage_error=p_check.error)
+    # without --fuel, a config's fuel applies to its runs; without --window,
+    # a speculative contract takes DEFAULT_SPEC_WINDOW
+    p_check.set_defaults(func=_cmd_check, fuel=None, window=None, usage_error=p_check.error)
 
     p_cls = sub.add_parser("classify", help="sandboxing / constant-time tables")
     p_cls.add_argument("what", choices=("sandbox", "ct"))

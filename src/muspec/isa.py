@@ -3,6 +3,10 @@
 A program is a sequence of instructions at consecutive addresses starting
 at 0.  Values are naturals plus a distinguished undefined value ``BOTTOM``
 (printed ``end``); arithmetic wraps modulo a configurable power of two.
+A hardware run whose varying cells are watched also holds ``Deferred``
+values, loaded but not yet used, in its buffer payloads and registers:
+they count as resolved, and give their natural when an expression, a
+branch guard or an address uses them.
 """
 from __future__ import annotations
 
@@ -33,11 +37,35 @@ class Bottom:
 
 BOTTOM = Bottom()
 
-Value = Union[int, Bottom]
+
+class Deferred:
+    """A hardware load of a watched ``cell`` that no step has used yet:
+    ``value`` is the run's initial value of the cell and ``reads`` the
+    run's reads log. ``force`` gives the value, logging the read first."""
+
+    __slots__ = ("cell", "value", "reads")
+
+    def __init__(self, cell: int, value: int, reads: dict):
+        self.cell, self.value, self.reads = cell, value, reads
+
+    def force(self) -> int:
+        self.reads.setdefault(self.cell, self.value)
+        return self.value
+
+    def __repr__(self):
+        return f"deferred({self.cell})"
+
+
+Value = Union[int, Bottom, Deferred]
 
 
 def is_value(v) -> bool:
-    return isinstance(v, int) or v is BOTTOM
+    return isinstance(v, (int, Deferred)) or v is BOTTOM
+
+
+def force(v: Value):
+    """``v`` with a deferred value used: the natural it stands for."""
+    return v.force() if v.__class__ is Deferred else v
 
 
 def observed(v: Value):
@@ -140,12 +168,15 @@ def eval_expr(e: Expr, a, partial: bool = False, modulus: int = DEFAULT_MODULUS)
     """Evaluate ``e`` under register assignment ``a`` (a mapping).
 
     Total mode raises StuckError on BOTTOM; partial mode propagates it
-    through every operator, ite included.
+    through every operator, ite included. A register holding a deferred
+    value forces it.
     """
     if isinstance(e, Const):
         v = e.value
     elif isinstance(e, Reg):
         v = a[e.name]
+        if v.__class__ is Deferred:
+            v = v.force()
     elif isinstance(e, UnOp):
         sub = eval_expr(e.arg, a, partial, modulus)
         v = BOTTOM if sub is BOTTOM else _apply_unop(e.op, sub, modulus)

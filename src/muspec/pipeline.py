@@ -7,7 +7,9 @@ cache / branch predictor / scheduler component states.  Stages take and
 return plain command tuples; the configured countermeasure decides what a
 stage may see (unlabel) and how its output is labeled (relabel).  A step
 re-projects only the buffer entries it changed, and a component it leaves
-alone stays the same object.
+alone stays the same object.  A run whose varying cells are watched loads
+deferred values (``ArchState.load``), forced where a branch guard, an
+address or an expression uses them.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from .isa import (
     Skip,
     Store,
     eval_expr,
+    force,
     is_value,
     text_lines,
 )
@@ -198,6 +201,12 @@ def fetch_step(p: Program, sigma: ArchState, buf, cs, bp, mu_w: int):
     return (sigma, buf + (entry, marked), cs2, bp)
 
 
+def _forced(payload, a, modulus: int):
+    """A load or store operand's value. The step uses it, so a deferred
+    value is forced."""
+    return force(payload if is_value(payload) else eval_expr(payload, a, partial=True, modulus=modulus))
+
+
 def execute_step(p: Program, sigma: ArchState, buf, cs, bp, i: int, modulus: int):
     if not 1 <= i <= len(buf):
         return STUCK
@@ -212,14 +221,14 @@ def execute_step(p: Program, sigma: ArchState, buf, cs, bp, i: int, modulus: int
     if kind == "load":
         if A == PC or any(c[0] == "store" for c in prefix):
             return STUCK
-        n = B if is_value(B) else eval_expr(B, a, partial=True, modulus=modulus)
+        n = _forced(B, a, modulus)
         if n is BOTTOM:
             return STUCK
         hit = cs.access(n)
         cs2 = cs.update(n)
         if not hit:
             return (sigma, buf, cs2, bp)
-        loaded = cmd_assign(A, sigma.read_mem(n), tag)
+        loaded = cmd_assign(A, sigma.load(n), tag)
         return (sigma, prefix + (loaded,) + suffix, cs2, bp)
 
     if kind == "assign" and tag is not None:
@@ -227,7 +236,7 @@ def execute_step(p: Program, sigma: ArchState, buf, cs, bp, i: int, modulus: int
         ins0 = p.lookup(tag)
         if not isinstance(ins0, Beqz):
             return STUCK
-        guard = a.get(ins0.guard, BOTTOM)
+        guard = force(a.get(ins0.guard, BOTTOM))
         if guard is BOTTOM:
             return STUCK
         correct = ins0.target if guard == 0 else tag + 1
@@ -245,8 +254,8 @@ def execute_step(p: Program, sigma: ArchState, buf, cs, bp, i: int, modulus: int
         return (sigma, prefix + (resolved,) + suffix, cs, bp)
 
     if kind == "store":
-        v = A if is_value(A) else eval_expr(A, a, partial=True, modulus=modulus)
-        n = B if is_value(B) else eval_expr(B, a, partial=True, modulus=modulus)
+        v = _forced(A, a, modulus)
+        n = _forced(B, a, modulus)
         if v is BOTTOM or n is BOTTOM:
             return STUCK
         return (sigma, prefix + (cmd_store(v, n, tag),) + suffix, cs, bp)
@@ -393,13 +402,15 @@ def hw_run(
     ``start``, a point ``(h, steps, idle)`` that an earlier run of the same
     program put in its ``starts`` (see hw_steps), resumes that run for
     ``sigma`` instead: ``h`` takes sigma's values in the cells not read yet,
-    and the trace begins with the view of ``h``.
+    and the trace begins with the view of ``h``. Deferred values in h's
+    buffer and registers are rebound to sigma.
     """
     if start is None:
         h, steps, idle = initial_hw_state(sigma, cfg), 0, 0
     else:
         h, steps, idle = start
-        h = HwState(h.sigma.resumed(sigma), h.buf, h.labels, h.cs, h.bp, h.sc)
+        buf = tuple((kind, a, sigma.rebound(b), tag, marked) for kind, a, b, tag, marked in h.buf)
+        h = HwState(h.sigma.resumed(sigma), buf, h.labels, h.cs, h.bp, h.sc)
     view = adversary_view(h)
     views = [view]
     for h2, _directive in hw_steps(p, h, cfg, steps, idle, starts):

@@ -398,6 +398,36 @@ def test_window_below_one_is_a_usage_error(capsys, argv):
     assert f"argument --window: window must be >= 1, got {argv[-1]}" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "sat", "ex2", "--contract", "seq-ct", "--window", "3"),
+        ("check", "ni", "P2", "--countermeasure", "tt", "--window", "3"),
+        ("check", "ni", "P2", "--window", "3"),
+        ("check", "wsni", "P1", "--contract", "seq-arch", "--window", "3"),
+        ("trace", "P1", "--contract", "seq-ct", "--window", "3", "--state", "STATE"),
+    ],
+)
+def test_window_without_a_speculative_contract_is_a_usage_error(capsys, tmp_path, argv):
+    # each ran with the window dropped: the checks to a verdict, trace to exit 0
+    state = tmp_path / "s.txt"
+    state.write_text("mem 7=1\n")
+    with pytest.raises(SystemExit) as info:
+        main([str(state) if arg == "STATE" else arg for arg in argv])
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"muspec {argv[0]}: error: " in out.err and "--window" in out.err
+
+
+def test_a_speculative_contract_reads_the_window(capsys):
+    # a window of 2 rolls P1's misprediction back before its second load
+    code, out, _ = run_cli(capsys, "trace", "P1", "--contract", "spec-ct", "--window", "2")
+    assert (code, out) == (0, "pc 2\nload 7\npc end\n")
+    code, out, _ = run_cli(capsys, "trace", "P1", "--contract", "spec-ct")  # the default window
+    assert (code, out) == (0, "pc 2\nload 7\nload 8\npc end\n")
+
+
 def test_lattice_negative_random_count_is_a_usage_error(capsys):
     # checked the corpus alone and passed before
     with pytest.raises(SystemExit) as info:

@@ -5,10 +5,12 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from muspec import analysis, contracts, corpus, pipeline
 from muspec.analysis import StateDomain, check_contract_satisfaction, check_lattice, random_programs
-from muspec.arch import ArchState, FuelExhausted, ReadOrderError, format_state, share_runs
+from muspec.arch import ArchState, FuelExhausted, ReadOrderError, arch_run, format_state, share_runs
 from muspec.contracts import (
     BOT_INF,
     HOLE,
@@ -165,6 +167,76 @@ def test_sweep_domain_run_counts(monkeypatch):
     runs.clear()
     assert check_contract_satisfaction(parse_program("skip"), spec_ct, cfg, SWEEP_DOMAIN).ok
     assert len(runs) == 1
+
+
+def test_a_loaded_value_nothing_uses_leaves_one_hardware_run(monkeypatch):
+    # P2f loads z and never uses it before the barrier; ex1's address
+    # 12 + z*64 uses z, so ex1's runs branch on it
+    cfg = HwConfig(countermeasure="none", predictor="twobit", modulus=SWEEP_DOMAIN.modulus)
+    runs = _counting(monkeypatch, (pipeline, "hw_run"))
+    counts = {}
+    for name in ("P2f", "ex1"):
+        tracer = pipeline.hw_tracer(cfg, corpus.load(name), SWEEP_DOMAIN)
+        before = len(runs)
+        for sigma in SWEEP_DOMAIN.initial_states(corpus.load(name)):
+            tracer(sigma)
+        counts[name] = len(runs) - before
+    assert counts == {"P2f": 1, "ex1": 16}
+
+
+def test_resumed_runs_rebind_a_deferred_load(monkeypatch):
+    # z's load stays deferred past the branch on w, which is forced first;
+    # past the barrier only a nonzero w goes on to use z as an address
+    p = parse_program("load z, 7\nload w, 9\nbeqz w, end\nspbarr\nload x, 8 + z")
+    dom = StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3)))
+    cfg = HwConfig(modulus=dom.modulus, predictor="twobit")
+    runs = _counting(monkeypatch, (pipeline, "hw_run"))
+    tracer = pipeline.hw_tracer(cfg, p, dom)
+    shared = [tracer(sigma) for sigma in dom.initial_states(p)]
+    resumed = sum(args[3] is not None for args in runs)
+    monkeypatch.undo()
+    assert shared == [hw_run(p, sigma, cfg)[0] for sigma in dom.initial_states(p)]
+    # w = 0 shares one run whatever z is; each nonzero w branches on z
+    assert resumed and len(runs) == 1 + 3 * 4
+
+
+# lines of the P-family, plus a move and a store that pass loaded values on
+SMALL_SCOPE_LINES = (
+    "x <- 3 < 2",
+    "beqz x, end",
+    "load z, 7",
+    "load w, 8 + z",
+    "z <- z * 2",
+    "beqz z, end",
+    "spbarr",
+    "load z, 4 + w",
+    "store z, 9",
+    "w <- z",
+)
+# every countermeasure on an ooo and a seq micro-architecture of the theorem suite
+SMALL_SCOPE_CONFIGS = tuple(
+    HwConfig(countermeasure=cm, modulus=16, **arch)
+    for cm in COUNTERMEASURES
+    for arch in (
+        dict(cache="direct:4:1", predictor="twobit"),
+        dict(cache="lru:2", predictor="backward", scheduler="seq"),
+    )
+)
+SMALL_SCOPE_DOMAIN = StateDomain(modulus=16, vary=((7, 0, 1), (9, 0, 1)))
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sampled_from(SMALL_SCOPE_LINES), min_size=1, max_size=4))
+@example(["load z, 7", "beqz z, end", "x <- 3 < 2"])  # a branch on a deferred load
+@example(["load z, 7", "load w, 9", "beqz w, end", "w <- z"])  # a deferred load resumed
+def test_shared_hardware_runs_equal_plain_runs_on_small_programs(lines):
+    p = parse_program("\n".join(lines))
+    for cfg in SMALL_SCOPE_CONFIGS:
+        tracer = pipeline.hw_tracer(cfg, p, SMALL_SCOPE_DOMAIN)
+        for sigma in SMALL_SCOPE_DOMAIN.initial_states(p):
+            views, h = hw_run(p, sigma, cfg)
+            assert tracer(sigma) == views, (lines, cfg.countermeasure, format_state(sigma))
+            assert h.sigma == arch_run(p, sigma, modulus=cfg.modulus)[0]
 
 
 def test_sharing_is_scoped_to_one_check(monkeypatch):
