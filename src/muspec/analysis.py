@@ -376,19 +376,19 @@ def check_lattice(
 _RANDOM_REGS = ("x", "y", "z", "w")
 
 
-def _random_expr(rng: random.Random, modulus: int, depth: int = 2):
+def _random_expr(rng: random.Random, depth: int = 2):
     roll = rng.random()
     if depth == 0 or roll < 0.35:
-        return Const(rng.randrange(min(modulus, 16)))
+        return Const(rng.randrange(16))
     if roll < 0.7:
         return Reg(rng.choice(_RANDOM_REGS))
     if roll < 0.8:
-        return UnOp(rng.choice(("neg", "not")), _random_expr(rng, modulus, depth - 1))
+        return UnOp(rng.choice(("neg", "not")), _random_expr(rng, depth - 1))
     op = rng.choice(("+", "-", "*", "<", "=", "&", "|", "^"))
-    return BinOp(op, _random_expr(rng, modulus, depth - 1), _random_expr(rng, modulus, depth - 1))
+    return BinOp(op, _random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
 
 
-def random_programs(count: int, seed: int = 0, length: int = 8, modulus: int = 16) -> list:
+def random_programs(count: int, seed: int = 0, length: int = 8) -> list:
     """Well-formed random programs; control flow only moves forward, so
     every one of them terminates."""
     rng = random.Random(seed)
@@ -398,11 +398,11 @@ def random_programs(count: int, seed: int = 0, length: int = 8, modulus: int = 1
         for addr in range(length):
             roll = rng.random()
             if roll < 0.20:
-                instrs.append(Assign(rng.choice(_RANDOM_REGS), _random_expr(rng, modulus)))
+                instrs.append(Assign(rng.choice(_RANDOM_REGS), _random_expr(rng)))
             elif roll < 0.40:
-                instrs.append(Load(rng.choice(_RANDOM_REGS), _random_expr(rng, modulus, 1)))
+                instrs.append(Load(rng.choice(_RANDOM_REGS), _random_expr(rng, 1)))
             elif roll < 0.55:
-                instrs.append(Store(rng.choice(_RANDOM_REGS), _random_expr(rng, modulus, 1)))
+                instrs.append(Store(rng.choice(_RANDOM_REGS), _random_expr(rng, 1)))
             elif roll < 0.75:
                 choices = list(range(addr + 2, length))
                 if choices and rng.random() < 0.7:
@@ -416,8 +416,8 @@ def random_programs(count: int, seed: int = 0, length: int = 8, modulus: int = 1
                 instrs.append(
                     CondAssign(
                         rng.choice(_RANDOM_REGS),
-                        _random_expr(rng, modulus, 1),
-                        _random_expr(rng, modulus, 1),
+                        _random_expr(rng, 1),
+                        _random_expr(rng, 1),
                     )
                 )
             elif roll < 0.96:

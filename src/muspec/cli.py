@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Programs are file paths or shipped corpus names (P1, P1f, P1', P1'f, P2,
-P2f, P2', P2'f, ex1, ex2, ex3, skip, loop).  Exit codes: 0 pass,
-1 counterexample found, 2 usage or run error.
+P2f, P2', P2'f, ex1, ex2, ex3, skip, loop).  Each command, and each kind of
+``check`` (sat, ni, sni, wsni), accepts only the options it reads; options
+follow the kind: ``check sat P1 --contract spec-ct``.  An empty option value
+is a value: ``--config ""`` names a file that cannot be opened.  Exit codes:
+0 pass, 1 counterexample found, 2 usage or run error.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from .analysis import (
     random_programs,
 )
 from .arch import DEFAULT_FUEL, ArchState, arch_run, format_state, parse_state
-from .contracts import DEFAULT_SPEC_WINDOW, ContractId, contract_trace, format_trace
+from .contracts import ContractId, contract_trace, format_trace
 from .isa import ParseError, Program, parse_program
 from .pipeline import HwConfig, adversary_view, hw_steps, initial_hw_state
 
@@ -49,20 +52,20 @@ def _default_domain(spec: str) -> StateDomain:
 
 
 def _load_domain(args, default: StateDomain) -> StateDomain:
-    return StateDomain.parse(_read(args.domain)) if args.domain else default
+    return default if args.domain is None else StateDomain.parse(_read(args.domain))
 
 
 def _load_policy(args) -> Policy:
-    return Policy.parse(_read(args.policy)) if args.policy else Policy(corpus.TABLE_POLICY_LOW)
+    return Policy(corpus.TABLE_POLICY_LOW) if args.policy is None else Policy.parse(_read(args.policy))
 
 
 def _load_state(args, program: Program) -> ArchState:
-    return parse_state(_read(args.state), program) if args.state else ArchState.initial(program)
+    return ArchState.initial(program) if args.state is None else parse_state(_read(args.state), program)
 
 
 def _load_config(args) -> HwConfig:
-    cfg = HwConfig.parse(_read(args.config)) if args.config else HwConfig()
-    if args.countermeasure:
+    cfg = HwConfig() if args.config is None else HwConfig.parse(_read(args.config))
+    if args.countermeasure is not None:
         cfg = replace(cfg, countermeasure=args.countermeasure)
     if args.fuel is not None:
         cfg = replace(cfg, fuel=args.fuel)
@@ -92,7 +95,7 @@ def _verdict_records(args, verdict: Verdict, dump_prefix=None) -> int:
             "trace_prime": format_trace(verdict.trace_prime).replace("\n", ";"),
         },
     )
-    if dump_prefix:
+    if dump_prefix is not None:
         for suffix, state in (("sigma", verdict.sigma), ("sigma_prime", verdict.sigma_prime)):
             path = f"{dump_prefix}.{suffix}.txt"
             with open(path, "w") as fh:
@@ -143,43 +146,22 @@ def _cmd_hwrun(args) -> int:
     return 0
 
 
-# the options each check never reads
-_UNREAD = {
-    "sat": ("policy",),
-    "ni": (),
-    "wsni": ("countermeasure", "config", "policy"),
-    "sni": ("countermeasure", "config"),
-}
-
-
-def _reject_unread_options(args):
-    """A usage error naming an option that ``args.what``'s check would not
-    read, so that it is not silently dropped."""
-    if args.what == "ni" and (args.countermeasure or args.config):
-        if args.contract is not None:
-            args.usage_error("check ni reads --contract or a hardware config (--countermeasure, --config), not both")
-        if args.window is not None:
-            args.usage_error("check ni with a hardware config does not read --window")
-    for option in _UNREAD[args.what]:
-        if getattr(args, option) is not None:
-            args.usage_error(f"check {args.what} does not read --{option}")
-
-
 def _cmd_check(args) -> int:
-    _reject_unread_options(args)
-    if args.what != "ni" and args.contract is None:
-        raise ValueError(f"check {args.what} requires --contract")
-    hardware = args.what == "ni" and (args.countermeasure or args.config)
-    contract = None if hardware else _contract(args, args.contract or "seq-ct")
+    hardware = args.what == "ni" and (args.countermeasure is not None or args.config is not None)
+    if hardware and args.contract is not None:
+        args.usage_error("check ni reads --contract or a hardware config (--countermeasure, --config), not both")
+    if hardware and args.window is not None:
+        args.usage_error("check ni with a hardware config does not read --window")
+    # only ni may leave out --contract, and then reads seq-ct
+    contract = None if hardware else _contract(args, "seq-ct" if args.contract is None else args.contract)
     program = _load_program(args.program)
     fuel = DEFAULT_FUEL if args.fuel is None else args.fuel
     domain = _load_domain(args, _default_domain(args.program))
-    if args.what == "ni":
-        semantics = _load_config(args) if hardware else contract
-        verdict = check_ni(program, _load_policy(args), semantics, domain, fuel=fuel)
-        return _verdict_records(args, verdict, args.dump_states)
     if args.what == "sat":
         verdict = check_contract_satisfaction(program, contract, _load_config(args), domain, fuel=fuel)
+    elif args.what == "ni":
+        semantics = _load_config(args) if hardware else contract
+        verdict = check_ni(program, _load_policy(args), semantics, domain, fuel=fuel)
     elif args.what == "wsni":
         verdict = check_wsni(program, contract, domain, fuel=fuel)
     else:  # sni
@@ -255,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("program", help="program file or corpus name")
         p.add_argument("--fuel", type=_int_at_least(1, "fuel"), default=DEFAULT_FUEL)
         if window:
-            p.add_argument("--window", type=_int_at_least(1, "window"), default=DEFAULT_SPEC_WINDOW)
+            # without --window, a speculative contract takes its default window
+            p.add_argument("--window", type=_int_at_least(1, "window"))
+        p.set_defaults(usage_error=p.error)
 
     p_run = sub.add_parser("run", help="architectural run")
     common(p_run, window=False)
@@ -266,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_trace)
     p_trace.add_argument("--contract", required=True)
     p_trace.add_argument("--state")
-    # without --window, a speculative contract takes DEFAULT_SPEC_WINDOW
-    p_trace.set_defaults(func=_cmd_trace, window=None, usage_error=p_trace.error)
+    p_trace.set_defaults(func=_cmd_trace)
 
     p_hw = sub.add_parser("hwrun", help="hardware run with adversary views")
     common(p_hw, window=False)
@@ -278,17 +261,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_hw.set_defaults(func=_cmd_hwrun, fuel=None)
 
     p_check = sub.add_parser("check", help="decision procedures")
-    p_check.add_argument("what", choices=("sat", "ni", "sni", "wsni"))
-    common(p_check)
-    p_check.add_argument("--contract")
-    p_check.add_argument("--countermeasure")
-    p_check.add_argument("--config")
-    p_check.add_argument("--policy")
-    p_check.add_argument("--domain")
-    p_check.add_argument("--dump-states", dest="dump_states")
-    # without --fuel, a config's fuel applies to its runs; without --window,
-    # a speculative contract takes DEFAULT_SPEC_WINDOW
-    p_check.set_defaults(func=_cmd_check, fuel=None, window=None, usage_error=p_check.error)
+    kinds = p_check.add_subparsers(dest="what", required=True)
+    for what in ("sat", "ni", "sni", "wsni"):
+        # each kind declares exactly the options it reads
+        p = kinds.add_parser(what)
+        common(p)
+        p.add_argument("--contract", required=what != "ni")
+        if what in ("sat", "ni"):
+            p.add_argument("--countermeasure")
+            p.add_argument("--config")
+        if what in ("ni", "sni"):
+            p.add_argument("--policy")
+        p.add_argument("--domain")
+        p.add_argument("--dump-states", dest="dump_states")
+        # without --fuel, a config's fuel applies to its runs
+        p.set_defaults(func=_cmd_check, fuel=None)
 
     p_cls = sub.add_parser("classify", help="sandboxing / constant-time tables")
     p_cls.add_argument("what", choices=("sandbox", "ct"))
@@ -309,8 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        # reported by the parser of the command, which lists what it reads
+        args.usage_error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
     except (ParseError, ValueError, FileNotFoundError) as exc:

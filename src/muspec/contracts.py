@@ -32,6 +32,18 @@ DEFAULT_SPEC_WINDOW = 7
 
 OBSERVERS = ("ct", "arch", "pc-ct")
 
+# name -> (mode, observer) of the seven contracts, and the inverse
+CONTRACTS = {
+    "seq-ct": ("seq", "ct"),
+    "seq-arch": ("seq", "arch"),
+    "spec-ct": ("spec", "ct"),
+    "spec-pc-ct": ("spec", "pc-ct"),
+    "spec-arch": ("spec", "arch"),
+    "top": ("top", None),
+    "bot-inf": ("bot", None),
+}
+_NAMES = {pair: name for name, pair in CONTRACTS.items()}
+
 
 @dataclass(frozen=True)
 class ContractId:
@@ -42,48 +54,26 @@ class ContractId:
     window: Optional[int] = None  # spec mode only; None means DEFAULT_SPEC_WINDOW
 
     def __post_init__(self):
-        if self.mode == "seq":
-            if self.observer not in ("ct", "arch"):
-                raise ValueError(f"seq contract needs observer ct|arch, got {self.observer!r}")
+        if (self.mode, self.observer) not in _NAMES:
+            raise ValueError(f"no contract has mode {self.mode!r} and observer {self.observer!r}")
+        if self.mode != "spec":
             if self.window is not None:
-                raise ValueError("seq contract takes no window")
-        elif self.mode == "spec":
-            if self.observer not in OBSERVERS:
-                raise ValueError(f"spec contract needs observer ct|arch|pc-ct, got {self.observer!r}")
-            if self.window is None:
-                object.__setattr__(self, "window", DEFAULT_SPEC_WINDOW)
-            if self.window < 1:
-                raise ValueError(f"speculative window must be >= 1, got {self.window}")
-        elif self.mode in ("top", "bot"):
-            if self.observer is not None or self.window is not None:
-                raise ValueError(f"{self.mode} contract takes no parameters")
-        else:
-            raise ValueError(f"unknown contract mode {self.mode!r}")
+                raise ValueError(f"{self} contract takes no window")
+        elif self.window is None:
+            object.__setattr__(self, "window", DEFAULT_SPEC_WINDOW)
+        elif self.window < 1:
+            raise ValueError(f"speculative window must be >= 1, got {self.window}")
 
     def __str__(self):
-        if self.mode == "seq":
-            return f"seq-{self.observer}"
-        if self.mode == "spec":
-            return f"spec-{self.observer}"
-        return "bot-inf" if self.mode == "bot" else "top"
+        return _NAMES[(self.mode, self.observer)]
 
     @staticmethod
     def parse(name: str, window: Optional[int] = None) -> "ContractId":
-        table = {
-            "seq-ct": ("seq", "ct"),
-            "seq-arch": ("seq", "arch"),
-            "spec-ct": ("spec", "ct"),
-            "spec-pc-ct": ("spec", "pc-ct"),
-            "spec-arch": ("spec", "arch"),
-        }
-        if name in table:
-            mode, obs = table[name]
-            return ContractId(mode, obs, window if mode == "spec" else None)
-        if name == "top":
-            return ContractId("top")
-        if name == "bot-inf":
-            return ContractId("bot")
-        raise ValueError(f"unknown contract {name!r}")
+        """The contract ``name``; ``window`` applies to a spec contract only."""
+        if name not in CONTRACTS:
+            raise ValueError(f"unknown contract {name!r}")
+        mode, observer = CONTRACTS[name]
+        return ContractId(mode, observer, window if mode == "spec" else None)
 
 
 SEQ_CT = ContractId("seq", "ct")

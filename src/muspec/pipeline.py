@@ -39,8 +39,6 @@ from .isa import (
     text_lines,
 )
 from .uarch import (
-    PREDICTORS,
-    SCHEDULERS,
     apply_buffer,
     buf_project,
     cmd_assign,
@@ -76,10 +74,8 @@ class HwConfig:
     def __post_init__(self):
         if self.countermeasure not in cm.COUNTERMEASURES:
             raise ValueError(f"unknown countermeasure {self.countermeasure!r}")
-        if self.predictor not in PREDICTORS:
-            raise ValueError(f"unknown predictor {self.predictor!r}")
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {self.scheduler!r}")
+        make_predictor(self.predictor)
+        make_scheduler(self.scheduler, self.buffer_size)
         if self.buffer_size < 2:
             raise ValueError(f"buffer_size must be >= 2, got {self.buffer_size}")
         if self.fuel < 1:
@@ -160,23 +156,8 @@ def _instr_commands(ins) -> tuple:
     raise TypeError(f"not fetchable as a plain instruction: {ins!r}")
 
 
-def _fetch_pc(buf, regs):
-    """``apply_buffer(buf, regs)[PC]`` without copying the register file."""
-    pc = regs[PC]
-    for kind, x, payload, _tag, _marked in buf:
-        if kind == "assign":
-            if x == PC:
-                pc = payload if is_value(payload) else BOTTOM
-        elif kind == "load":
-            if x == PC:
-                pc = BOTTOM
-        elif kind == "barrier":
-            return BOTTOM
-    return pc
-
-
 def fetch_step(p: Program, sigma: ArchState, buf, cs, bp, mu_w: int):
-    pc = _fetch_pc(buf, sigma.regs)
+    pc = apply_buffer(buf, sigma.regs)[PC]
     if pc is BOTTOM:
         return STUCK
     if len(buf) >= mu_w:

@@ -37,20 +37,20 @@ def execute(i: int) -> tuple:
 # Commands
 
 
-def cmd_skip(tag=None):
-    return ("skip", None, None, tag, False)
+def cmd_skip():
+    return ("skip", None, None, None, False)
 
 
-def cmd_barrier(tag=None):
-    return ("barrier", None, None, tag, False)
+def cmd_barrier():
+    return ("barrier", None, None, None, False)
 
 
 def cmd_assign(x, payload, tag=None, marked=False):
     return ("assign", x, payload, tag, marked)
 
 
-def cmd_load(x, payload, tag=None):
-    return ("load", x, payload, tag, False)
+def cmd_load(x, payload):
+    return ("load", x, payload, None, False)
 
 
 def cmd_store(value_payload, addr_payload, tag=None):
@@ -355,9 +355,6 @@ class OooScheduler:
 
     def key(self):
         return ("ooo", self.mu_w, self.proj, self.stall)
-
-
-SCHEDULERS = ("seq", "ooo")
 
 
 def make_scheduler(kind: str, mu_w: int):

@@ -353,10 +353,12 @@ def test_fuel_default_is_the_architectural_default(monkeypatch):
 
 def test_check_without_contract_says_it_is_required(capsys):
     for what in ("sat", "wsni", "sni"):
-        code, out, err = run_cli(capsys, "check", what, "P1")
-        assert code == 2
-        assert out == ""
-        assert err == f"error: check {what} requires --contract\n"
+        with pytest.raises(SystemExit) as info:
+            main(["check", what, "P1"])
+        assert info.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"muspec check {what}: error: the following arguments are required: --contract" in out.err
     assert run_cli(capsys, "check", "ni", "P2")[0] == 0  # ni defaults to seq-ct
 
 
@@ -417,7 +419,8 @@ def test_window_without_a_speculative_contract_is_a_usage_error(capsys, tmp_path
     assert info.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert f"muspec {argv[0]}: error: " in out.err and "--window" in out.err
+    command = " ".join(argv[:2]) if argv[0] == "check" else argv[0]
+    assert f"muspec {command}: error: " in out.err and "--window" in out.err
 
 
 def test_a_speculative_contract_reads_the_window(capsys):
@@ -459,7 +462,81 @@ def test_check_rejects_options_it_does_not_read(capsys, argv, option):
     assert info.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert f"muspec check: error: check {argv[1]} " in out.err and option in out.err
+    assert f"muspec check {argv[1]}: error: " in out.err and option in out.err
+
+
+# the options among --contract, --countermeasure, --config and --policy that
+# each check kind reads
+CHECK_READS = {
+    "sat": ("--contract", "--countermeasure", "--config"),
+    "ni": ("--contract", "--countermeasure", "--config", "--policy"),
+    "sni": ("--contract", "--policy"),
+    "wsni": ("--contract",),
+}
+
+
+@pytest.mark.parametrize("option", ["--contract", "--countermeasure", "--config", "--policy"])
+@pytest.mark.parametrize("kind", sorted(CHECK_READS))
+def test_check_kind_accepts_exactly_the_options_it_reads(capsys, tmp_path, kind, option):
+    (tmp_path / "hw.cfg").write_text("countermeasure = tt\n")
+    (tmp_path / "pol.txt").write_text("low 4..5\n")
+    value = {
+        "--contract": "seq-arch",
+        "--countermeasure": "tt",
+        "--config": str(tmp_path / "hw.cfg"),
+        "--policy": str(tmp_path / "pol.txt"),
+    }[option]
+    argv = ["check", kind, "P2", option, value]
+    if kind != "ni" and option != "--contract":
+        argv += ["--contract", "seq-ct"]
+    if option in CHECK_READS[kind]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1) and err == ""
+        assert out.startswith(("pass", "counterexample"))
+        return
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"muspec check {kind}: error: unrecognized arguments: {option}" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # ran as none, as the default domain, as the initial state
+        (("check", "sat", "P1", "--contract", "seq-ct", "--countermeasure", ""), "unknown countermeasure ''"),
+        (("check", "sat", "P1", "--contract", "seq-ct", "--config", ""), "No such file"),
+        (("check", "sat", "P1", "--contract", "seq-ct", "--domain", ""), "No such file"),
+        (("check", "ni", "P2", "--policy", ""), "No such file"),
+        (("check", "ni", "P2", "--contract", ""), "unknown contract ''"),
+        (("run", "P1", "--state", ""), "No such file"),
+        (("hwrun", "P1", "--countermeasure", ""), "unknown countermeasure ''"),
+        # ran seq-arch, while the same line with --countermeasure tt was a usage error
+        (("check", "ni", "P2", "--countermeasure", "", "--contract", "seq-arch"), "not both"),
+    ],
+)
+def test_an_empty_option_value_is_a_value(capsys, argv, message):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
+
+
+def test_an_empty_dump_prefix_is_a_prefix(capsys, tmp_path, monkeypatch):
+    # wrote no files and reported none
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(
+        capsys, "check", "sat", "ex2", "--contract", "seq-ct", "--countermeasure", "loaddelay", "--dump-states", "",
+    )
+    assert code == 1
+    assert "state-file which=sigma path=.sigma.txt" in out
+    assert (tmp_path / ".sigma.txt").exists() and (tmp_path / ".sigma_prime.txt").exists()
 
 
 def test_python_dash_m_runs_the_cli_from_a_checkout():

@@ -187,6 +187,19 @@ def test_contract_id_rejects_invalid_combinations():
         ContractId.parse("bot")  # bot-inf has one spelling
 
 
+@pytest.mark.parametrize("mode, observer", [("spec", None), ("top", "ct"), ("bot", "arch"), ("seq", "pc-ct")])
+def test_contract_id_rejects_a_pair_no_contract_has(mode, observer):
+    with pytest.raises(ValueError, match=f"^no contract has mode '{mode}' and observer {observer!r}$"):
+        ContractId(mode, observer)
+
+
+def test_contract_id_window_reaches_a_spec_contract_only():
+    for name in ("seq-ct", "seq-arch", "spec-ct", "spec-pc-ct", "spec-arch", "top", "bot-inf"):
+        contract = ContractId.parse(name, window=3)
+        assert ContractId.parse(str(contract), contract.window) == contract
+        assert contract.window == (3 if contract.mode == "spec" else None)
+
+
 # -- strength test ------------------------------------------------------------
 
 

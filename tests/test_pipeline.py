@@ -1,6 +1,5 @@
 """Hardware stage rules, top-level stepping, runs, and the adversary view."""
 import hashlib
-import itertools
 
 import pytest
 
@@ -12,7 +11,6 @@ from muspec.isa import BOTTOM, PC, BinOp, Const, Reg, parse_program
 from muspec.pipeline import (
     STUCK,
     HwConfig,
-    _fetch_pc,
     adversary_view,
     execute_step,
     fetch_step,
@@ -24,10 +22,8 @@ from muspec.pipeline import (
 )
 from muspec.uarch import (
     LruCache,
-    apply_buffer,
     buf_project,
     cmd_assign,
-    cmd_barrier,
     cmd_load,
     cmd_skip,
     cmd_store,
@@ -116,19 +112,6 @@ def test_fetch_stuck_on_undefined_pc_or_full_buffer():
     # two-entry fetch needs two free slots
     nearly = plain(*(cmd_skip() for _ in range(MU_W - 1)))
     assert fetch_step(p, ArchState({PC: 0, "x": 1}), nearly, warm_cache(0), None, MU_W) is STUCK
-
-
-def test_fetch_pc_is_the_pc_after_the_pending_commands():
-    # fetch reads the pc alone; apply_buffer is the reference
-    commands = (
-        cmd_assign(PC, 4), cmd_assign(PC, Reg("x")), cmd_assign(PC, BOTTOM, tag=1),
-        cmd_assign("x", 2), cmd_load("x", Const(3)), cmd_load(PC, Const(3)),
-        cmd_store(Reg("x"), Const(3)), cmd_skip(), cmd_barrier(),
-    )
-    regs = {PC: 2, "x": 0}
-    for n in range(4):
-        for buf in itertools.product(commands, repeat=n):
-            assert _fetch_pc(buf, regs) == apply_buffer(buf, regs)[PC]
 
 
 # -- execute ------------------------------------------------------------------
@@ -414,6 +397,20 @@ def test_config_rejected_where_built(bad):
     text = "".join(f"{k} = {v}\n" for k, v in bad.items())
     with pytest.raises(ValueError):
         HwConfig.parse(text)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(predictor="oracle"), "unknown predictor 'oracle'"),
+        (dict(scheduler="random"), "unknown scheduler 'random'"),
+        # the seq countermeasure's own scheduler does not hide a bad name
+        (dict(countermeasure="seq", scheduler="random"), "unknown scheduler 'random'"),
+    ],
+)
+def test_config_names_an_unknown_component(bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HwConfig(**bad)
 
 
 def test_config_rejects_a_key_given_twice():
