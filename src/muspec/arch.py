@@ -24,6 +24,7 @@ from .isa import (
     format_value,
     observed,
     parse_value,
+    term_value,
     text_lines,
 )
 
@@ -42,11 +43,13 @@ class ArchState:
     dict equality coincides with semantic equality.
 
     ``watch`` holds the varying cells whose initial value this state has not
-    yet overwritten, and ``reads`` the first-read log its run shares: the
-    first read of a watched cell records ``cell -> value`` there. ``read_mem``
-    records it at once; a hardware ``load`` hands out a ``Deferred`` value
-    instead, which records it when the run first uses the value. Neither
-    takes part in equality, hashing, ``key()`` or ``format_state``.
+    yet overwritten, and ``reads`` the log its run shares of the terms over
+    those cells that it used (see ``isa.term_value``), each with its value.
+    ``read_mem`` logs a watched cell, its own term, at its first read; a
+    hardware ``load`` hands out a ``Deferred`` value instead, and the run
+    logs a term computed from it, the cell itself or not, where a step
+    first needs that term's value. Neither takes part in equality,
+    hashing, ``key()`` or ``format_state``.
     """
 
     regs: dict
@@ -76,9 +79,9 @@ class ArchState:
 
     def rebound(self, v: Value) -> Value:
         """``v`` for a run that resumes from this initial state: a deferred
-        value takes its cell's value here and this state's reads log."""
+        value takes its term's value here and this state's reads log."""
         if v.__class__ is Deferred:
-            return Deferred(v.cell, self.mem.get(v.cell, 0), self.reads)
+            return Deferred(v.term, term_value(v.term, self.mem), self.reads, v.depth)
         return v
 
     def is_final(self) -> bool:
@@ -104,14 +107,14 @@ class ArchState:
         return _state(self.regs, mem, watch, self.reads)
 
     def watched(self, cells: frozenset, reads: dict) -> "ArchState":
-        """This state with ``cells`` watched and first reads logged to ``reads``."""
+        """This state with ``cells`` watched and its run's log in ``reads``."""
         return _state(self.regs, self.mem, cells, reads)
 
     def resumed(self, sigma: "ArchState") -> "ArchState":
         """This state, taken midway through a run, continued for ``sigma``:
         the cells it still watches and sigma's reads log does not hold yet
         take sigma's values, deferred values in the registers are rebound
-        to sigma, and first reads go to sigma's log."""
+        to sigma, and what the run logs goes to sigma's log."""
         unread = self.watch - sigma.reads.keys()
         mem = {a: v for a, v in self.mem.items() if a not in unread}
         mem.update((a, sigma.mem[a]) for a in unread if a in sigma.mem)
@@ -141,41 +144,44 @@ def _state(regs, mem, watch, reads) -> ArchState:
 
 
 class ReadOrderError(Exception):
-    """A run read the varying cells in another order than an earlier run that
-    read the same values: it looked at memory, or at a value it had not yet
-    logged, other than through read_mem or a deferred value's force."""
+    """A run logged terms over the varying cells in another order than an
+    earlier run that logged the same values: it looked at memory, or at a
+    value it had not yet logged, other than through read_mem or a deferred
+    value's force."""
 
 
 class _Read:
-    """Trie node: every run that gets here reads ``cell`` next. ``start`` is
-    where such a run can resume, the point just before that read, or None."""
+    """Trie node: every run that gets here logs ``term`` next. ``start`` is
+    where such a run can resume, the point just before that log, or None."""
 
-    __slots__ = ("cell", "next", "start")
+    __slots__ = ("term", "next", "start")
 
-    def __init__(self, cell, start):
-        self.cell = cell
-        self.next = {}  # value read -> node, a _Read or the leaf (result,)
+    def __init__(self, term, start):
+        self.term = term
+        self.next = {}  # the term's value -> node, a _Read or the leaf (result,)
         self.start = start
 
 
-def share_runs(run, cells) -> Callable:
-    """Share ``run``'s results between states that agree on every cell of
-    ``cells`` the run uses, and resume a run where its reads diverge.
 
-    ``run(sigma, start)`` returns ``(result, starts)``. It must log a cell
-    of ``cells`` in sigma's reads (``read_mem``, or ``force`` of a value
-    that ``load`` deferred) before its result first depends on the cell's
-    value, in an order that depends only on the values logged so far, and
-    the states it is given must differ only in ``cells``. A trie branches
-    on those cells in the order the runs log them: a state whose values
+def share_runs(run, cells) -> Callable:
+    """Share ``run``'s results between states that agree on every term over
+    ``cells`` the run uses, and resume a run where those terms diverge.
+
+    ``run(sigma, start)`` returns ``(result, starts)``. It must log a term
+    over ``cells`` in sigma's reads (``read_mem`` logs a cell, ``force`` of
+    a deferred value its term, see ``isa.term_value``) before its result
+    first depends on the term's value, in an order that depends only on
+    the values of the terms logged so far, and the states it is given must
+    differ only in ``cells``. A trie branches on those terms' values over
+    a state's memory, in the order the runs log them: a state whose values
     lead to a leaf gets the stored result, any other is run once, watched,
-    and its read path inserted. ``starts`` maps each cell the run logged
-    to the point just before the step that logged it, kept on the cell's
-    new node; a run that cannot resume gives none. A state
-    whose values leave the trie at a node with a point is run from it:
-    ``start`` is that point, and the state's reads log already holds the
-    path to the node. Otherwise ``start`` is None. A run whose reads
-    disagree with the trie raises ReadOrderError.
+    and its path inserted. ``starts`` maps each term the run logged to the
+    point just before the step that logged it, kept on the term's new
+    node; a run that cannot resume gives none. A state whose values leave
+    the trie at a node with a point is run from it: ``start`` is that
+    point, and the state's reads log already holds the path to the node.
+    Otherwise ``start`` is None. A run whose log disagrees with the trie
+    raises ReadOrderError.
     """
     cells = frozenset(cells)
     root = {}  # the trie's root node, under the key None
@@ -183,7 +189,8 @@ def share_runs(run, cells) -> Callable:
     def shared(sigma: ArchState):
         fork = node = root.get(None)
         while isinstance(node, _Read):
-            fork, node = node, node.next.get(sigma.mem.get(node.cell, 0))
+            t = node.term  # a raw cell is read inline, a term evaluated
+            fork, node = node, node.next.get(sigma.mem.get(t, 0) if t.__class__ is int else term_value(t, sigma.mem))
         if node is not None:
             return node[0]
         reads = {}
@@ -191,16 +198,16 @@ def share_runs(run, cells) -> Callable:
         if start is not None:
             node = root[None]
             while node is not fork:
-                reads[node.cell] = value = sigma.mem.get(node.cell, 0)
+                reads[node.term] = value = term_value(node.term, sigma.mem)
                 node = node.next[value]
         result, starts = run(sigma.watched(cells, reads), start)
         slot, key = root, None
-        for cell, value in reads.items():
+        for term, value in reads.items():
             node = slot.get(key)
             if node is None:
-                node = slot[key] = _Read(cell, starts.get(cell))
-            elif not isinstance(node, _Read) or node.cell != cell:
-                raise ReadOrderError(f"a run read cell {cell} out of the order of earlier runs")
+                node = slot[key] = _Read(term, starts.get(term))
+            elif not isinstance(node, _Read) or node.term != term:
+                raise ReadOrderError(f"a run logged {term!r} out of the order of earlier runs")
             slot, key = node.next, value
         if key in slot:
             raise ReadOrderError("a run stopped reading where earlier runs with its values read on")

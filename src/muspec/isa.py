@@ -4,9 +4,10 @@ A program is a sequence of instructions at consecutive addresses starting
 at 0.  Values are naturals plus a distinguished undefined value ``BOTTOM``
 (printed ``end``); arithmetic wraps modulo a configurable power of two.
 A hardware run whose varying cells are watched also holds ``Deferred``
-values, loaded but not yet used, in its buffer payloads and registers:
-they count as resolved, and give their natural when an expression, a
-branch guard or an address uses them.
+values in its buffer payloads and registers: terms over the cells it
+loaded, not yet used. They count as resolved, an expression over one is
+another, and the pipeline forces one where it needs a natural: an
+address, store data, a pc, or a branch guard's zero test.
 """
 from __future__ import annotations
 
@@ -39,21 +40,23 @@ BOTTOM = Bottom()
 
 
 class Deferred:
-    """A hardware load of a watched ``cell`` that no step has used yet:
-    ``value`` is the run's initial value of the cell and ``reads`` the
-    run's reads log. ``force`` gives the value, logging the read first."""
+    """A value a hardware run computed from loads of watched cells, that no
+    step has used yet. ``term`` says how (see ``term_value``), ``value`` is
+    the term's value under the run's initial state, ``reads`` the run's
+    reads log and ``depth`` the term's nesting. ``force`` gives the value,
+    logging ``term -> value`` first."""
 
-    __slots__ = ("cell", "value", "reads")
+    __slots__ = ("term", "value", "reads", "depth")
 
-    def __init__(self, cell: int, value: int, reads: dict):
-        self.cell, self.value, self.reads = cell, value, reads
+    def __init__(self, term, value: int, reads: dict, depth: int = 0):
+        self.term, self.value, self.reads, self.depth = term, value, reads, depth
 
     def force(self) -> int:
-        self.reads.setdefault(self.cell, self.value)
+        self.reads.setdefault(self.term, self.value)
         return self.value
 
     def __repr__(self):
-        return f"deferred({self.cell})"
+        return f"deferred({self.term!r})"
 
 
 Value = Union[int, Bottom, Deferred]
@@ -164,32 +167,100 @@ def _apply_binop(op: str, a: int, b: int, modulus: int) -> int:
     raise StuckError(f"unknown binary operator {op!r}")
 
 
+def _apply(op: str, args, modulus: int) -> int:
+    """``op``, an operator of ``_apply_unop`` or ``_apply_binop`` or
+    ``ite``, applied to the naturals ``args``."""
+    if op == "ite":
+        cond, then, other = args
+        return then if cond != 0 else other
+    if len(args) == 1:
+        return _apply_unop(op, args[0], modulus)
+    return _apply_binop(op, args[0], args[1], modulus)
+
+
+# A deferred value whose term would nest deeper is forced instead, so that
+# evaluating, hashing and comparing terms, which recurse, stay shallow when
+# a loop computes on a loaded value.
+MAX_TERM_DEPTH = 32
+
+
+def term_value(term, mem: dict) -> int:
+    """The value of a deferred value's ``term`` when memory is ``mem``.
+
+    A term is a watched cell (an int), or a tuple ``(op, modulus, operand,
+    ...)`` applying ``op`` (see ``_apply``) to operands that are terms or
+    constants, a constant ``c`` written ``(c,)``.
+    """
+    if term.__class__ is int:
+        return mem.get(term, 0)
+    op, modulus, *operands = term
+    args = [o[0] if o.__class__ is tuple and len(o) == 1 else term_value(o, mem) for o in operands]
+    return _apply(op, args, modulus)
+
+
+def _lifted(op: str, args, modulus: int) -> Value:
+    """``op`` applied to ``args``, one of which is not an int: BOTTOM if one
+    is BOTTOM, else, if one is deferred, a deferred value of their term,
+    forced once it nests deeper than MAX_TERM_DEPTH."""
+    if BOTTOM in args:
+        return BOTTOM
+    terms, values, depth, reads = [op, modulus], [], 0, None
+    for arg in args:
+        if arg.__class__ is Deferred:
+            terms.append(arg.term)
+            values.append(arg.value)
+            reads, depth = arg.reads, max(depth, arg.depth)
+        else:
+            terms.append((arg,))
+            values.append(arg)
+    value = _apply(op, values, modulus)
+    if reads is None:  # naturals of an int subclass, such as bool
+        return value
+    v = Deferred(tuple(terms), value, reads, depth + 1)
+    return v.force() if depth >= MAX_TERM_DEPTH else v
+
+
+def is_zero(v: Value, modulus: int) -> bool:
+    """Whether the natural ``v`` is 0. A deferred ``v`` forces its zero
+    test ``!v``, not its value."""
+    if v.__class__ is Deferred:
+        return force(_lifted("not", (v,), modulus)) == 1
+    return v == 0
+
+
 def eval_expr(e: Expr, a, partial: bool = False, modulus: int = DEFAULT_MODULUS) -> Value:
     """Evaluate ``e`` under register assignment ``a`` (a mapping).
 
     Total mode raises StuckError on BOTTOM; partial mode propagates it
-    through every operator, ite included. A register holding a deferred
-    value forces it.
+    through every operator, ite included. An operator on a deferred value
+    gives a deferred value (see ``_lifted``), except an ite whose guard is
+    not deferred, which gives the operand it picks.
     """
     if isinstance(e, Const):
         v = e.value
     elif isinstance(e, Reg):
         v = a[e.name]
-        if v.__class__ is Deferred:
-            v = v.force()
     elif isinstance(e, UnOp):
         sub = eval_expr(e.arg, a, partial, modulus)
-        v = BOTTOM if sub is BOTTOM else _apply_unop(e.op, sub, modulus)
+        if sub.__class__ is int:
+            v = _apply_unop(e.op, sub, modulus)
+        else:
+            v = _lifted(e.op, (sub,), modulus)
     elif isinstance(e, BinOp):
         lhs = eval_expr(e.left, a, partial, modulus)
         rhs = eval_expr(e.right, a, partial, modulus)
-        v = BOTTOM if (lhs is BOTTOM or rhs is BOTTOM) else _apply_binop(e.op, lhs, rhs, modulus)
+        if lhs.__class__ is int and rhs.__class__ is int:
+            v = _apply_binop(e.op, lhs, rhs, modulus)
+        else:
+            v = _lifted(e.op, (lhs, rhs), modulus)
     elif isinstance(e, Ite):
         cond = eval_expr(e.cond, a, partial, modulus)
         then = eval_expr(e.then, a, partial, modulus)
         other = eval_expr(e.other, a, partial, modulus)
         if cond is BOTTOM or then is BOTTOM or other is BOTTOM:
             v = BOTTOM
+        elif cond.__class__ is Deferred:
+            v = _lifted("ite", (cond, then, other), modulus)
         else:
             v = then if cond != 0 else other
     else:

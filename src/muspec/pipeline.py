@@ -8,8 +8,10 @@ return plain command tuples; the configured countermeasure decides what a
 stage may see (unlabel) and how its output is labeled (relabel).  A step
 re-projects only the buffer entries it changed, and a component it leaves
 alone stays the same object.  A run whose varying cells are watched loads
-deferred values (``ArchState.load``), forced where a branch guard, an
-address or an expression uses them.
+deferred values (``ArchState.load``). An expression over one is deferred
+too; a step forces one only where it needs a natural: a load or store
+address, store data, a value assigned to the pc, or a branch guard's
+zero test.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from .isa import (
     eval_expr,
     force,
     is_value,
+    is_zero,
     text_lines,
 )
 from .uarch import (
@@ -217,10 +220,10 @@ def execute_step(p: Program, sigma: ArchState, buf, cs, bp, i: int, modulus: int
         ins0 = p.lookup(tag)
         if not isinstance(ins0, Beqz):
             return STUCK
-        guard = force(a.get(ins0.guard, BOTTOM))
+        guard = a.get(ins0.guard, BOTTOM)
         if guard is BOTTOM:
             return STUCK
-        correct = ins0.target if guard == 0 else tag + 1
+        correct = ins0.target if is_zero(guard, modulus) else tag + 1
         if B == correct:
             resolved = cmd_assign(PC, B)
             return (sigma, prefix + (resolved,) + suffix, cs, bp.update(tag, B, ins0.target))
@@ -231,6 +234,8 @@ def execute_step(p: Program, sigma: ArchState, buf, cs, bp, i: int, modulus: int
         v = B if is_value(B) else eval_expr(B, a, partial=True, modulus=modulus)
         if v is BOTTOM:
             return STUCK
+        if A == PC:  # a jmp target: fetch reads the pc
+            v = force(v)
         resolved = cmd_assign(A, v, None, marked)
         return (sigma, prefix + (resolved,) + suffix, cs, bp)
 
@@ -340,8 +345,8 @@ def hw_steps(
 
     A resumed run passes the step count and the idle counter it stopped at,
     so fuel and deadlock count from the start of the run. ``starts``, if
-    given, maps each watched cell first read to ``(h, steps, idle)`` just
-    before the step that read it: a point to resume from.
+    given, maps each term a step logged in the reads of a watched run to
+    ``(h, steps, idle)`` just before that step: a point to resume from.
     """
     idle_limit = 4 * (cfg.buffer_size + 3)
     reads = h.sigma.reads if starts is not None else {}
@@ -351,8 +356,8 @@ def hw_steps(
         n = len(reads)
         h2, directive, progressed = hw_step(p, h, cfg)
         if len(reads) > n:
-            for cell in list(reads)[n:]:
-                starts[cell] = (h, steps, idle)
+            for term in list(reads)[n:]:
+                starts[term] = (h, steps, idle)
         # only retire changes sigma, and a retire that progresses shortens the
         # buffer; labels change only with the commands
         changed = progressed and (
@@ -403,8 +408,8 @@ def hw_run(
 
 def hw_tracer(cfg: HwConfig, p: Program, domain):
     """``cfg``'s adversary-trace function on ``domain``'s states, run once
-    per distinct read of the domain's varying cells. Runs take the domain's
-    modulus and keep ``cfg``'s fuel."""
+    per distinct path of term values over the domain's varying cells. Runs
+    take the domain's modulus and keep ``cfg``'s fuel."""
     cfg = replace(cfg, modulus=domain.modulus)
 
     def run(sigma, start):
@@ -412,6 +417,6 @@ def hw_tracer(cfg: HwConfig, p: Program, domain):
         point, prefix = start or (None, ())
         starts = {}
         trace = prefix + hw_run(p, sigma, cfg, point, starts)[0]
-        return trace, {cell: (at, trace[: at[1]]) for cell, at in starts.items()}
+        return trace, {term: (at, trace[: at[1]]) for term, at in starts.items()}
 
     return share_runs(run, (a for a, *_ in domain.vary))

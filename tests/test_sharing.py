@@ -159,19 +159,20 @@ def test_shared_tracer_equals_plain_run_on_every_state(monkeypatch, vary):
 
 
 def test_sweep_domain_run_counts(monkeypatch):
+    # P2's address 8 + z*2 takes 8 values modulo 16
     cfg = HwConfig(countermeasure="none", predictor="twobit")
     spec_ct = replace(SPEC_CT, window=7)
     runs = _counting(monkeypatch, (pipeline, "hw_run"))
-    assert check_contract_satisfaction(corpus.load("P1"), spec_ct, cfg, SWEEP_DOMAIN).ok
-    assert 1 < len(runs) <= 16
+    assert check_contract_satisfaction(corpus.load("P2"), spec_ct, cfg, SWEEP_DOMAIN).ok
+    assert len(runs) == 8
     runs.clear()
     assert check_contract_satisfaction(parse_program("skip"), spec_ct, cfg, SWEEP_DOMAIN).ok
     assert len(runs) == 1
 
 
 def test_a_loaded_value_nothing_uses_leaves_one_hardware_run(monkeypatch):
-    # P2f loads z and never uses it before the barrier; ex1's address
-    # 12 + z*64 uses z, so ex1's runs branch on it
+    # P2f loads z and never uses it before the barrier; ex1 uses z in the
+    # address 12 + z*64, which is 12 for every z modulo 16
     cfg = HwConfig(countermeasure="none", predictor="twobit", modulus=SWEEP_DOMAIN.modulus)
     runs = _counting(monkeypatch, (pipeline, "hw_run"))
     counts = {}
@@ -181,12 +182,26 @@ def test_a_loaded_value_nothing_uses_leaves_one_hardware_run(monkeypatch):
         for sigma in SWEEP_DOMAIN.initial_states(corpus.load(name)):
             tracer(sigma)
         counts[name] = len(runs) - before
-    assert counts == {"P2f": 1, "ex1": 16}
+    assert counts == {"P2f": 1, "ex1": 1}
+
+
+@pytest.mark.parametrize("name, runs", [("P1", 1), ("P1'", 2), ("P2", 8), ("P2'", 2), ("ex1", 1)])
+def test_sweep_runs_the_hardware_once_per_distinct_trace(monkeypatch, name, runs):
+    # the runs branch on what a program computes from a loaded value: P1
+    # and ex1 use none of it, P1' and P2' a branch on z, P2 the address
+    # 8 + z*2; keying on the raw cell would run each 16 times
+    p = corpus.load(name)
+    cfg = HwConfig(countermeasure="none", predictor="twobit")
+    calls = _counting(monkeypatch, (pipeline, "hw_run"))
+    tracer = pipeline.hw_tracer(cfg, p, SWEEP_DOMAIN)
+    traces = {tracer(sigma) for sigma in SWEEP_DOMAIN.initial_states(p)}
+    assert len(calls) == len(traces) == runs
 
 
 def test_resumed_runs_rebind_a_deferred_load(monkeypatch):
-    # z's load stays deferred past the branch on w, which is forced first;
-    # past the barrier only a nonzero w goes on to use z as an address
+    # z's load stays deferred past the branch on w, whose zero test is
+    # forced first; past the barrier only a nonzero w goes on to use z in
+    # an address
     p = parse_program("load z, 7\nload w, 9\nbeqz w, end\nspbarr\nload x, 8 + z")
     dom = StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3)))
     cfg = HwConfig(modulus=dom.modulus, predictor="twobit")
@@ -196,11 +211,14 @@ def test_resumed_runs_rebind_a_deferred_load(monkeypatch):
     resumed = sum(args[3] is not None for args in runs)
     monkeypatch.undo()
     assert shared == [hw_run(p, sigma, cfg)[0] for sigma in dom.initial_states(p)]
-    # w = 0 shares one run whatever z is; each nonzero w branches on z
-    assert resumed and len(runs) == 1 + 3 * 4
+    # w = 0 shares one run whatever z is; every nonzero w shares a run up
+    # to the address, which branches on z
+    assert resumed and len(runs) == 1 + 4
 
 
-# lines of the P-family, plus a move and a store that pass loaded values on
+# lines of the P-family, a move and a store that pass loaded values on, and
+# lines that compute on loaded values: a term over two cells, a derived
+# branch guard, a cmov on a loaded guard and a jmp to a computed target
 SMALL_SCOPE_LINES = (
     "x <- 3 < 2",
     "beqz x, end",
@@ -212,6 +230,11 @@ SMALL_SCOPE_LINES = (
     "load z, 4 + w",
     "store z, 9",
     "w <- z",
+    "load w, 9",
+    "w <- z + w",
+    "x <- z & 1",
+    "z <- w ? 5",
+    "jmp 9 + (z & 0)",
 )
 # every countermeasure on an ooo and a seq micro-architecture of the theorem suite
 SMALL_SCOPE_CONFIGS = tuple(
@@ -229,6 +252,10 @@ SMALL_SCOPE_DOMAIN = StateDomain(modulus=16, vary=((7, 0, 1), (9, 0, 1)))
 @given(st.lists(st.sampled_from(SMALL_SCOPE_LINES), min_size=1, max_size=4))
 @example(["load z, 7", "beqz z, end", "x <- 3 < 2"])  # a branch on a deferred load
 @example(["load z, 7", "load w, 9", "beqz w, end", "w <- z"])  # a deferred load resumed
+@example(["load z, 7", "load w, 9", "w <- z + w", "load z, 4 + w"])  # a two-cell address
+@example(["load z, 7", "x <- z & 1", "beqz x, end", "load w, 8 + z"])  # a derived guard
+@example(["load w, 9", "z <- w ? 5", "load w, 8 + z"])  # a cmov on a deferred guard
+@example(["load z, 7", "jmp 2 + (z & 1)", "store z, 9", "load w, 8 + z"])  # a jmp to a loaded target
 def test_shared_hardware_runs_equal_plain_runs_on_small_programs(lines):
     p = parse_program("\n".join(lines))
     for cfg in SMALL_SCOPE_CONFIGS:
@@ -237,6 +264,19 @@ def test_shared_hardware_runs_equal_plain_runs_on_small_programs(lines):
             views, h = hw_run(p, sigma, cfg)
             assert tracer(sigma) == views, (lines, cfg.countermeasure, format_state(sigma))
             assert h.sigma == arch_run(p, sigma, modulus=cfg.modulus)[0]
+
+
+def test_a_loop_that_computes_on_a_load_keeps_its_term_shallow():
+    # 600 additions to z before an address uses it: a term nesting every
+    # one of them would overflow the recursion that evaluates it at a trie
+    # node, so the run forces it once it nests MAX_TERM_DEPTH deep
+    adds = "z <- z + 1\n" * 4
+    p = parse_program(f"load z, 7\ni <- 150\nL: {adds}i <- i - 1\nx <- i = 0\nbeqz x, L\nload w, z")
+    dom = StateDomain(modulus=1024, vary=((7, 0, 1),))
+    cfg = HwConfig(modulus=dom.modulus, predictor="backward")
+    tracer = pipeline.hw_tracer(cfg, p, dom)
+    for sigma in dom.initial_states(p):
+        assert tracer(sigma) == hw_run(p, sigma, cfg)[0], format_state(sigma)
 
 
 def test_sharing_is_scoped_to_one_check(monkeypatch):
@@ -463,7 +503,9 @@ def test_sat_check_compares_each_distinct_pair_of_runs_once(monkeypatch):
 
     monkeypatch.setattr(analysis, "relate", counting_relate)
     cfg = HwConfig(countermeasure="none", predictor="twobit")
-    assert check_contract_satisfaction(corpus.load("P1"), replace(SPEC_CT, window=7), cfg, SWEEP_DOMAIN).ok
+    # the runs fork on the stored value w & 3, which no view shows
+    p = parse_program("load z, 7\nload w, 9\nw <- w & 3\nstore w, 12 + z")
+    assert check_contract_satisfaction(p, replace(SPEC_CT, window=7), cfg, SWEEP_DOMAIN).ok
     # one comparison per state whose trace is not its key's first trace
     # would be many more than one per distinct pair
     assert len(pairs) < len(unshared)
@@ -537,7 +579,7 @@ def test_a_batch_frees_its_tracers_when_it_returns(monkeypatch):
 def test_views_account_for_every_step_and_runs_fork(monkeypatch):
     # the traced benchmark counts one view per hw_step call plus one per
     # hw_run call, so a resumed run returns the views from its start only
-    p = corpus.load("P1")
+    p = corpus.load("P2")
     cfg = HwConfig(countermeasure="none", predictor="twobit")
     steps = _counting(monkeypatch, (pipeline, "hw_step"))
     runs = []  # (arguments, views) per hw_run call
