@@ -81,7 +81,7 @@ class ArchState:
         """``v`` for a run that resumes from this initial state: a deferred
         value takes its term's value here and this state's reads log."""
         if v.__class__ is Deferred:
-            return Deferred(v.term, term_value(v.term, self.mem), self.reads, v.depth)
+            return Deferred(v.term, term_value(v.term, self.mem), self.reads, v.size)
         return v
 
     def is_final(self) -> bool:
@@ -160,7 +160,6 @@ class _Read:
         self.term = term
         self.next = {}  # the term's value -> node, a _Read or the leaf (result,)
         self.start = start
-
 
 
 def share_runs(run, cells) -> Callable:

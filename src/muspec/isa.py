@@ -43,13 +43,13 @@ class Deferred:
     """A value a hardware run computed from loads of watched cells, that no
     step has used yet. ``term`` says how (see ``term_value``), ``value`` is
     the term's value under the run's initial state, ``reads`` the run's
-    reads log and ``depth`` the term's nesting. ``force`` gives the value,
-    logging ``term -> value`` first."""
+    reads log and ``size`` the term's node count. ``force`` gives the
+    value, logging ``term -> value`` first."""
 
-    __slots__ = ("term", "value", "reads", "depth")
+    __slots__ = ("term", "value", "reads", "size")
 
-    def __init__(self, term, value: int, reads: dict, depth: int = 0):
-        self.term, self.value, self.reads, self.depth = term, value, reads, depth
+    def __init__(self, term, value: int, reads: dict, size: int = 1):
+        self.term, self.value, self.reads, self.size = term, value, reads, size
 
     def force(self) -> int:
         self.reads.setdefault(self.term, self.value)
@@ -178,10 +178,11 @@ def _apply(op: str, args, modulus: int) -> int:
     return _apply_binop(op, args[0], args[1], modulus)
 
 
-# A deferred value whose term would nest deeper is forced instead, so that
-# evaluating, hashing and comparing terms, which recurse, stay shallow when
-# a loop computes on a loaded value.
-MAX_TERM_DEPTH = 32
+# A deferred value whose term would have more nodes is forced instead, so
+# that evaluating, hashing and comparing terms, which walk the whole tree
+# and recurse, stay cheap and shallow when a loop computes on a loaded
+# value: a term that uses an operand twice, as in z <- z + z, doubles.
+MAX_TERM_SIZE = 32
 
 
 def term_value(term, mem: dict) -> int:
@@ -199,25 +200,24 @@ def term_value(term, mem: dict) -> int:
 
 
 def _lifted(op: str, args, modulus: int) -> Value:
-    """``op`` applied to ``args``, one of which is not an int: BOTTOM if one
-    is BOTTOM, else, if one is deferred, a deferred value of their term,
-    forced once it nests deeper than MAX_TERM_DEPTH."""
+    """``op`` applied to ``args``, of which one is BOTTOM or deferred: BOTTOM
+    if one is BOTTOM, else the deferred value of their term, forced once it has
+    more than MAX_TERM_SIZE nodes."""
     if BOTTOM in args:
         return BOTTOM
-    terms, values, depth, reads = [op, modulus], [], 0, None
+    terms, values, size = [op, modulus], [], 1
     for arg in args:
         if arg.__class__ is Deferred:
             terms.append(arg.term)
             values.append(arg.value)
-            reads, depth = arg.reads, max(depth, arg.depth)
+            reads = arg.reads
+            size += arg.size
         else:
             terms.append((arg,))
             values.append(arg)
-    value = _apply(op, values, modulus)
-    if reads is None:  # naturals of an int subclass, such as bool
-        return value
-    v = Deferred(tuple(terms), value, reads, depth + 1)
-    return v.force() if depth >= MAX_TERM_DEPTH else v
+            size += 1
+    v = Deferred(tuple(terms), _apply(op, values, modulus), reads, size)
+    return v.force() if size > MAX_TERM_SIZE else v
 
 
 def is_zero(v: Value, modulus: int) -> bool:

@@ -28,7 +28,7 @@ from muspec.contracts import (
     state_snapshot,
 )
 from muspec.countermeasures import COUNTERMEASURES
-from muspec.isa import PC, parse_program
+from muspec.isa import MAX_TERM_SIZE, PC, parse_program
 from muspec.pipeline import DeadlockError, HwConfig, hw_run
 
 FUEL = 10_000
@@ -266,17 +266,30 @@ def test_shared_hardware_runs_equal_plain_runs_on_small_programs(lines):
             assert h.sigma == arch_run(p, sigma, modulus=cfg.modulus)[0]
 
 
-def test_a_loop_that_computes_on_a_load_keeps_its_term_shallow():
-    # 600 additions to z before an address uses it: a term nesting every
-    # one of them would overflow the recursion that evaluates it at a trie
-    # node, so the run forces it once it nests MAX_TERM_DEPTH deep
-    adds = "z <- z + 1\n" * 4
-    p = parse_program(f"load z, 7\ni <- 150\nL: {adds}i <- i - 1\nx <- i = 0\nbeqz x, L\nload w, z")
+def _term_nodes(term):
+    """A deferred term's node count as a tree, a constant and a cell one each."""
+    if term.__class__ is int or len(term) == 1:
+        return 1
+    return 1 + sum(_term_nodes(o) for o in term[2:])
+
+
+@pytest.mark.parametrize("body, rounds", [("z <- z + 1\n" * 4, 150), ("z <- z + z\n", 12)])
+def test_a_loop_that_computes_on_a_load_keeps_its_term_small(body, rounds):
+    # a loop that adds to z, or doubles it, before an address uses it: a
+    # term nesting every addition would overflow the recursion that
+    # evaluates it at a trie node, and one that doubles (z + z uses z
+    # twice) doubles its node count each round, so the run forces a term
+    # once it has more than MAX_TERM_SIZE nodes: one that joins two
+    # operands of at most that many
+    p = parse_program(f"load z, 7\ni <- {rounds}\nL: {body}i <- i - 1\nx <- i = 0\nbeqz x, L\nload w, z")
     dom = StateDomain(modulus=1024, vary=((7, 0, 1),))
     cfg = HwConfig(modulus=dom.modulus, predictor="backward")
     tracer = pipeline.hw_tracer(cfg, p, dom)
     for sigma in dom.initial_states(p):
         assert tracer(sigma) == hw_run(p, sigma, cfg)[0], format_state(sigma)
+        reads = {}
+        hw_run(p, sigma.watched(frozenset({7}), reads), cfg)
+        assert max(map(_term_nodes, reads)) <= 2 * MAX_TERM_SIZE + 1
 
 
 def test_sharing_is_scoped_to_one_check(monkeypatch):
