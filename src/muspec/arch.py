@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Tuple
 
 from .isa import (
@@ -21,9 +22,12 @@ from .isa import (
     StuckError,
     Value,
     eval_expr,
+    force,
     format_value,
+    is_zero,
     observed,
     parse_value,
+    term_cells,
     term_value,
     text_lines,
 )
@@ -46,10 +50,10 @@ class ArchState:
     yet overwritten, and ``reads`` the log its run shares of the terms over
     those cells that it used (see ``isa.term_value``), each with its value.
     ``read_mem`` logs a watched cell, its own term, at its first read; a
-    hardware ``load`` hands out a ``Deferred`` value instead, and the run
-    logs a term computed from it, the cell itself or not, where a step
-    first needs that term's value. Neither takes part in equality,
-    hashing, ``key()`` or ``format_state``.
+    step's ``load``, architectural or hardware, hands out a ``Deferred``
+    value instead, and the run logs a term computed from it, the cell
+    itself or not, where a step first needs that term's value. Neither
+    takes part in equality, hashing, ``key()`` or ``format_state``.
     """
 
     regs: dict
@@ -71,8 +75,9 @@ class ArchState:
         return v
 
     def load(self, addr: int) -> Value:
-        """``read_mem`` for a hardware load: a watched cell the reads log does
-        not hold yet gives a deferred value, logged when it is used."""
+        """``read_mem`` for a step's load in a watched run: a watched cell the
+        reads log does not hold yet gives a deferred value, logged when it
+        is used."""
         if addr in self.watch and addr not in self.reads:
             return Deferred(addr, self.mem.get(addr, 0), self.reads)
         return self.mem.get(addr, 0)
@@ -152,14 +157,20 @@ class ReadOrderError(Exception):
 
 class _Read:
     """Trie node: every run that gets here logs ``term`` next. ``start`` is
-    where such a run can resume, the point just before that log, or None."""
+    where such a run can resume, the point just before that log, or None.
+    A compound term's node also keeps the cells the term reads and, in
+    ``seen``, the node already found after it for each tuple of their
+    values, so a state that repeats a tuple does not evaluate the term."""
 
-    __slots__ = ("term", "next", "start")
+    __slots__ = ("term", "next", "start", "cells", "seen")
 
     def __init__(self, term, start):
         self.term = term
         self.next = {}  # the term's value -> node, a _Read or the leaf (result,)
         self.start = start
+        if term.__class__ is not int:
+            self.cells = term_cells(term)
+            self.seen = {}  # the cells' values -> node
 
 
 def share_runs(run, cells) -> Callable:
@@ -186,10 +197,19 @@ def share_runs(run, cells) -> Callable:
     root = {}  # the trie's root node, under the key None
 
     def shared(sigma: ArchState):
+        mem = sigma.mem
         fork = node = root.get(None)
         while isinstance(node, _Read):
-            t = node.term  # a raw cell is read inline, a term evaluated
-            fork, node = node, node.next.get(sigma.mem.get(t, 0) if t.__class__ is int else term_value(t, sigma.mem))
+            fork, t = node, node.term
+            if t.__class__ is int:  # a raw cell is read inline
+                node = node.next.get(mem.get(t, 0))
+                continue
+            raw = tuple(map(mem.get, node.cells, repeat(0)))
+            node = fork.seen.get(raw)
+            if node is None:
+                node = fork.next.get(term_value(t, mem))
+                if node is not None:
+                    fork.seen[raw] = node
         if node is not None:
             return node[0]
         reads = {}
@@ -217,7 +237,11 @@ def share_runs(run, cells) -> Callable:
 
 
 def arch_step(p: Program, state: ArchState, modulus: int = DEFAULT_MODULUS) -> ArchState:
-    """The unique successor of a non-final state."""
+    """The unique successor of a non-final state. In a watched run a load
+    may give a deferred value (``ArchState.load``), and the step forces
+    one only where it needs a natural: a load or store address, store
+    data, a ``jmp`` target, and a branch or conditional-assignment guard
+    as its zero test."""
     pc = state.regs[PC]
     if pc is BOTTOM:
         raise StuckError("arch_step on a final state")
@@ -232,29 +256,31 @@ def arch_step(p: Program, state: ArchState, modulus: int = DEFAULT_MODULUS) -> A
         return state.with_regs(**{PC: pc + 1, ins.target: v})
     if isinstance(ins, CondAssign):
         guard = eval_expr(ins.guard, a, modulus=modulus)
-        if guard == 0:
+        if guard == 0 if guard.__class__ is int else is_zero(guard, modulus):
             v = eval_expr(ins.expr, a, modulus=modulus)
             return state.with_regs(**{PC: pc + 1, ins.target: v})
         return state.with_regs(**{PC: pc + 1})
     if isinstance(ins, Load):
         n = eval_expr(ins.addr, a, modulus=modulus)
-        return state.with_regs(**{PC: pc + 1, ins.target: state.read_mem(n)})
+        n = n if n.__class__ is int else force(n)
+        return state.with_regs(**{PC: pc + 1, ins.target: state.load(n)})
     if isinstance(ins, Store):
         n = eval_expr(ins.addr, a, modulus=modulus)
+        n = n if n.__class__ is int else force(n)
         v = a[ins.src]
         if v is BOTTOM:
             raise StuckError(f"store of undefined register {ins.src} at address {pc}")
-        return state.with_mem(n, v).with_regs(**{PC: pc + 1})
+        return state.with_mem(n, v if v.__class__ is int else force(v)).with_regs(**{PC: pc + 1})
     if isinstance(ins, Beqz):
         v = a[ins.guard]
         if v is BOTTOM:
             raise StuckError(f"branch on undefined register {ins.guard} at address {pc}")
-        if v == 0:
+        if v == 0 if v.__class__ is int else is_zero(v, modulus):
             return state.with_regs(**{PC: ins.target})
         return state.with_regs(**{PC: pc + 1})
     if isinstance(ins, Jmp):
         target = eval_expr(ins.target, a, modulus=modulus)
-        return state.with_regs(**{PC: target})
+        return state.with_regs(**{PC: target if target.__class__ is int else force(target)})
     raise TypeError(f"not an instruction: {ins!r}")
 
 

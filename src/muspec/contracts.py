@@ -17,12 +17,15 @@ from .isa import (
     PC,
     Barrier,
     Beqz,
+    Deferred,
     Jmp,
     Load,
     Program,
     Store,
     StuckError,
     eval_expr,
+    force,
+    is_zero,
     observed,
 )
 
@@ -89,20 +92,21 @@ def _labeled_step(p, state, observer, modulus):
     """One architectural step plus its observation (None when silent).
 
     The ct observer exposes load/store addresses and post-step pc at
-    branches and jumps; arch additionally exposes loaded values.
+    branches and jumps; arch additionally exposes loaded values, the value
+    the step loaded: in a watched run a deferred one until the run uses it.
     """
     ins = p.lookup(state.regs[PC])
     nxt = arch_step(p, state, modulus)
     obs = None
-    if isinstance(ins, Load):
-        n = eval_expr(ins.addr, state.regs, modulus=modulus)
-        if observer == "arch":
-            obs = ("loadv", observed(n), observed(state.read_mem(n)))
+    if isinstance(ins, (Load, Store)):
+        n = eval_expr(ins.addr, state.regs, modulus=modulus)  # arch_step forced it
+        n = observed(n if n.__class__ is int else force(n))
+        if isinstance(ins, Store):
+            obs = ("store", n)
+        elif observer == "arch":
+            obs = ("loadv", n, observed(nxt.regs[ins.target]))
         else:
-            obs = ("load", observed(n))
-    elif isinstance(ins, Store):
-        n = eval_expr(ins.addr, state.regs, modulus=modulus)
-        obs = ("store", observed(n))
+            obs = ("load", n)
     elif isinstance(ins, (Beqz, Jmp)):
         obs = ("pc", observed(nxt.regs[PC]))
     return nxt, obs
@@ -164,8 +168,9 @@ def trace_spec(
             if guard is BOTTOM:
                 raise StuckError(f"branch on undefined register {ins.guard}")
             pc = top.regs[PC]
-            correct = ins.target if guard == 0 else pc + 1
-            mispred = pc + 1 if guard == 0 else ins.target
+            zero = guard == 0 if guard.__class__ is int else is_zero(guard, modulus)
+            correct = ins.target if zero else pc + 1
+            mispred = pc + 1 if zero else ins.target
             new_w = INF if w == INF else w - 1
             w_mispred = window if w == INF else new_w
             trace.append(("pc", observed(mispred)))
@@ -206,11 +211,13 @@ HOLE = _Hole()
 
 def state_snapshot(state: ArchState, addrs=()) -> tuple:
     """Canonical full-state blob: sorted registers, then memory restricted
-    to nonzero cells plus ``addrs``, in address order. A cell of ``addrs``
-    that the state still watches holds its initial value; it shows as HOLE
-    and is not read, so a run shared by ``share_runs`` does not depend on
-    it. Other watched cells are read through ``read_mem``, in address
-    order: whether they are listed depends on their value."""
+    to nonzero cells plus ``addrs``, in address order. A deferred register
+    is forced, in register order. A cell of ``addrs`` that the state still
+    watches holds its initial value; it shows as HOLE and is not read, so a
+    run shared by ``share_runs`` does not depend on it. Other watched cells
+    are read through ``read_mem``, in address order: whether they are
+    listed depends on their value."""
+    regs = tuple((r, v if v.__class__ is int else observed(force(v))) for r, v in sorted(state.regs.items()))
     mem = []
     for a in sorted(set(state.mem) | set(addrs) | state.watch):
         if a in addrs and a in state.watch:
@@ -219,7 +226,7 @@ def state_snapshot(state: ArchState, addrs=()) -> tuple:
         v = state.read_mem(a)
         if v != 0 or a in addrs:
             mem.append((a, observed(v)))
-    return tuple(sorted((r, observed(v)) for r, v in state.regs.items())), tuple(mem)
+    return regs, tuple(mem)
 
 
 def trace_degenerate(
@@ -241,7 +248,8 @@ def trace_degenerate(
             return tuple(trace)
         ins = p.lookup(state.regs[PC])
         if isinstance(ins, (Load, Store)):
-            touched.add(eval_expr(ins.addr, state.regs, modulus=modulus))
+            n = eval_expr(ins.addr, state.regs, modulus=modulus)
+            touched.add(n if n.__class__ is int else force(n))
         state = arch_step(p, state, modulus)
         trace.append(("state", state_snapshot(state, touched)))
     raise FuelExhausted(f"no final state within {fuel} steps")
@@ -264,12 +272,15 @@ def contract_trace(
 
 def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers: dict = None):
     """``contract``'s trace function on ``domain``'s states, run once per
-    distinct read of the domain's varying cells. A shared ``bot-inf`` run
-    lists the varying cells it has not written as HOLEs, and each state
-    fills in its own initial values. A ct contract's tracer is the value
-    erasure of the arch tracer of the same mode and window. ``tracers``, a
-    batch's tracers by semantics, keeps each tracer built here, the arch
-    tracer behind a ct one included, so that the batch builds it once."""
+    distinct path of the terms over the domain's varying cells that a run
+    forces (see ``arch_step``). An arch run's trace holds each loaded value
+    it did not use as deferred, and ``_resolved`` fills those in for each
+    state without a new run. A shared ``bot-inf`` run lists the varying
+    cells it has not written as HOLEs, and each state fills in its own
+    initial values. A ct contract's tracer is the value erasure of the
+    arch tracer of the same mode and window. ``tracers``, a batch's tracers
+    by semantics, keeps each tracer built here, the arch tracer behind a ct
+    one included, so that the batch builds it once."""
     if tracers is None:
         tracers = {}
     if contract in tracers:
@@ -279,14 +290,35 @@ def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers
     else:
         snapshot_addrs = tuple(domain.addresses)
 
-        def run(sigma, _start):
-            # a contract run never resumes, so it gives no resume points
-            return contract_trace(contract, p, sigma, fuel, domain.modulus, snapshot_addrs), {}
+        def run(sigma, start):
+            # a resume point is the deferred trace of an earlier run
+            if start is None:
+                start = contract_trace(contract, p, sigma, fuel, domain.modulus, snapshot_addrs)
+            return _resolved(start, sigma)
 
         shared = share_runs(run, (a for a, *_ in domain.vary))
         tracer = (lambda sigma: _fill(shared(sigma), sigma.mem)) if contract.mode == "bot" else shared
     tracers[contract] = tracer
     return tracer
+
+
+def _resolved(trace: tuple, sigma: ArchState) -> tuple:
+    """``(trace for sigma, resume points)``: ``trace``, a watched run's,
+    with each deferred loaded value taking its value under sigma's memory.
+    One that sigma's reads log does not hold yet is logged there, after
+    the terms the run used and in trace order, with ``trace`` as the point
+    to resume from: a state that differs from sigma only in such a value
+    gets its trace from ``trace`` without a new run."""
+    starts, filled = {}, None
+    for i, obs in enumerate(trace):
+        if obs[0] == "loadv" and obs[2].__class__ is Deferred:
+            v = sigma.rebound(obs[2])
+            if v.term not in sigma.reads:
+                starts[v.term] = trace
+            if filled is None:
+                filled = list(trace)
+            filled[i] = ("loadv", obs[1], v.force())
+    return (trace if filled is None else tuple(filled)), starts
 
 
 def _erased(arch_tracer):

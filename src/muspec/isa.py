@@ -3,11 +3,13 @@
 A program is a sequence of instructions at consecutive addresses starting
 at 0.  Values are naturals plus a distinguished undefined value ``BOTTOM``
 (printed ``end``); arithmetic wraps modulo a configurable power of two.
-A hardware run whose varying cells are watched also holds ``Deferred``
-values in its buffer payloads and registers: terms over the cells it
-loaded, not yet used. They count as resolved, an expression over one is
-another, and the pipeline forces one where it needs a natural: an
-address, store data, a pc, or a branch guard's zero test.
+A watched run, one whose varying cells are watched (see
+``arch.share_runs``), also holds ``Deferred`` values in its registers and,
+on the hardware, its buffer payloads: terms over the cells it loaded, not
+yet used. They count as resolved, an expression over one is another, and
+a step, architectural or hardware, forces one where it needs a natural:
+an address, store data, a pc, or a branch or conditional-assignment
+guard's zero test.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ BOTTOM = Bottom()
 
 
 class Deferred:
-    """A value a hardware run computed from loads of watched cells, that no
+    """A value a watched run computed from loads of watched cells, that no
     step has used yet. ``term`` says how (see ``term_value``), ``value`` is
     the term's value under the run's initial state, ``reads`` the run's
     reads log and ``size`` the term's node count. ``force`` gives the
@@ -197,6 +199,17 @@ def term_value(term, mem: dict) -> int:
     op, modulus, *operands = term
     args = [o[0] if o.__class__ is tuple and len(o) == 1 else term_value(o, mem) for o in operands]
     return _apply(op, args, modulus)
+
+
+def term_cells(term) -> tuple:
+    """The watched cells ``term`` reads, each once, in order of first use."""
+    if term.__class__ is int:
+        return (term,)
+    cells = {}
+    for o in term[2:]:
+        if not (o.__class__ is tuple and len(o) == 1):
+            cells.update(dict.fromkeys(term_cells(o)))
+    return tuple(cells)
 
 
 def _lifted(op: str, args, modulus: int) -> Value:

@@ -153,9 +153,11 @@ def test_shared_tracer_equals_plain_run_on_every_state(monkeypatch, vary):
             branched += len(runs) - before > 1
     # sharing happened, and so did runs that the read values told apart
     assert sum(shared_runs.values()) < sum(states.values()) and branched
-    # a bot-inf run reads the cells it loads, as a seq-arch run does, and
-    # no others
-    assert shared_runs[BOT_INF] == shared_runs[SEQ_ARCH] < states[BOT_INF], shared_runs
+    # a ct contract runs its arch contract. An arch run forces only the
+    # loaded values it uses, while a bot-inf run shows the registers, so it
+    # forces every value it loads
+    assert shared_runs[SEQ_CT] == shared_runs[SEQ_ARCH] < shared_runs[BOT_INF] < states[BOT_INF], shared_runs
+    assert shared_runs[SPEC_CT] == shared_runs[SPEC_ARCH], shared_runs
 
 
 def test_sweep_domain_run_counts(monkeypatch):
@@ -248,14 +250,20 @@ SMALL_SCOPE_CONFIGS = tuple(
 SMALL_SCOPE_DOMAIN = StateDomain(modulus=16, vary=((7, 0, 1), (9, 0, 1)))
 
 
-@settings(max_examples=20, derandomize=True, database=None, deadline=None)
-@given(st.lists(st.sampled_from(SMALL_SCOPE_LINES), min_size=1, max_size=4))
-@example(["load z, 7", "beqz z, end", "x <- 3 < 2"])  # a branch on a deferred load
-@example(["load z, 7", "load w, 9", "beqz w, end", "w <- z"])  # a deferred load resumed
-@example(["load z, 7", "load w, 9", "w <- z + w", "load z, 4 + w"])  # a two-cell address
-@example(["load z, 7", "x <- z & 1", "beqz x, end", "load w, 8 + z"])  # a derived guard
-@example(["load w, 9", "z <- w ? 5", "load w, 8 + z"])  # a cmov on a deferred guard
-@example(["load z, 7", "jmp 2 + (z & 1)", "store z, 9", "load w, 8 + z"])  # a jmp to a loaded target
+def _small_scope(test):
+    """Run ``test`` on programs of up to four SMALL_SCOPE_LINES."""
+    test = example(["load z, 7", "beqz z, end", "x <- 3 < 2"])(test)  # a branch on a deferred load
+    test = example(["load z, 7", "load w, 9", "beqz w, end", "w <- z"])(test)  # a deferred load resumed
+    test = example(["load z, 7", "load w, 9", "w <- z + w", "load z, 4 + w"])(test)  # a two-cell address
+    test = example(["load z, 7", "x <- z & 1", "beqz x, end", "load w, 8 + z"])(test)  # a derived guard
+    test = example(["load w, 9", "z <- w ? 5", "load w, 8 + z"])(test)  # a cmov on a deferred guard
+    test = example(["load z, 7", "jmp 2 + (z & 1)", "store z, 9", "load w, 8 + z"])(test)  # a jmp to a loaded target
+    test = example(["load z, 7", "store z, 9", "load w, 9", "beqz w, end"])(test)  # a loaded value stored
+    test = given(st.lists(st.sampled_from(SMALL_SCOPE_LINES), min_size=1, max_size=4))(test)
+    return settings(max_examples=20, derandomize=True, database=None, deadline=None)(test)
+
+
+@_small_scope
 def test_shared_hardware_runs_equal_plain_runs_on_small_programs(lines):
     p = parse_program("\n".join(lines))
     for cfg in SMALL_SCOPE_CONFIGS:
@@ -264,6 +272,19 @@ def test_shared_hardware_runs_equal_plain_runs_on_small_programs(lines):
             views, h = hw_run(p, sigma, cfg)
             assert tracer(sigma) == views, (lines, cfg.countermeasure, format_state(sigma))
             assert h.sigma == arch_run(p, sigma, modulus=cfg.modulus)[0]
+
+
+@_small_scope
+def test_shared_contract_runs_equal_plain_runs_on_small_programs(lines):
+    # a contract run defers what it loads as the hardware does, and an arch
+    # trace's values it did not use are filled in per state
+    p = parse_program("\n".join(lines))
+    tracers = {}
+    for contract in CONTRACTS:
+        tracer = analysis._side(contract, tracers, p, SMALL_SCOPE_DOMAIN, FUEL)
+        plain = _plain_run(contract, p, SMALL_SCOPE_DOMAIN)
+        for sigma in SMALL_SCOPE_DOMAIN.initial_states(p):
+            assert tracer(sigma) == plain(sigma), (lines, str(contract), format_state(sigma))
 
 
 def _term_nodes(term):
@@ -284,12 +305,37 @@ def test_a_loop_that_computes_on_a_load_keeps_its_term_small(body, rounds):
     p = parse_program(f"load z, 7\ni <- {rounds}\nL: {body}i <- i - 1\nx <- i = 0\nbeqz x, L\nload w, z")
     dom = StateDomain(modulus=1024, vary=((7, 0, 1),))
     cfg = HwConfig(modulus=dom.modulus, predictor="backward")
-    tracer = pipeline.hw_tracer(cfg, p, dom)
-    for sigma in dom.initial_states(p):
-        assert tracer(sigma) == hw_run(p, sigma, cfg)[0], format_state(sigma)
-        reads = {}
-        hw_run(p, sigma.watched(frozenset({7}), reads), cfg)
-        assert max(map(_term_nodes, reads)) <= 2 * MAX_TERM_SIZE + 1
+    runs = {cfg: (pipeline.hw_tracer(cfg, p, dom), lambda s: hw_run(p, s, cfg)[0])}
+    tracers = {}
+    for c in CONTRACTS:
+        runs[c] = (analysis._side(c, tracers, p, dom, FUEL), _plain_run(c, p, dom))
+    for sem, (tracer, plain) in runs.items():
+        for sigma in dom.initial_states(p):
+            assert tracer(sigma) == plain(sigma), (str(sem), format_state(sigma))
+            reads = {}
+            plain(sigma.watched(frozenset({7}), reads))
+            assert max(map(_term_nodes, reads), default=1) <= 2 * MAX_TERM_SIZE + 1, str(sem)
+
+
+def test_sweep_runs_each_contract_once_per_distinct_trace(monkeypatch):
+    # a spec-ct check runs the contract once per distinct spec-ct trace of
+    # each corpus program: the loaded values a spec-arch trace shows are
+    # filled in per state, and its runs branch only on what a step uses
+    cfg = HwConfig(countermeasure="none", predictor="twobit")
+    spec_ct = replace(SPEC_CT, window=7)
+    programs = [corpus.load(n) for n in corpus.program_names()]
+    traces = [
+        {contract_trace(spec_ct, p, s, modulus=SWEEP_DOMAIN.modulus) for s in SWEEP_DOMAIN.initial_states(p)}
+        for p in programs
+    ]
+    calls = _counting(monkeypatch, (contracts, "trace_spec"))
+    runs = []
+    for p in programs:
+        before = len(calls)
+        assert check_contract_satisfaction(p, spec_ct, cfg, SWEEP_DOMAIN).ok
+        runs.append(len(calls) - before)
+    assert runs == [len(t) for t in traces]
+    assert sum(runs) == 35  # 132 when every loaded value branched the runs
 
 
 def test_sharing_is_scoped_to_one_check(monkeypatch):
@@ -312,9 +358,10 @@ def test_a_table_row_traces_each_contract_once_per_state(monkeypatch):
     assert {c for c, *_ in runs} == {SEQ_ARCH, *(replace(c, window=7) for c in (SPEC_ARCH, SPEC_PC_CT))}
 
 
-def _read_paths(trace, p, dom):
-    """The distinct read paths of the domain's states under ``trace``: the
-    varying cells a run reads, in order, with their values."""
+def _forced_paths(trace, p, dom):
+    """The distinct forced paths of the domain's states under ``trace``: the
+    terms over the varying cells a watched run forces, in order, with their
+    values. A loaded value the run does not use is not on the path."""
     cells = frozenset(a for a, *_ in dom.vary)
     paths = set()
     for sigma in dom.initial_states(p):
@@ -546,11 +593,14 @@ def test_ct_and_arch_batch_equals_plain_relate():
 
 
 def test_ct_and_arch_batch_runs_each_read_path_once_as_arch(monkeypatch):
+    # a run per forced path: states that differ only in the loaded values
+    # an arch trace shows are filled in from one run
     programs = [corpus.load(n) for n in corpus.program_names()]
     seq_paths = spec_paths = 0
+    m = LATTICE_DOMAIN.modulus
     for p in programs:
-        seq_paths += _read_paths(lambda p, s: contracts.trace_seq(p, s, "arch"), p, LATTICE_DOMAIN)
-        spec_paths += _read_paths(lambda p, s: contracts.trace_spec(p, s, "arch", 7), p, LATTICE_DOMAIN)
+        seq_paths += _forced_paths(lambda p, s: contracts.trace_seq(p, s, "arch", modulus=m), p, LATTICE_DOMAIN)
+        spec_paths += _forced_paths(lambda p, s: contracts.trace_spec(p, s, "arch", 7, modulus=m), p, LATTICE_DOMAIN)
     seq = _counting(monkeypatch, (contracts, "trace_seq"))
     spec = _counting(monkeypatch, (contracts, "trace_spec"))
     for p in programs:
