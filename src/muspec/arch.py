@@ -236,12 +236,13 @@ def share_runs(run, cells) -> Callable:
     return shared
 
 
-def arch_step(p: Program, state: ArchState, modulus: int = DEFAULT_MODULUS) -> ArchState:
+def arch_step(p: Program, state: ArchState, modulus: int = DEFAULT_MODULUS, addr: int | None = None) -> ArchState:
     """The unique successor of a non-final state. In a watched run a load
     may give a deferred value (``ArchState.load``), and the step forces
     one only where it needs a natural: a load or store address, store
     data, a ``jmp`` target, and a branch or conditional-assignment guard
-    as its zero test."""
+    as its zero test. ``addr`` is a load's or store's address, evaluated
+    and forced, when the caller has it already."""
     pc = state.regs[PC]
     if pc is BOTTOM:
         raise StuckError("arch_step on a final state")
@@ -260,17 +261,16 @@ def arch_step(p: Program, state: ArchState, modulus: int = DEFAULT_MODULUS) -> A
             v = eval_expr(ins.expr, a, modulus=modulus)
             return state.with_regs(**{PC: pc + 1, ins.target: v})
         return state.with_regs(**{PC: pc + 1})
-    if isinstance(ins, Load):
-        n = eval_expr(ins.addr, a, modulus=modulus)
-        n = n if n.__class__ is int else force(n)
-        return state.with_regs(**{PC: pc + 1, ins.target: state.load(n)})
-    if isinstance(ins, Store):
-        n = eval_expr(ins.addr, a, modulus=modulus)
-        n = n if n.__class__ is int else force(n)
+    if isinstance(ins, (Load, Store)):
+        if addr is None:
+            addr = eval_expr(ins.addr, a, modulus=modulus)
+            addr = addr if addr.__class__ is int else force(addr)
+        if isinstance(ins, Load):
+            return state.with_regs(**{PC: pc + 1, ins.target: state.load(addr)})
         v = a[ins.src]
         if v is BOTTOM:
             raise StuckError(f"store of undefined register {ins.src} at address {pc}")
-        return state.with_mem(n, v if v.__class__ is int else force(v)).with_regs(**{PC: pc + 1})
+        return state.with_mem(addr, v if v.__class__ is int else force(v)).with_regs(**{PC: pc + 1})
     if isinstance(ins, Beqz):
         v = a[ins.guard]
         if v is BOTTOM:

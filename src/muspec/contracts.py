@@ -96,20 +96,19 @@ def _labeled_step(p, state, observer, modulus):
     the step loaded: in a watched run a deferred one until the run uses it.
     """
     ins = p.lookup(state.regs[PC])
-    nxt = arch_step(p, state, modulus)
-    obs = None
     if isinstance(ins, (Load, Store)):
-        n = eval_expr(ins.addr, state.regs, modulus=modulus)  # arch_step forced it
-        n = observed(n if n.__class__ is int else force(n))
+        n = eval_expr(ins.addr, state.regs, modulus=modulus)
+        n = n if n.__class__ is int else force(n)
+        nxt = arch_step(p, state, modulus, n)
         if isinstance(ins, Store):
-            obs = ("store", n)
-        elif observer == "arch":
-            obs = ("loadv", n, observed(nxt.regs[ins.target]))
-        else:
-            obs = ("load", n)
-    elif isinstance(ins, (Beqz, Jmp)):
-        obs = ("pc", observed(nxt.regs[PC]))
-    return nxt, obs
+            return nxt, ("store", observed(n))
+        if observer == "arch":
+            return nxt, ("loadv", observed(n), observed(nxt.regs[ins.target]))
+        return nxt, ("load", observed(n))
+    nxt = arch_step(p, state, modulus)
+    if isinstance(ins, (Beqz, Jmp)):
+        return nxt, ("pc", observed(nxt.regs[PC]))
+    return nxt, None
 
 
 def trace_seq(
@@ -247,10 +246,12 @@ def trace_degenerate(
         if state.is_final():
             return tuple(trace)
         ins = p.lookup(state.regs[PC])
+        n = None
         if isinstance(ins, (Load, Store)):
             n = eval_expr(ins.addr, state.regs, modulus=modulus)
-            touched.add(n if n.__class__ is int else force(n))
-        state = arch_step(p, state, modulus)
+            n = n if n.__class__ is int else force(n)
+            touched.add(n)
+        state = arch_step(p, state, modulus, n)
         trace.append(("state", state_snapshot(state, touched)))
     raise FuelExhausted(f"no final state within {fuel} steps")
 
@@ -325,7 +326,9 @@ def _erased(arch_tracer):
     """The ct tracer of ``arch_tracer``'s mode and window: each
     ``("loadv", n, v)`` becomes ``("load", n)``. A ct run takes the steps
     and reads of the arch run, so this is its trace. The arch tracer returns
-    one trace object per read path and keeps it, so each is erased once."""
+    one trace object per trie leaf, a forced path plus the loaded values
+    filled in for it, and keeps it, so each is erased once. Leaves that
+    differ only in a filled value erase to equal but distinct tuples."""
     done = {}
 
     def erased(sigma):
@@ -385,7 +388,8 @@ def relate(program: Program, domain, key, observe, check: str) -> Verdict:
     state whose key raises; an observation error at the arrival of the
     state whose comparison first needs that observation, and never for a
     state alone in its class. A shared tracer returns one trace object per
-    run, so each distinct pair of trace objects is compared once: ``equal``
+    trie leaf, a run plus any loaded values it fills in, so each distinct
+    pair of trace objects is compared once: ``equal``
     keeps the pairs found equal, keyed by their ids, and holds the state's
     trace so that its id is not reused while the check runs.
     """

@@ -44,7 +44,6 @@ from .isa import (
 from .uarch import (
     apply_buffer,
     buf_project,
-    buffer_pc,
     cmd_assign,
     cmd_barrier,
     cmd_load,
@@ -161,7 +160,7 @@ def _instr_commands(ins) -> tuple:
 
 
 def fetch_step(p: Program, sigma: ArchState, buf, cs, bp, mu_w: int):
-    pc = buffer_pc(buf, sigma.regs)
+    pc = apply_buffer(buf, sigma.regs)[PC]
     if pc is BOTTOM:
         return STUCK
     if len(buf) >= mu_w:

@@ -90,18 +90,6 @@ def apply_buffer(buf, regs: dict) -> dict:
     return a
 
 
-def buffer_pc(buf, regs: dict):
-    """``apply_buffer(buf, regs)[PC]`` without copying the registers: the
-    last pending write to the pc, BOTTOM after any barrier."""
-    pc = regs[PC]
-    for kind, x, payload, _tag, _marked in buf:
-        if kind == "barrier":
-            return BOTTOM
-        if kind in ("assign", "load") and x == PC:
-            pc = payload if kind == "assign" and is_value(payload) else BOTTOM
-    return pc
-
-
 # ---------------------------------------------------------------------------
 # Caches (metadata only: which lines are present, never their contents).
 # An update that leaves the lines in place returns the cache itself.

@@ -2,10 +2,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from muspec.isa import BOTTOM, PC, BinOp, Const, Deferred, Reg
+from muspec.isa import BOTTOM, PC, BinOp, Const, Reg
 from muspec.uarch import (
     FETCH,
     RETIRE,
@@ -17,7 +15,6 @@ from muspec.uarch import (
     TwoBitPredictor,
     apply_buffer,
     buf_project,
-    buffer_pc,
     cmd_assign,
     cmd_barrier,
     cmd_load,
@@ -108,22 +105,6 @@ def test_apply_barrier_bottoms_everything():
 def test_apply_store_and_skip_ignored():
     a0 = {"x": 1, PC: 2}
     assert apply_buffer((cmd_store(Reg("x"), Const(3)), cmd_skip()), a0) == a0
-
-
-_COMMANDS = st.one_of(
-    st.builds(cmd_skip),
-    st.builds(cmd_barrier),
-    st.builds(cmd_assign, st.sampled_from(("x", PC)), st.sampled_from((0, 3, BOTTOM, Reg("x"), Deferred(7, 3, {})))),
-    st.builds(cmd_load, st.sampled_from(("x", PC)), st.sampled_from((Const(3), 5))),
-    st.builds(cmd_store, st.sampled_from((Reg("x"), 2)), st.sampled_from((Const(3), 5))),
-)
-
-
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(st.lists(_COMMANDS, max_size=6), st.sampled_from((0, 4, BOTTOM)))
-def test_buffer_pc_is_the_applied_pc(buf, pc):
-    regs = {"x": 1, PC: pc}
-    assert buffer_pc(tuple(buf), regs) is apply_buffer(tuple(buf), regs)[PC]
 
 
 # -- caches -------------------------------------------------------------------
