@@ -161,8 +161,8 @@ class StateDomain:
                     f"'vary <addr> in <lo>..<hi>', or 'fix <addr> = <v>'"
                 ) from None
         domain = StateDomain(16 if modulus is None else modulus, tuple(vary), tuple(fixed))
-        if not vary:
-            raise ValueError("domain has no 'vary' line: its one state forms no pair, so every check would pass")
+        if domain.size() < 2:
+            raise ValueError("domain has one state: it forms no pair, so every check would pass")
         return domain
 
 
@@ -196,10 +196,10 @@ def _side(side, tracers, program, domain, fuel):
 def decide(program: Program, domain: StateDomain, checks, fuel: int = DEFAULT_FUEL) -> list:
     """Relate each check ``(name, key, observed)`` in order, one verdict per
     check. A side is a ContractId, an HwConfig, a Policy, or a tuple of
-    these; every semantics gets one tracer for the whole batch (a ct
-    contract's is the erasure of the arch contract's), and each check still
-    walks the domain by itself. ``fuel`` bounds the contract
-    runs; a hardware config's runs keep its own fuel."""
+    these; every semantics gets one tracer for the whole batch (the
+    contracts of one execution mode share its runs), and each check still
+    walks the domain by itself. ``fuel`` bounds the contract runs; a
+    hardware config's runs keep its own fuel."""
     tracers = {}
     return [
         relate(program, domain, *(_side(s, tracers, program, domain, fuel) for s in sides), name)

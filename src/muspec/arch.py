@@ -185,9 +185,11 @@ def share_runs(run, cells) -> Callable:
     differ only in ``cells``. A trie branches on those terms' values over
     a state's memory, in the order the runs log them: a state whose values
     lead to a leaf gets the stored result, any other is run once, watched,
-    and its path inserted. ``starts`` maps each term the run logged to the
-    point just before the step that logged it, kept on the term's new
-    node; a run that cannot resume gives none. A state whose values leave
+    and its path inserted. A result may hold deferred values the run did
+    not use, for the caller to evaluate per state (see ``contracts._Run``).
+    ``starts`` maps each term the run logged to the point just before the
+    step that logged it, kept on the term's new node; a run that does not
+    resume, a contract run, gives none. A state whose values leave
     the trie at a node with a point is run from it: ``start`` is that
     point, and the state's reads log already holds the path to the node.
     Otherwise ``start`` is None. A run whose log disagrees with the trie

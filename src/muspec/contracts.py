@@ -1,5 +1,7 @@
 """Labeled ISA semantics (contracts), their traces, and contract strength.
 
+A contract runs a mode, seq or spec at a window, and its observer (ct,
+pc-ct or arch) chooses what to show of the run's arch trace (``_shown``).
 Observations are plain tuples so traces hash and compare cheaply:
     ("load", n) | ("store", n) | ("pc", v) | ("loadv", n, v) | ("state", blob)
 where v is an int or the string "end" for the undefined value.
@@ -8,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Optional
 
 from .arch import DEFAULT_FUEL, ArchState, FuelExhausted, arch_step, share_runs
@@ -88,13 +91,11 @@ TOP = ContractId("top")
 BOT_INF = ContractId("bot")
 
 
-def _labeled_step(p, state, observer, modulus):
-    """One architectural step plus its observation (None when silent).
-
-    The ct observer exposes load/store addresses and post-step pc at
-    branches and jumps; arch additionally exposes loaded values, the value
-    the step loaded: in a watched run a deferred one until the run uses it.
-    """
+def _labeled_step(p, state, modulus):
+    """One architectural step plus its arch observation (None when silent):
+    load and store addresses, the post-step pc at branches and jumps, and
+    the value a load loaded: in a watched run a deferred one until the run
+    uses it. ``_shown`` makes the other observers' traces of it."""
     ins = p.lookup(state.regs[PC])
     if isinstance(ins, (Load, Store)):
         n = eval_expr(ins.addr, state.regs, modulus=modulus)
@@ -102,13 +103,24 @@ def _labeled_step(p, state, observer, modulus):
         nxt = arch_step(p, state, modulus, n)
         if isinstance(ins, Store):
             return nxt, ("store", observed(n))
-        if observer == "arch":
-            return nxt, ("loadv", observed(n), observed(nxt.regs[ins.target]))
-        return nxt, ("load", observed(n))
+        return nxt, ("loadv", observed(n), observed(nxt.regs[ins.target]))
     nxt = arch_step(p, state, modulus)
     if isinstance(ins, (Beqz, Jmp)):
         return nxt, ("pc", observed(nxt.regs[PC]))
     return nxt, None
+
+
+def _shown(trace: tuple, observer: str, speculative=(), fill=None) -> tuple:
+    """What ``observer`` shows of ``trace``, an arch trace: arch all of it,
+    with the loaded value at each position of ``fill`` given there, ct each
+    ``("loadv", n, v)`` as ``("load", n)``, and pc-ct the ct trace without
+    the memory observations at the positions ``speculative``, the ones made
+    in a speculative frame."""
+    if observer == "arch":
+        return tuple(("loadv", o[1], fill[i]) if i in fill else o for i, o in enumerate(trace)) if fill else trace
+    if observer == "ct":
+        speculative = ()
+    return tuple(("load", o[1]) if o[0] == "loadv" else o for i, o in enumerate(trace) if i not in speculative)
 
 
 def trace_seq(
@@ -123,8 +135,8 @@ def trace_seq(
     trace = []
     for _ in range(fuel):
         if state.is_final():
-            return tuple(trace)
-        state, obs = _labeled_step(p, state, observer, modulus)
+            return _shown(tuple(trace), observer)
+        state, obs = _labeled_step(p, state, modulus)
         if obs is not None:
             trace.append(obs)
     raise FuelExhausted(f"no final state within {fuel} steps")
@@ -137,25 +149,28 @@ def trace_spec(
     window: int = DEFAULT_SPEC_WINDOW,
     fuel: int = DEFAULT_FUEL,
     modulus: int = DEFAULT_MODULUS,
+    speculative: list = None,
 ) -> tuple:
     """Always-mispredict exploration with speculative window ``window``.
 
     Configurations are stacks of (state, remaining window); the initial
     state sits at the bottom with an infinite window. Branches push the
     mispredicted continuation; exhausted windows roll back with a pc
-    observation of the resumed state.
+    observation of the resumed state. ``speculative``, if a list, receives
+    the position in the run's arch trace of each memory observation made
+    in a speculative frame.
     """
     if observer not in OBSERVERS:
         raise ValueError(f"unknown observer {observer!r}")
     if window < 1:
         raise ValueError("speculative window must be >= 1")
-    step_observer = "arch" if observer == "arch" else "ct"
+    speculative = [] if speculative is None else speculative
     stack = [(state, INF)]
     trace = []
     for _ in range(fuel):
         top, w = stack[-1]
         if w == INF and top.is_final():
-            return tuple(trace)
+            return _shown(tuple(trace), observer, speculative)
         if w == 0:
             resumed, _ = stack[-2]
             trace.append(("pc", observed(resumed.regs[PC])))
@@ -182,17 +197,13 @@ def trace_spec(
             # burning the window until rollback
             nxt, obs = top, None
         else:
-            nxt, obs = _labeled_step(p, top, step_observer, modulus)
-        if isinstance(ins, Barrier):
-            # barriers zero speculative windows; outside speculation they
-            # are ordinary steps (the bottom frame keeps its infinite window)
-            new_w = INF if w == INF else 0
-        else:
-            new_w = INF if w == INF else w - 1
+            nxt, obs = _labeled_step(p, top, modulus)
+        # barriers zero speculative windows; outside speculation they are
+        # ordinary steps (the bottom frame keeps its infinite window)
+        new_w = INF if w == INF else 0 if isinstance(ins, Barrier) else w - 1
         if obs is not None:
-            if observer == "pc-ct" and w != INF and obs[0] in ("load", "loadv", "store"):
-                obs = None
-        if obs is not None:
+            if w != INF and obs[0] != "pc":
+                speculative.append(len(trace))
             trace.append(obs)
         stack[-1] = (nxt, new_w)
     raise FuelExhausted(f"no final state within {fuel} steps")
@@ -245,13 +256,9 @@ def trace_degenerate(
     for _ in range(fuel):
         if state.is_final():
             return tuple(trace)
-        ins = p.lookup(state.regs[PC])
-        n = None
-        if isinstance(ins, (Load, Store)):
-            n = eval_expr(ins.addr, state.regs, modulus=modulus)
-            n = n if n.__class__ is int else force(n)
-            touched.add(n)
-        state = arch_step(p, state, modulus, n)
+        state, obs = _labeled_step(p, state, modulus)
+        if obs is not None and obs[0] != "pc":
+            touched.add(obs[1])  # a load's or store's address
         trace.append(("state", state_snapshot(state, touched)))
     raise FuelExhausted(f"no final state within {fuel} steps")
 
@@ -263,82 +270,71 @@ def contract_trace(
     fuel: int = DEFAULT_FUEL,
     modulus: int = DEFAULT_MODULUS,
     snapshot_addrs: tuple = (),
+    speculative: list = None,
 ) -> tuple:
+    """``contract``'s trace from ``state``; ``speculative`` as in ``trace_spec``."""
     if contract.mode == "seq":
         return trace_seq(p, state, contract.observer, fuel, modulus)
     if contract.mode == "spec":
-        return trace_spec(p, state, contract.observer, contract.window, fuel, modulus)
+        return trace_spec(p, state, contract.observer, contract.window, fuel, modulus, speculative)
     return trace_degenerate(p, state, contract.mode, fuel, modulus, snapshot_addrs)
 
 
 def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers: dict = None):
     """``contract``'s trace function on ``domain``'s states, run once per
     distinct path of the terms over the domain's varying cells that a run
-    forces (see ``arch_step``). An arch run's trace holds each loaded value
-    it did not use as deferred, and ``_resolved`` fills those in for each
-    state without a new run. A shared ``bot-inf`` run lists the varying
-    cells it has not written as HOLEs, and each state fills in its own
-    initial values. A ct contract's tracer is the value erasure of the
-    arch tracer of the same mode and window. ``tracers``, a batch's tracers
-    by semantics, keeps each tracer built here, the arch tracer behind a ct
-    one included, so that the batch builds it once."""
+    forces (see ``arch_step``). The contracts of a mode, seq or spec at a
+    window, share its runs (``_Run``), and a state takes its observer's
+    trace of its run. A shared ``bot-inf`` run lists the varying cells it
+    has not written as HOLEs, and each state fills in its own initial
+    values. ``tracers``, a batch's tracers by semantics, keeps each tracer
+    built here and each mode's runs, under ``(mode, window)``, so that the
+    batch builds each once."""
     if tracers is None:
         tracers = {}
     if contract in tracers:
         return tracers[contract]
-    if contract.observer == "ct":
-        tracer = _erased(contract_tracer(replace(contract, observer="arch"), p, domain, fuel, tracers))
+    cells, addrs = (a for a, *_ in domain.vary), tuple(domain.addresses)
+    if contract.mode in ("seq", "spec"):
+        mode = (contract.mode, contract.window)
+        if mode not in tracers:
+            arch = replace(contract, observer="arch")
+            tracers[mode] = share_runs(lambda s, _: (_Run(arch, p, s, fuel, domain.modulus), {}), cells)
+        shared, observer = tracers[mode], contract.observer
+
+        def tracer(sigma):  # runs once per state, so the lookup is inline
+            run = shared(sigma)
+            if observer == "arch" and not run.cells:
+                return run.trace
+            key = tuple(map(sigma.mem.get, run.cells, repeat(0))) if observer == "arch" else observer
+            trace = run.get(key)
+            if trace is None:
+                fill = dict(zip(run.positions, key)) if observer == "arch" else None
+                trace = run[key] = _shown(run.trace, observer, run.speculative, fill)
+            return trace
+
     else:
-        snapshot_addrs = tuple(domain.addresses)
-
-        def run(sigma, start):
-            # a resume point is the deferred trace of an earlier run
-            if start is None:
-                start = contract_trace(contract, p, sigma, fuel, domain.modulus, snapshot_addrs)
-            return _resolved(start, sigma)
-
-        shared = share_runs(run, (a for a, *_ in domain.vary))
+        shared = share_runs(lambda s, _: (contract_trace(contract, p, s, fuel, domain.modulus, addrs), {}), cells)
         tracer = (lambda sigma: _fill(shared(sigma), sigma.mem)) if contract.mode == "bot" else shared
     tracers[contract] = tracer
     return tracer
 
 
-def _resolved(trace: tuple, sigma: ArchState) -> tuple:
-    """``(trace for sigma, resume points)``: ``trace``, a watched run's,
-    with each deferred loaded value taking its value under sigma's memory.
-    One that sigma's reads log does not hold yet is logged there, after
-    the terms the run used and in trace order, with ``trace`` as the point
-    to resume from: a state that differs from sigma only in such a value
-    gets its trace from ``trace`` without a new run."""
-    starts, filled = {}, None
-    for i, obs in enumerate(trace):
-        if obs[0] == "loadv" and obs[2].__class__ is Deferred:
-            v = sigma.rebound(obs[2])
-            if v.term not in sigma.reads:
-                starts[v.term] = trace
-            if filled is None:
-                filled = list(trace)
-            filled[i] = ("loadv", obs[1], v.force())
-    return (trace if filled is None else tuple(filled)), starts
+class _Run(dict):
+    """One run of a contract mode, a leaf of its shared trie: ``contract``'s
+    arch ``trace`` from ``sigma``, whose loads at ``positions`` left the
+    values of their ``cells`` deferred, and the positions ``speculative``
+    of its memory observations made in a speculative frame. It maps what
+    each observer showed of it, under the observer's name for ct and pc-ct
+    and for arch under the values of the cells it was filled in with."""
 
+    __slots__ = ("trace", "speculative", "positions", "cells")
 
-def _erased(arch_tracer):
-    """The ct tracer of ``arch_tracer``'s mode and window: each
-    ``("loadv", n, v)`` becomes ``("load", n)``. A ct run takes the steps
-    and reads of the arch run, so this is its trace. The arch tracer returns
-    one trace object per trie leaf, a forced path plus the loaded values
-    filled in for it, and keeps it, so each is erased once. Leaves that
-    differ only in a filled value erase to equal but distinct tuples."""
-    done = {}
-
-    def erased(sigma):
-        trace = arch_tracer(sigma)
-        ct = done.get(id(trace))
-        if ct is None:
-            ct = done[id(trace)] = tuple(("load", o[1]) if o[0] == "loadv" else o for o in trace)
-        return ct
-
-    return erased
+    def __init__(self, contract: ContractId, p: Program, sigma: ArchState, fuel: int, modulus: int):
+        self.speculative = []
+        self.trace = contract_trace(contract, p, sigma, fuel, modulus, (), self.speculative)
+        deferred = [i for i, o in enumerate(self.trace) if o[0] == "loadv" and o[2].__class__ is Deferred]
+        self.positions, self.cells = tuple(deferred), tuple(self.trace[i][2].term for i in deferred)
 
 
 def _fill(trace: tuple, mem: dict) -> tuple:
@@ -388,10 +384,10 @@ def relate(program: Program, domain, key, observe, check: str) -> Verdict:
     state whose key raises; an observation error at the arrival of the
     state whose comparison first needs that observation, and never for a
     state alone in its class. A shared tracer returns one trace object per
-    trie leaf, a run plus any loaded values it fills in, so each distinct
-    pair of trace objects is compared once: ``equal``
-    keeps the pairs found equal, keyed by their ids, and holds the state's
-    trace so that its id is not reused while the check runs.
+    run, or for arch per run and values filled in, so each distinct pair of
+    trace objects is compared once: ``equal`` keeps the pairs found equal,
+    keyed by their ids, and holds the state's trace so that its id is not
+    reused while the check runs.
     """
     groups: dict = {}  # key -> [first state, its trace once observed, else None]
     equal: dict = {}

@@ -103,11 +103,13 @@ def test_domain_rejects_empty_and_out_of_range_values():
     ):
         with pytest.raises(ValueError):
             StateDomain.parse(text)
-    # a file with no vary line is one state, which forms no pair: every
-    # check on it passed
-    for text in ("", "# nothing\n", "values 16\n", "fix 7 = 3\n", "values 8\nfix 7 = 3\n"):
-        with pytest.raises(ValueError, match="no 'vary' line"):
+    # a file with no vary line, or whose vary lines each fix one value, is
+    # one state, which forms no pair: every check on it passed
+    one_state = ("", "# nothing\n", "values 16\n", "fix 7 = 3\n", "values 8\nfix 7 = 3\n")
+    for text in one_state + ("vary 7 in 3..3\n", "vary 7 in 0..0\nvary 9 in 5..5\nfix 4 = 1\n"):
+        with pytest.raises(ValueError, match="domain has one state"):
             StateDomain.parse(text)
+    assert StateDomain.parse("vary 7 in 3..3\nvary 9 in 0..1\n").size() == 2
 
 
 def test_domain_rejects_an_address_listed_twice():

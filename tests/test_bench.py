@@ -70,3 +70,5 @@ def test_a_traced_paper_suite_round_reports_no_problem():
     assert result["correct"] and result["failed"] == 0
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     assert metrics["pipeline.hw_run.calls"] > 0 and metrics["pipeline.hw_step.calls"] > 0
+    # shared contract runs still go through the traced names
+    assert metrics["contracts.trace_spec.calls"] > 0 and metrics["contracts.trace_seq.calls"] > 0

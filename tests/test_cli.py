@@ -148,15 +148,18 @@ def test_empty_domain_exit_two(capsys, tmp_path):
     assert "3..0" in err
 
 
-@pytest.mark.parametrize("text", ["", "values 16\n", "fix 7 = 3\n"])
+@pytest.mark.parametrize("text", ["", "values 16\n", "fix 7 = 3\n", "vary 7 in 3..3\n", "vary 7 in 0..0\nvary 9 in 2..2\n"])
 def test_domain_without_vary_exit_two(capsys, tmp_path, text):
-    # accepted, its one state made every check pass
+    # accepted, its one state made every check pass: no vary line, or vary
+    # lines that each fix one value
     dom = tmp_path / "dom.txt"
     dom.write_text(text)
-    code, out, err = run_cli(capsys, "check", "sat", "P1", "--contract", "seq-ct", "--domain", str(dom))
-    assert code == 2
-    assert out == ""
-    assert "no 'vary' line" in err
+    for check in (("sat", "P1", "--contract", "seq-ct"), ("sat", "P1", "--contract", "spec-ct"),
+                  ("ni", "P2", "--countermeasure", "none")):
+        code, out, err = run_cli(capsys, "check", *check, "--domain", str(dom))
+        assert code == 2, check
+        assert out == ""
+        assert "domain has one state" in err
 
 
 def test_domain_listing_an_address_twice_exit_two(capsys, tmp_path):

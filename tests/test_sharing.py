@@ -116,9 +116,9 @@ def test_lattice_traces_each_contract_once_per_state(monkeypatch):
     check_lattice(programs, LATTICE_DOMAIN, 7)
     per_state = Counter((c, id(p), sigma.key()) for c, p, sigma, *_ in runs)
     assert runs and max(per_state.values()) == 1, per_state.most_common(1)
-    # the ct contracts never run: their traces are erasures of the arch runs
-    spec = (SPEC_ARCH, SPEC_PC_CT)
-    assert {c for c, *_ in runs} == {TOP, BOT_INF, SEQ_ARCH, *(replace(c, window=7) for c in spec)}
+    # only the arch contracts run: the ct and pc-ct traces are made from
+    # their mode's arch run
+    assert {c for c, *_ in runs} == {TOP, BOT_INF, SEQ_ARCH, replace(SPEC_ARCH, window=7)}
 
 
 def _plain_run(semantics, p, dom):
@@ -259,6 +259,10 @@ def _small_scope(test):
     test = example(["load w, 9", "z <- w ? 5", "load w, 8 + z"])(test)  # a cmov on a deferred guard
     test = example(["load z, 7", "jmp 2 + (z & 1)", "store z, 9", "load w, 8 + z"])(test)  # a jmp to a loaded target
     test = example(["load z, 7", "store z, 9", "load w, 9", "beqz w, end"])(test)  # a loaded value stored
+    # a load and a store on a mispredicted path: x is 0, so the branch is
+    # taken and only the always-mispredicting semantics run past it
+    test = example(["x <- 3 < 2", "beqz x, end", "load z, 7", "store z, 9"])(test)
+    test = example(["x <- 3 < 2", "beqz x, end", "store z, 9", "load w, 9"])(test)
     test = given(st.lists(st.sampled_from(SMALL_SCOPE_LINES), min_size=1, max_size=4))(test)
     return settings(max_examples=20, derandomize=True, database=None, deadline=None)(test)
 
@@ -354,8 +358,8 @@ def test_a_table_row_traces_each_contract_once_per_state(monkeypatch):
     analysis.classify_constant_time(p, analysis.Policy(corpus.TABLE_POLICY_LOW), dom, 7)
     per_state = Counter((c, sigma.key()) for c, _p, sigma, *_ in runs)
     assert runs and max(per_state.values()) == 1, per_state.most_common(1)
-    # seq-ct and spec-ct are erasures of the seq-arch and spec-arch runs
-    assert {c for c, *_ in runs} == {SEQ_ARCH, *(replace(c, window=7) for c in (SPEC_ARCH, SPEC_PC_CT))}
+    # seq-ct, spec-ct and spec-pc-ct are made from the seq-arch and spec-arch runs
+    assert {c for c, *_ in runs} == {SEQ_ARCH, replace(SPEC_ARCH, window=7)}
 
 
 def _forced_paths(trace, p, dom):
@@ -590,6 +594,23 @@ def test_ct_and_arch_batch_equals_plain_relate():
             failed[observe.observer] += not v.ok
     # counterexamples with ct traces and with arch traces were both compared
     assert failed["ct"] and failed["arch"], failed
+
+
+def test_a_lattice_batch_runs_spec_once_per_forced_path(monkeypatch):
+    # spec-ct, spec-pc-ct and spec-arch make their traces from one spec
+    # run per forced path: pc-ct's dropped observations are marked in it
+    programs = [corpus.load(n) for n in corpus.program_names()]
+    m = LATTICE_DOMAIN.modulus
+    paths = [_forced_paths(lambda p, s: contracts.trace_spec(p, s, "arch", 7, modulus=m), p, LATTICE_DOMAIN)
+             for p in programs]
+    calls = _counting(monkeypatch, (contracts, "trace_spec"))
+    runs = []
+    for p in programs:
+        before = len(calls)
+        assert all(w is None for w in check_lattice([p], LATTICE_DOMAIN, 7).values())
+        runs.append(len(calls) - before)
+    assert runs == paths
+    assert {args[2] for args in calls} == {"arch"}  # spec-pc-ct adds no run
 
 
 def test_ct_and_arch_batch_runs_each_read_path_once_as_arch(monkeypatch):
