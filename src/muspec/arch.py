@@ -201,7 +201,7 @@ def share_runs(run, cells) -> Callable:
     def shared(sigma: ArchState):
         mem = sigma.mem
         fork = node = root.get(None)
-        while isinstance(node, _Read):
+        while node.__class__ is _Read:
             fork, t = node, node.term
             if t.__class__ is int:  # a raw cell is read inline
                 node = node.next.get(mem.get(t, 0))

@@ -301,18 +301,19 @@ def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers
             arch = replace(contract, observer="arch")
             tracers[mode] = share_runs(lambda s, _: (_Run(arch, p, s, fuel, domain.modulus), {}), cells)
         shared, observer = tracers[mode], contract.observer
-
-        def tracer(sigma):  # runs once per state, so the lookup is inline
-            run = shared(sigma)
-            if observer == "arch" and not run.cells:
-                return run.trace
-            key = tuple(map(sigma.mem.get, run.cells, repeat(0))) if observer == "arch" else observer
-            trace = run.get(key)
-            if trace is None:
-                fill = dict(zip(run.positions, key)) if observer == "arch" else None
-                trace = run[key] = _shown(run.trace, observer, run.speculative, fill)
-            return trace
-
+        if observer != "arch":
+            def tracer(sigma):  # runs once per state, so it only looks up
+                return shared(sigma).shown[observer]
+        else:
+            def tracer(sigma):
+                run = shared(sigma)
+                if not run.cells:
+                    return run.trace
+                key = tuple(map(sigma.mem.get, run.cells, repeat(0)))
+                trace = run.fills.get(key)
+                if trace is None:
+                    trace = run.fills[key] = _shown(run.trace, "arch", (), dict(zip(run.positions, key)))
+                return trace
     else:
         shared = share_runs(lambda s, _: (contract_trace(contract, p, s, fuel, domain.modulus, addrs), {}), cells)
         tracer = (lambda sigma: _fill(shared(sigma), sigma.mem)) if contract.mode == "bot" else shared
@@ -320,21 +321,22 @@ def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers
     return tracer
 
 
-class _Run(dict):
+class _Run:
     """One run of a contract mode, a leaf of its shared trie: ``contract``'s
     arch ``trace`` from ``sigma``, whose loads at ``positions`` left the
-    values of their ``cells`` deferred, and the positions ``speculative``
-    of its memory observations made in a speculative frame. It maps what
-    each observer showed of it, under the observer's name for ct and pc-ct
-    and for arch under the values of the cells it was filled in with."""
+    values of their ``cells`` deferred. ``shown`` holds its ct and pc-ct
+    traces by observer, and ``fills`` each arch trace filled in so far by
+    the deferred cells' values."""
 
-    __slots__ = ("trace", "speculative", "positions", "cells")
+    __slots__ = ("trace", "shown", "positions", "cells", "fills")
 
     def __init__(self, contract: ContractId, p: Program, sigma: ArchState, fuel: int, modulus: int):
-        self.speculative = []
-        self.trace = contract_trace(contract, p, sigma, fuel, modulus, (), self.speculative)
-        deferred = [i for i, o in enumerate(self.trace) if o[0] == "loadv" and o[2].__class__ is Deferred]
-        self.positions, self.cells = tuple(deferred), tuple(self.trace[i][2].term for i in deferred)
+        speculative = []
+        self.trace = trace = contract_trace(contract, p, sigma, fuel, modulus, (), speculative)
+        ct = _shown(trace, "ct")
+        self.shown = {"ct": ct, "pc-ct": _shown(trace, "pc-ct", speculative) if speculative else ct}
+        deferred = [i for i, o in enumerate(trace) if o[0] == "loadv" and o[2].__class__ is Deferred]
+        self.positions, self.cells, self.fills = tuple(deferred), tuple(trace[i][2].term for i in deferred), {}
 
 
 def _fill(trace: tuple, mem: dict) -> tuple:
