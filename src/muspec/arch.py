@@ -158,9 +158,9 @@ class ReadOrderError(Exception):
 class _Read:
     """Trie node: every run that gets here logs ``term`` next. ``start`` is
     where such a run can resume, the point just before that log, or None.
-    A compound term's node also keeps the cells the term reads and, in
-    ``seen``, the node already found after it for each tuple of their
-    values, so a state that repeats a tuple does not evaluate the term."""
+    A compound term's node also keeps the cells the term reads, a lone one
+    bare, and in ``seen`` the node found after it for their values, so a
+    state that repeats those values does not evaluate the term."""
 
     __slots__ = ("term", "next", "start", "cells", "seen")
 
@@ -169,7 +169,8 @@ class _Read:
         self.next = {}  # the term's value -> node, a _Read or the leaf (result,)
         self.start = start
         if term.__class__ is not int:
-            self.cells = term_cells(term)
+            cells = term_cells(term)
+            self.cells = cells[0] if len(cells) == 1 else cells
             self.seen = {}  # the cells' values -> node
 
 
@@ -189,9 +190,9 @@ def share_runs(run, cells) -> Callable:
     not use, for the caller to evaluate per state (see ``contracts._Run``).
     ``starts`` maps each term the run logged to the point just before the
     step that logged it, kept on the term's new node; a run that does not
-    resume, a contract run, gives none. A state whose values leave
-    the trie at a node with a point is run from it: ``start`` is that
-    point, and the state's reads log already holds the path to the node.
+    resume, a contract run, gives none. A state whose values leave the
+    trie at a node with a point is run from it: ``start`` is that point,
+    and the state's reads log already holds the path to the node.
     Otherwise ``start`` is None. A run whose log disagrees with the trie
     raises ReadOrderError.
     """
@@ -206,7 +207,8 @@ def share_runs(run, cells) -> Callable:
             if t.__class__ is int:  # a raw cell is read inline
                 node = node.next.get(mem.get(t, 0))
                 continue
-            raw = tuple(map(mem.get, node.cells, repeat(0)))
+            read = node.cells
+            raw = mem.get(read, 0) if read.__class__ is int else tuple(map(mem.get, read, repeat(0)))
             node = fork.seen.get(raw)
             if node is None:
                 node = fork.next.get(term_value(t, mem))

@@ -118,9 +118,8 @@ def _shown(trace: tuple, observer: str, speculative=(), fill=None) -> tuple:
     in a speculative frame."""
     if observer == "arch":
         return tuple(("loadv", o[1], fill[i]) if i in fill else o for i, o in enumerate(trace)) if fill else trace
-    if observer == "ct":
-        speculative = ()
-    return tuple(("load", o[1]) if o[0] == "loadv" else o for i, o in enumerate(trace) if i not in speculative)
+    shown = (o for i, o in enumerate(trace) if observer == "ct" or i not in speculative)
+    return tuple(("load", o[1]) if o[0] == "loadv" else o for o in shown)
 
 
 def trace_seq(
@@ -323,10 +322,9 @@ def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers
 
 class _Run:
     """One run of a contract mode, a leaf of its shared trie: ``contract``'s
-    arch ``trace`` from ``sigma``, whose loads at ``positions`` left the
-    values of their ``cells`` deferred. ``shown`` holds its ct and pc-ct
-    traces by observer, and ``fills`` each arch trace filled in so far by
-    the deferred cells' values."""
+    arch ``trace`` from ``sigma``, whose loads at ``positions`` left their
+    ``cells``' values deferred, ``shown``, its ct and pc-ct traces, and
+    ``fills``, its arch traces filled in so far, by those cells' values."""
 
     __slots__ = ("trace", "shown", "positions", "cells", "fills")
 
