@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Union
 
 from .arch import DEFAULT_FUEL, ArchState, _state
@@ -47,6 +48,7 @@ from .isa import (
 from .pipeline import HwConfig, hw_tracer
 
 STATE_GUARD = 4096
+_NO_WATCH = frozenset()
 
 
 class DomainTooLarge(Exception):
@@ -107,6 +109,8 @@ class StateDomain:
                 raise ValueError(f"address {addr} is negative: no program can read it")
             if addr in addrs[:i]:
                 raise ValueError(f"address {addr} is listed twice in the domain")
+        if self.size() < 2:
+            raise ValueError("domain has one state: it forms no pair, so every check would pass")
 
     @property
     def addresses(self) -> tuple:
@@ -118,23 +122,28 @@ class StateDomain:
             n *= hi - lo + 1
         return n
 
+    @cached_property
+    def _images(self) -> tuple:
+        """Each state's memory in enumeration order, without its zero cells."""
+        base = tuple((a, v) for a, v in self.fixed if v)
+        addrs = [a for a, *_ in self.vary]
+        return tuple(
+            dict(base + tuple((a, v) for a, v in zip(addrs, values) if v))
+            for values in itertools.product(*(range(lo, hi + 1) for _, lo, hi in self.vary))
+        )
+
     def initial_states(self, program: Program):
         """Each state of the domain in enumeration order, the last varying
-        cell fastest: registers zero, memory without its zero cells, fresh
-        dicts for each state."""
+        cell fastest: registers zero, in a fresh dict per state; memory
+        without its zero cells, in the domain's image of that state, which
+        the first enumeration builds and later ones share, as no run writes
+        a state's memory in place."""
         n = self.size()
         if n > STATE_GUARD:
             raise DomainTooLarge(f"domain has {n} states (> {STATE_GUARD})")
-        base = {a: v for a, v in self.fixed if v}
-        ranges = [range(lo, hi + 1) for _, lo, hi in self.vary]
-        addrs = [a for a, *_ in self.vary]
         regs = dict.fromkeys(program.registers, 0)
-        for values in itertools.product(*ranges):
-            mem = base.copy()
-            for a, v in zip(addrs, values):
-                if v:
-                    mem[a] = v
-            yield _state(regs.copy(), mem, frozenset(), None)
+        for mem in self._images:
+            yield _state(regs.copy(), mem, _NO_WATCH, None)
 
     @staticmethod
     def parse(text: str) -> "StateDomain":
@@ -160,10 +169,7 @@ class StateDomain:
                     f"domain line {lineno}: expected 'values <V>', "
                     f"'vary <addr> in <lo>..<hi>', or 'fix <addr> = <v>'"
                 ) from None
-        domain = StateDomain(16 if modulus is None else modulus, tuple(vary), tuple(fixed))
-        if domain.size() < 2:
-            raise ValueError("domain has one state: it forms no pair, so every check would pass")
-        return domain
+        return StateDomain(16 if modulus is None else modulus, tuple(vary), tuple(fixed))
 
 
 def low_equivalent(sigma: ArchState, sigma_prime: ArchState, policy: Policy) -> bool:

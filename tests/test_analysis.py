@@ -23,15 +23,19 @@ from muspec.analysis import (
 )
 from muspec.arch import ArchState
 from muspec.contracts import (
+    BOT_INF,
     DEFAULT_SPEC_WINDOW,
     SEQ_ARCH,
     SEQ_CT,
+    SPEC_ARCH,
     SPEC_CT,
     SPEC_PC_CT,
+    TOP,
     ContractId,
     contract_stronger_test,
     contract_trace,
 )
+from muspec.countermeasures import COUNTERMEASURES
 from muspec.isa import parse_program
 from muspec.pipeline import HwConfig, hw_run
 
@@ -89,7 +93,11 @@ def test_domain_parse_and_enumeration():
 
 
 def test_domain_rejects_empty_and_out_of_range_values():
-    assert StateDomain(modulus=16, vary=((7, 3, 3),), fixed=((5, 15),)).size() == 1
+    # one state forms no pair, so every check on it would pass: built in
+    # code, it is rejected as StateDomain.parse rejects it
+    for one_state in (dict(vary=((7, 3, 3),), fixed=((5, 15),)), {}):
+        with pytest.raises(ValueError, match="domain has one state"):
+            StateDomain(modulus=16, **one_state)
     for text in (
         "values 1\n",
         "values 10\n",  # arithmetic wraps modulo a power of two
@@ -137,6 +145,7 @@ def test_domain_guard():
     dom = StateDomain(vary=tuple((a, 0, 15) for a in range(4)))
     with pytest.raises(DomainTooLarge):
         list(dom.initial_states(skip))
+    assert "_images" not in vars(dom)  # the guard fires before any image is built
     at_limit = StateDomain(vary=tuple((a, 0, 15) for a in range(3)))
     assert sum(1 for _ in at_limit.initial_states(skip)) == 4096
     with pytest.raises(DomainTooLarge):
@@ -158,6 +167,31 @@ def test_initial_states_are_plain_fresh_states():
     big = StateDomain(vary=tuple((a, 0, 15) for a in range(4)))
     with pytest.raises(DomainTooLarge):
         next(big.initial_states(p))
+    # a later enumeration hands out the same memory dicts, fresh registers
+    again = list(dom.initial_states(p))
+    assert again == states and all(a.mem is s.mem and a.regs is not s.regs for a, s in zip(again, states))
+    # a replaced domain enumerates its own cells, not the images of the old one
+    other = replace(dom, vary=((7, 2, 3), (9, 0, 1)))
+    assert [s.mem for s in other.initial_states(p)] == [{5: 4, 7: v7, 9: v9} if v9 else {5: 4, 7: v7}
+                                                        for v7 in (2, 3) for v9 in (0, 1)]
+
+
+def test_no_run_writes_a_shared_memory_image():
+    # every contract and every countermeasure on both ooo configs of the
+    # theorem suite runs each state of one batch, through a store into a
+    # varying cell; a run that wrote its initial state's memory in place
+    # would change the next enumeration's states
+    p = parse_program("load z, 7\nstore z, 9\nload w, 9")
+    dom = StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3)))
+    contracts = (TOP, BOT_INF, SEQ_CT, SEQ_ARCH, SPEC_CT_W, SPEC_PC_CT_W, replace(SPEC_ARCH, window=W))
+    configs = [
+        HwConfig(countermeasure=cm, cache=cache, predictor=predictor)
+        for cm in COUNTERMEASURES
+        for cache, predictor in (("lru:4", "fallthrough"), ("direct:4:1", "twobit"))
+    ]
+    decide(p, dom, [(f"{c} ~> {cfg}", c, cfg) for c in contracts for cfg in configs])
+    fresh = StateDomain(modulus=16, vary=dom.vary)
+    assert list(dom.initial_states(p)) == list(fresh.initial_states(p))  # ArchState == compares mem
 
 
 # -- contract satisfaction --------------------------------------------------------

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import muspec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -56,11 +58,12 @@ def test_benchmark_installs_and_builds_every_workload(monkeypatch):
     assert counts["states"] > 0 and counts["analysis.check_contract_satisfaction.calls"] > 0
 
 
-def test_a_traced_paper_suite_round_reports_no_problem():
-    # run.py checks that the traced views are one per hardware step plus one
-    # per run, and that the traced enumeration yields the states decided
+def _traced_round(workload: str) -> dict:
+    """One traced round of ``workload``, its metrics by name. run.py checks
+    that the traced views are one per hardware step plus one per run, and
+    that the traced enumeration yields the states decided."""
     run = subprocess.run(
-        [sys.executable, str(BENCH / "run.py"), "--workload", "paper-suite", "--seed", "1",
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "1"],
         capture_output=True, text=True, check=True,
     )
@@ -68,7 +71,18 @@ def test_a_traced_paper_suite_round_reports_no_problem():
     assert [line for line in lines if line.startswith(("PROBLEM", "FAILED"))] == []
     result = json.loads(lines[-1])
     assert result["correct"] and result["failed"] == 0
-    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def test_a_traced_paper_suite_round_reports_no_problem():
+    metrics = _traced_round("paper-suite")
     assert metrics["pipeline.hw_run.calls"] > 0 and metrics["pipeline.hw_step.calls"] > 0
     # shared contract runs still go through the traced names
     assert metrics["contracts.trace_spec.calls"] > 0 and metrics["contracts.trace_seq.calls"] > 0
+
+
+@pytest.mark.parametrize("workload", ["lattice", "sat-sweep"])
+def test_a_traced_round_where_enumeration_dominates_reports_no_problem(workload):
+    # most of these rounds' time is per-state work, so the yield-count rule
+    # is checked where a change to the enumeration shows most
+    assert _traced_round(workload)["analysis.states"] > 0
