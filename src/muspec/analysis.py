@@ -132,18 +132,30 @@ class StateDomain:
             for values in itertools.product(*(range(lo, hi + 1) for _, lo, hi in self.vary))
         )
 
+    @cached_property
+    def _states(self) -> dict:
+        """Each register set's states, in enumeration order."""
+        return {}
+
     def initial_states(self, program: Program):
         """Each state of the domain in enumeration order, the last varying
-        cell fastest: registers zero, in a fresh dict per state; memory
-        without its zero cells, in the domain's image of that state, which
-        the first enumeration builds and later ones share, as no run writes
-        a state's memory in place."""
+        cell fastest: registers zero, memory without its zero cells. The
+        first enumeration for a register set builds its states, and every
+        later one yields those same objects: they share one zero-register
+        dict, and each state's memory dict with the states of every other
+        register set. That is sound as no run writes a state's dicts in
+        place: a step's update copies them. A caller must not write them
+        either."""
         n = self.size()
         if n > STATE_GUARD:
             raise DomainTooLarge(f"domain has {n} states (> {STATE_GUARD})")
-        regs = dict.fromkeys(program.registers, 0)
-        for mem in self._images:
-            yield _state(regs.copy(), mem, _NO_WATCH, None)
+        states = self._states.get(program.registers)
+        if states is None:
+            regs = dict.fromkeys(program.registers, 0)
+            states = self._states[program.registers] = tuple(
+                _state(regs, mem, _NO_WATCH, None) for mem in self._images
+            )
+        yield from states
 
     @staticmethod
     def parse(text: str) -> "StateDomain":
@@ -363,7 +375,11 @@ def check_lattice(
     """Empirical check of each edge (c1, c2), c1 stronger than c2: maps
     ``"c1 >= c2"`` to None when every c2-equal state pair is also c1-equal
     on every program, else to the first witness in program and enumeration
-    order. Each program is one batch over the edges not refuted yet."""
+    order. Each program is one batch over the edges not refuted yet. An
+    empty corpus raises ValueError: every edge would hold vacuously."""
+    corpus = tuple(corpus)
+    if not corpus:
+        raise ValueError("lattice check needs at least one program")
     edges = {f"{c1} >= {c2}": (c1, c2) for c1, c2 in lattice_edges(window)}
     results = dict.fromkeys(edges)
     for idx, p in enumerate(corpus):

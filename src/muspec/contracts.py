@@ -441,8 +441,12 @@ def contract_stronger_test(
     """Empirical check of c1's strength over c2 on finite domains.
 
     Returns None when every c2-equal state pair is also c1-equal on every
-    program, else the first witness in program and enumeration order.
+    program, else the first witness in program and enumeration order. An
+    empty corpus raises ValueError: the strength would hold vacuously.
     """
+    corpus = tuple(corpus)
+    if not corpus:
+        raise ValueError(f"{c1} >= {c2} needs at least one program")
     for idx, p in enumerate(corpus):
         tracers = {}
         c1_tracer, c2_tracer = (contract_tracer(c, p, domain, fuel, tracers) for c in (c1, c2))

@@ -3,6 +3,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muspec import analysis, corpus
 from muspec.analysis import (
@@ -145,14 +147,15 @@ def test_domain_guard():
     dom = StateDomain(vary=tuple((a, 0, 15) for a in range(4)))
     with pytest.raises(DomainTooLarge):
         list(dom.initial_states(skip))
-    assert "_images" not in vars(dom)  # the guard fires before any image is built
+    # the guard fires before any image or state is built
+    assert "_images" not in vars(dom) and "_states" not in vars(dom)
     at_limit = StateDomain(vary=tuple((a, 0, 15) for a in range(3)))
     assert sum(1 for _ in at_limit.initial_states(skip)) == 4096
     with pytest.raises(DomainTooLarge):
         next(replace(at_limit, vary=at_limit.vary + ((3, 0, 1),)).initial_states(skip))
 
 
-def test_initial_states_are_plain_fresh_states():
+def test_initial_states_are_shared_plain_states():
     p = parse_program("x <- 1\nload y, 7")
     dom = StateDomain(modulus=16, vary=((7, 0, 1), (9, 2, 3)), fixed=((3, 0), (5, 4)))
     states = list(dom.initial_states(p))
@@ -162,36 +165,69 @@ def test_initial_states_are_plain_fresh_states():
         assert all(sigma.mem.values())  # zero cells, fixed or varying, are dropped
         assert sigma.watch == frozenset() and sigma.reads is None
     assert states[0].mem == {5: 4, 9: 2}
-    assert len({id(s.regs) for s in states}) == len({id(s.mem) for s in states}) == len(states)
+    # the states of a register set share one register dict, each its own memory
+    assert len({id(s.regs) for s in states}) == 1 and len({id(s.mem) for s in states}) == len(states)
+    # a later enumeration yields the same objects, registers still zero
+    again = list(dom.initial_states(p))
+    assert len(again) == len(states) and all(a is s for a, s in zip(again, states))
+    assert again[0].regs == dict.fromkeys(p.registers, 0)
+    # so does one for another program over the same registers
+    same_regs = parse_program("y <- 2\nload x, 9")
+    assert same_regs.registers == p.registers
+    assert all(a is s for a, s in zip(dom.initial_states(same_regs), states))
+    # another register set gets its own states over the same memory dicts
+    q = parse_program("load z, 7")
+    others = list(dom.initial_states(q))
+    assert others == [ArchState(dict.fromkeys(q.registers, 0), s.mem) for s in states]
+    assert all(o is not s and o.regs is not s.regs and o.mem is s.mem for o, s in zip(others, states))
     # the guard fires on the first next(), before any state is built
     big = StateDomain(vary=tuple((a, 0, 15) for a in range(4)))
     with pytest.raises(DomainTooLarge):
         next(big.initial_states(p))
-    # a later enumeration hands out the same memory dicts, fresh registers
-    again = list(dom.initial_states(p))
-    assert again == states and all(a.mem is s.mem and a.regs is not s.regs for a, s in zip(again, states))
-    # a replaced domain enumerates its own cells, not the images of the old one
+    # a replaced domain enumerates its own cells, not the states of the old one
     other = replace(dom, vary=((7, 2, 3), (9, 0, 1)))
     assert [s.mem for s in other.initial_states(p)] == [{5: 4, 7: v7, 9: v9} if v9 else {5: 4, 7: v7}
                                                         for v7 in (2, 3) for v9 in (0, 1)]
 
 
+# Every step kind writes the registers: load, assign and the conditional
+# assign write a register and pc, beqz, store and jmp write pc. Cell 7
+# takes both sides of the branch, and the store writes the varying cell 9.
+EVERY_STEP_KIND = "load z, 7\nx <- z + 1\ny <- z ? x * 3\nbeqz z, 6\nstore x, 9\njmp 7\nw <- 5\nload w, 9\nx <- w ? y"
+SHARING_CONTRACTS = (TOP, BOT_INF, SEQ_CT, SEQ_ARCH, SPEC_CT_W, SPEC_PC_CT_W, replace(SPEC_ARCH, window=W))
+
+
+def _leaves_shared_states_intact(p, dom, configs):
+    """Decide every contract against every config in one batch: a run that
+    wrote its initial state's registers or memory in place would change the
+    states the next enumeration yields."""
+    states = list(dom.initial_states(p))
+    decide(p, dom, [(f"{c} ~> {cfg}", c, cfg) for c in SHARING_CONTRACTS for cfg in configs])
+    again = list(dom.initial_states(p))
+    assert all(a is s for a, s in zip(again, states))
+    assert again == list(replace(dom).initial_states(p))  # a fresh domain; == compares regs and mem
+
+
 def test_no_run_writes_a_shared_memory_image():
     # every contract and every countermeasure on both ooo configs of the
-    # theorem suite runs each state of one batch, through a store into a
-    # varying cell; a run that wrote its initial state's memory in place
-    # would change the next enumeration's states
-    p = parse_program("load z, 7\nstore z, 9\nload w, 9")
-    dom = StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3)))
-    contracts = (TOP, BOT_INF, SEQ_CT, SEQ_ARCH, SPEC_CT_W, SPEC_PC_CT_W, replace(SPEC_ARCH, window=W))
+    # theorem suite
     configs = [
         HwConfig(countermeasure=cm, cache=cache, predictor=predictor)
         for cm in COUNTERMEASURES
         for cache, predictor in (("lru:4", "fallthrough"), ("direct:4:1", "twobit"))
     ]
-    decide(p, dom, [(f"{c} ~> {cfg}", c, cfg) for c in contracts for cfg in configs])
-    fresh = StateDomain(modulus=16, vary=dom.vary)
-    assert list(dom.initial_states(p)) == list(fresh.initial_states(p))  # ArchState == compares mem
+    p = parse_program(EVERY_STEP_KIND)
+    _leaves_shared_states_intact(p, StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3))), configs)
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2 ** 16))
+def test_no_run_writes_a_shared_state_of_a_random_program(seed):
+    # every countermeasure on the ooo scheduler; a random program's
+    # registers start at zero, so cell 0 is the one it most often loads
+    configs = [HwConfig(countermeasure=cm) for cm in COUNTERMEASURES if cm != "seq"]
+    p = random_programs(1, seed=seed)[0]
+    _leaves_shared_states_intact(p, StateDomain(modulus=16, vary=((0, 0, 3), (7, 0, 1)), fixed=((3, 5),)), configs)
 
 
 # -- contract satisfaction --------------------------------------------------------
@@ -401,6 +437,19 @@ def test_reversed_edge_refuted_on_p1():
     dom = StateDomain(modulus=16, vary=((7, 0, 3),))
     witness = contract_stronger_test(SPEC_CT_W, SEQ_CT, [corpus.load("P1")], dom)
     assert witness is not None
+
+
+def test_empty_corpus_is_rejected():
+    # with no program every edge would hold vacuously
+    dom = StateDomain(modulus=16, vary=((7, 0, 3),))
+    for corpus_ in ([], iter(())):
+        with pytest.raises(ValueError, match="at least one program"):
+            check_lattice(corpus_, dom, W)
+        with pytest.raises(ValueError, match="at least one program"):
+            contract_stronger_test(SPEC_CT_W, SEQ_CT, corpus_, dom)
+    # a one-program iterator is a corpus
+    assert contract_stronger_test(SPEC_CT_W, SEQ_CT, iter([corpus.load("P1")]), dom) is not None
+    assert all(w is None for w in check_lattice(iter([corpus.load("P1")]), dom, W).values())
 
 
 def test_random_programs_are_well_formed_and_terminate():
