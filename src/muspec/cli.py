@@ -123,8 +123,11 @@ def _contract(args, name: str) -> ContractId:
 
 def _cmd_trace(args) -> int:
     contract = _contract(args, args.contract)
-    program = _load_program(args.program)
-    trace = contract_trace(contract, program, _load_state(args, program), fuel=args.fuel)
+    if args.domain is not None and contract.mode != "bot":
+        args.usage_error(f"{contract} is not bot-inf and does not read --domain")
+    program, domain = _load_program(args.program), _load_domain(args, None)
+    addrs = () if domain is None else domain.addresses
+    trace = contract_trace(contract, program, _load_state(args, program), args.fuel, snapshot_addrs=addrs)
     sys.stdout.write(format_trace(trace))
     return 0
 
@@ -232,17 +235,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("plain", "json-lines"), default="plain")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, program=True, window=True):
+    def common(p, program=True, contracts=True):
         if program:
             p.add_argument("program", help="program file or corpus name")
         p.add_argument("--fuel", type=_int_at_least(1, "fuel"), default=DEFAULT_FUEL)
-        if window:
+        if contracts:
             # without --window, a speculative contract takes its default window
             p.add_argument("--window", type=_int_at_least(1, "window"))
+            p.add_argument("--domain")  # trace reads it for bot-inf only
         p.set_defaults(usage_error=p.error)
 
     p_run = sub.add_parser("run", help="architectural run")
-    common(p_run, window=False)
+    common(p_run, contracts=False)
     p_run.add_argument("--state")
     p_run.set_defaults(func=_cmd_run)
 
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=_cmd_trace)
 
     p_hw = sub.add_parser("hwrun", help="hardware run with adversary views")
-    common(p_hw, window=False)
+    common(p_hw, contracts=False)
     p_hw.add_argument("--state")
     p_hw.add_argument("--config")
     p_hw.add_argument("--countermeasure")
@@ -272,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config")
         if what in ("ni", "sni"):
             p.add_argument("--policy")
-        p.add_argument("--domain")
         p.add_argument("--dump-states", dest="dump_states")
         # without --fuel, a config's fuel applies to its runs
         p.set_defaults(func=_cmd_check, fuel=None)
@@ -282,14 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("programs", nargs="+")
     common(p_cls, program=False)
     p_cls.add_argument("--policy")
-    p_cls.add_argument("--domain")
     p_cls.set_defaults(func=_cmd_classify)
 
     p_lat = sub.add_parser("lattice", help="contract lattice edge report")
     common(p_lat, program=False)
     p_lat.add_argument("--random", type=_int_at_least(0, "random program count"), default=0)
     p_lat.add_argument("--seed", type=int, default=0)
-    p_lat.add_argument("--domain")
     p_lat.set_defaults(func=_cmd_lattice)
 
     return parser

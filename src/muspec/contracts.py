@@ -1,7 +1,8 @@
 """Labeled ISA semantics (contracts), their traces, and contract strength.
 
 A contract runs a mode, seq or spec at a window, and its observer (ct,
-pc-ct or arch) chooses what to show of the run's arch trace (``_shown``).
+pc-ct or arch) chooses what to show of the run's arch trace (``_shown``);
+bot-inf shows the state after each step of the seq run, and top nothing.
 Observations are plain tuples so traces hash and compare cheaply:
     ("load", n) | ("store", n) | ("pc", v) | ("loadv", n, v) | ("state", blob)
 where v is an int or the string "end" for the undefined value.
@@ -9,7 +10,7 @@ where v is an int or the string "end" for the undefined value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
 
@@ -30,6 +31,7 @@ from .isa import (
     force,
     is_zero,
     observed,
+    term_value,
 )
 
 INF = math.inf
@@ -128,7 +130,11 @@ def trace_seq(
     observer: str = "ct",
     fuel: int = DEFAULT_FUEL,
     modulus: int = DEFAULT_MODULUS,
+    steps: list = None,
 ) -> tuple:
+    """``observer``'s trace of the sequential run from ``state``. ``steps``,
+    if a list, receives each step's state and arch observation (None when
+    silent), which ``bot-inf`` snapshots (see ``_snapshots``)."""
     if observer not in ("ct", "arch"):
         raise ValueError(f"sequential observer must be ct|arch, got {observer!r}")
     trace = []
@@ -136,6 +142,8 @@ def trace_seq(
         if state.is_final():
             return _shown(tuple(trace), observer)
         state, obs = _labeled_step(p, state, modulus)
+        if steps is not None:
+            steps.append((state, obs))
         if obs is not None:
             trace.append(obs)
     raise FuelExhausted(f"no final state within {fuel} steps")
@@ -208,34 +216,47 @@ def trace_spec(
     raise FuelExhausted(f"no final state within {fuel} steps")
 
 
-class _Hole:
-    """The placeholder ``state_snapshot`` lists for a cell it does not read."""
-
-    def __repr__(self):
-        return "HOLE"
-
-
-HOLE = _Hole()
-
-
 def state_snapshot(state: ArchState, addrs=()) -> tuple:
     """Canonical full-state blob: sorted registers, then memory restricted
-    to nonzero cells plus ``addrs``, in address order. A deferred register
-    is forced, in register order. A cell of ``addrs`` that the state still
-    watches holds its initial value; it shows as HOLE and is not read, so a
-    run shared by ``share_runs`` does not depend on it. Other watched cells
-    are read through ``read_mem``, in address order: whether they are
-    listed depends on their value."""
-    regs = tuple((r, v if v.__class__ is int else observed(force(v))) for r, v in sorted(state.regs.items()))
-    mem = []
-    for a in sorted(set(state.mem) | set(addrs) | state.watch):
-        if a in addrs and a in state.watch:
-            mem.append((a, HOLE))
-            continue
-        v = state.read_mem(a)
-        if v != 0 or a in addrs:
-            mem.append((a, observed(v)))
-    return regs, tuple(mem)
+    to nonzero cells plus ``addrs``, in address order. It forces nothing: in
+    a watched run, a value the run has not logged, a deferred register or a
+    watched cell (``ArchState.load``), differs between the states sharing
+    the run and stays deferred; ``addrs`` must hold the watched cells."""
+    regs = tuple((r, _snapped(v)) for r, v in sorted(state.regs.items()))
+    return regs, tuple((a, _snapped(state.load(a))) for a in sorted(state.mem.keys() | addrs))
+
+
+def _snapped(v):
+    if v.__class__ is Deferred:
+        return v.value if v.term in v.reads else v
+    return observed(v)
+
+
+def _snapshots(steps, addrs):
+    """The ``bot-inf`` trace of a seq run's ``steps`` as a function of the
+    memory of a state sharing the run: a snapshot after each step, listing
+    ``addrs`` and each cell loaded or stored so far. Each distinct listing,
+    of registers or memory, with a deferred value is filled once per call."""
+    touched, deferred, snapshots = set(addrs), {}, []
+
+    def listing(entries):
+        key = tuple((k, v.term, None) if v.__class__ is Deferred else (k, v) for k, v in entries)
+        return entries if key == entries else deferred.setdefault(key, len(deferred))
+
+    for state, obs in steps:
+        if obs is not None and obs[0] != "pc":
+            touched.add(obs[1])  # a load's or store's address
+        snapshots.append(tuple(map(listing, state_snapshot(state, touched))))
+    deferred = tuple(deferred)
+
+    def filled(mem: dict) -> tuple:
+        done = [tuple((e[0], term_value(e[1], mem)) if len(e) == 3 else e for e in d) for d in deferred]
+        return tuple(
+            ("state", (r if r.__class__ is tuple else done[r], c if c.__class__ is tuple else done[c]))
+            for r, c in snapshots
+        )
+
+    return filled
 
 
 def trace_degenerate(
@@ -246,20 +267,15 @@ def trace_degenerate(
     modulus: int = DEFAULT_MODULUS,
     snapshot_addrs: tuple = (),
 ) -> tuple:
+    """The ``top`` trace, empty, or the ``bot-inf`` trace: a snapshot of the
+    state after each of ``trace_seq``'s steps."""
     if which == "top":
         return ()
     if which != "bot":
         raise ValueError(f"unknown degenerate contract {which!r}")
-    trace = []
-    touched = set(snapshot_addrs)
-    for _ in range(fuel):
-        if state.is_final():
-            return tuple(trace)
-        state, obs = _labeled_step(p, state, modulus)
-        if obs is not None and obs[0] != "pc":
-            touched.add(obs[1])  # a load's or store's address
-        trace.append(("state", state_snapshot(state, touched)))
-    raise FuelExhausted(f"no final state within {fuel} steps")
+    steps = []
+    trace_seq(p, state, "arch", fuel, modulus, steps)
+    return _snapshots(steps, snapshot_addrs)(state.mem)
 
 
 def contract_trace(
@@ -270,53 +286,49 @@ def contract_trace(
     modulus: int = DEFAULT_MODULUS,
     snapshot_addrs: tuple = (),
     speculative: list = None,
+    steps: list = None,
 ) -> tuple:
-    """``contract``'s trace from ``state``; ``speculative`` as in ``trace_spec``."""
+    """``contract``'s trace from ``state``; ``speculative`` as in ``trace_spec``, ``steps`` in ``trace_seq``."""
     if contract.mode == "seq":
-        return trace_seq(p, state, contract.observer, fuel, modulus)
+        return trace_seq(p, state, contract.observer, fuel, modulus, steps)
     if contract.mode == "spec":
         return trace_spec(p, state, contract.observer, contract.window, fuel, modulus, speculative)
     return trace_degenerate(p, state, contract.mode, fuel, modulus, snapshot_addrs)
 
 
-def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers: dict = None):
+def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers: dict):
     """``contract``'s trace function on ``domain``'s states, run once per
     distinct path of the terms over the domain's varying cells that a run
-    forces (see ``arch_step``). The contracts of a mode, seq or spec at a
-    window, share its runs (``_Run``), and a state takes its observer's
-    trace of its run. A shared ``bot-inf`` run lists the varying cells it
-    has not written as HOLEs, and each state fills in its own initial
-    values. ``tracers``, a batch's tracers by semantics, keeps each tracer
-    built here and each mode's runs, under ``(mode, window)``, so that the
-    batch builds each once."""
-    if tracers is None:
-        tracers = {}
-    if contract in tracers:
-        return tracers[contract]
-    cells, addrs = (a for a, *_ in domain.vary), tuple(domain.addresses)
-    if contract.mode in ("seq", "spec"):
-        mode = (contract.mode, contract.window)
-        if mode not in tracers:
-            arch = replace(contract, observer="arch")
-            tracers[mode] = share_runs(lambda s, _: (_Run(arch, p, s, fuel, domain.modulus), {}), cells)
-        shared, observer = tracers[mode], contract.observer
-        if observer != "arch":
-            def tracer(sigma):  # runs once per state, so it only looks up
-                return shared(sigma).shown[observer]
-        else:
-            def tracer(sigma):
-                run = shared(sigma)
-                if not run.cells:
-                    return run.trace
-                key = tuple(map(sigma.mem.get, run.cells, repeat(0)))
-                trace = run.fills.get(key)
-                if trace is None:
-                    trace = run.fills[key] = _shown(run.trace, "arch", (), dict(zip(run.positions, key)))
-                return trace
+    forces (see ``arch_step``). A mode, seq or spec at a window, runs once
+    per path for all its observers (``_Run``): ct, pc-ct, arch and, of seq,
+    bot-inf; top shows nothing and runs nothing. ``tracers``, a batch's
+    tracers by semantics, keeps each mode's runs under ``(mode, window)``."""
+    if contract.mode == "top":
+        return lambda sigma: ()
+    mode = ("seq", None) if contract.mode == "bot" else (contract.mode, contract.window)
+    if mode not in tracers:
+        arch, cells = ContractId(mode[0], "arch", mode[1]), (a for a, *_ in domain.vary)
+        tracers[mode] = share_runs(lambda s, _: (_Run(arch, p, s, fuel, domain.modulus), {}), cells)
+    shared, observer = tracers[mode], contract.observer
+    if contract.mode == "bot":
+        def tracer(sigma):
+            run = shared(sigma)
+            if run.bot_inf is None:
+                run.bot_inf = _snapshots(run.steps, domain.addresses)
+            return run.bot_inf(sigma.mem)
+    elif observer != "arch":
+        def tracer(sigma):  # runs once per state, so it only looks up
+            return shared(sigma).shown[observer]
     else:
-        shared = share_runs(lambda s, _: (contract_trace(contract, p, s, fuel, domain.modulus, addrs), {}), cells)
-        tracer = (lambda sigma: _fill(shared(sigma), sigma.mem)) if contract.mode == "bot" else shared
-    tracers[contract] = tracer
+        def tracer(sigma):
+            run = shared(sigma)
+            if not run.cells:
+                return run.trace
+            key = tuple(map(sigma.mem.get, run.cells, repeat(0)))
+            trace = run.fills.get(key)
+            if trace is None:
+                trace = run.fills[key] = _shown(run.trace, "arch", (), dict(zip(run.positions, key)))
+            return trace
     return tracer
 
 
@@ -324,31 +336,18 @@ class _Run:
     """One run of a contract mode, a leaf of its shared trie: ``contract``'s
     arch ``trace`` from ``sigma``, whose loads at ``positions`` left their
     ``cells``' values deferred, ``shown``, its ct and pc-ct traces, and
-    ``fills``, its arch traces filled in so far, by those cells' values."""
+    ``fills``, its arch traces filled in so far, by those cells' values; a
+    seq run's ``steps``, and its ``bot_inf`` trace function once made."""
 
-    __slots__ = ("trace", "shown", "positions", "cells", "fills")
+    __slots__ = ("trace", "shown", "positions", "cells", "fills", "steps", "bot_inf")
 
     def __init__(self, contract: ContractId, p: Program, sigma: ArchState, fuel: int, modulus: int):
-        speculative = []
-        self.trace = trace = contract_trace(contract, p, sigma, fuel, modulus, (), speculative)
+        speculative, self.steps, self.bot_inf = [], [], None
+        self.trace = trace = contract_trace(contract, p, sigma, fuel, modulus, (), speculative, self.steps)
         ct = _shown(trace, "ct")
         self.shown = {"ct": ct, "pc-ct": _shown(trace, "pc-ct", speculative) if speculative else ct}
         deferred = [i for i, o in enumerate(trace) if o[0] == "loadv" and o[2].__class__ is Deferred]
         self.positions, self.cells, self.fills = tuple(deferred), tuple(trace[i][2].term for i in deferred), {}
-
-
-def _fill(trace: tuple, mem: dict) -> tuple:
-    """``trace``, a run's ``state`` observations, with each HOLE replaced by
-    the cell's value in ``mem``. A cell stays watched until it is written,
-    so that is the value a run from ``mem`` would have listed. Memory
-    changes only at stores, so each distinct listing is filled once."""
-    filled, done = [], {}
-    for _, (regs, cells) in trace:
-        new = done.get(cells)
-        if new is None:
-            new = done[cells] = tuple((a, mem.get(a, 0) if v is HOLE else v) for a, v in cells)
-        filled.append(("state", (regs, new)))
-    return tuple(filled)
 
 
 @dataclass(frozen=True)

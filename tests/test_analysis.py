@@ -1,4 +1,5 @@
 """Decision procedures: NI, SNI, wSNI, satisfaction, tables, lattice."""
+import hashlib
 from collections import Counter
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from muspec.analysis import (
 from muspec.arch import ArchState
 from muspec.contracts import (
     BOT_INF,
+    CONTRACTS,
     DEFAULT_SPEC_WINDOW,
     SEQ_ARCH,
     SEQ_CT,
@@ -450,6 +452,29 @@ def test_empty_corpus_is_rejected():
     # a one-program iterator is a corpus
     assert contract_stronger_test(SPEC_CT_W, SEQ_CT, iter([corpus.load("P1")]), dom) is not None
     assert all(w is None for w in check_lattice(iter([corpus.load("P1")]), dom, W).values())
+
+
+# sha256 over the verdicts of every ordered pair of the seven contracts, as
+# recorded while bot-inf still ran on a path of its own, before it became
+# an observer of the seq run
+ALL_PAIRS_DIGEST = "1b99725a868ee994150830aef5ca2b0461b7afa4c27a0c76a32c72b12875d48a"
+
+
+def test_every_ordered_contract_pair_keeps_its_verdicts():
+    contracts = [ContractId.parse(name, W) for name in CONTRACTS]
+    checks = [(f"{c1} >= {c2}", c2, c1) for c1 in contracts for c2 in contracts if c1 != c2]
+    dom = StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3)))
+    programs = [corpus.load(n) for n in corpus.program_names()] + random_programs(20, seed=1)
+    key = (lambda s: None if s is None else s.key())
+    digest, refuted = hashlib.sha256(), Counter()
+    for p in programs:
+        for v in decide(p, dom, checks):
+            verdict = (v.ok, v.check, key(v.sigma), key(v.sigma_prime), v.position, v.trace, v.trace_prime)
+            digest.update(repr(verdict).encode())
+            refuted[v.check.split(" >= ")[0]] += not v.ok
+    assert (len(programs) * len(checks), sum(refuted.values())) == (1344, 273)
+    assert refuted["bot-inf"], refuted  # witnesses hold filled bot-inf traces
+    assert digest.hexdigest() == ALL_PAIRS_DIGEST
 
 
 def test_random_programs_are_well_formed_and_terminate():

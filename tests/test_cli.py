@@ -75,6 +75,41 @@ def test_check_sat_counterexample_exit_code(capsys, tmp_path):
     assert code2 == 0
 
 
+def test_a_bot_inf_witness_replays_byte_identically(capsys, tmp_path):
+    # a check lists every domain cell in its bot-inf snapshots, zero or not,
+    # and trace lists the same cells when given the same domain
+    domain = tmp_path / "dom.txt"
+    domain.write_text("vary 7 in 0..3\n")
+    prefix = tmp_path / "w"
+    code, out, _ = run_cli(
+        capsys, "--format", "json-lines", "check", "wsni", "P1", "--contract", "bot-inf",
+        "--domain", str(domain), "--dump-states", str(prefix),
+    )
+    assert code == 1
+    record = json.loads(out.splitlines()[0])
+    assert "[7]=0" in record["trace"]
+    for suffix, key in (("sigma", "trace"), ("sigma_prime", "trace_prime")):
+        argv = ("trace", "--contract", "bot-inf", "--state", str(tmp_path / f"w.{suffix}.txt"), "P1")
+        code, out, _ = run_cli(capsys, *argv, "--domain", str(domain))
+        assert (code, out) == (0, record[key].replace(";", "\n"))
+    # without the domain, a zero cell no step touched is not listed
+    code, out, _ = run_cli(capsys, "trace", "--contract", "bot-inf", "--state", str(tmp_path / "w.sigma.txt"), "P1")
+    assert (code, out) == (0, "state pc=1,w=0,x=0,z=0\nstate pc=end,w=0,x=0,z=0\n")
+
+
+@pytest.mark.parametrize("contract", ["seq-ct", "seq-arch", "spec-ct", "spec-pc-ct", "spec-arch", "top"])
+def test_domain_without_bot_inf_is_a_usage_error(capsys, tmp_path, contract):
+    # only bot-inf snapshots show memory cells that no step touched
+    domain = tmp_path / "dom.txt"
+    domain.write_text("vary 7 in 0..3\n")
+    with pytest.raises(SystemExit) as info:
+        main(["trace", "P1", "--contract", contract, "--domain", str(domain)])
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "muspec trace: error: " in out.err and "--domain" in out.err
+
+
 def test_check_sat_pass(capsys):
     code, out, _ = run_cli(
         capsys, "check", "sat", "ex2", "--contract", "seq-ct", "--countermeasure", "seq"

@@ -13,7 +13,6 @@ from muspec.analysis import StateDomain, check_contract_satisfaction, check_latt
 from muspec.arch import ArchState, FuelExhausted, ReadOrderError, arch_run, format_state, share_runs
 from muspec.contracts import (
     BOT_INF,
-    HOLE,
     SEQ_ARCH,
     SEQ_CT,
     SPEC_ARCH,
@@ -28,7 +27,7 @@ from muspec.contracts import (
     state_snapshot,
 )
 from muspec.countermeasures import COUNTERMEASURES
-from muspec.isa import MAX_TERM_SIZE, PC, parse_program
+from muspec.isa import MAX_TERM_SIZE, PC, Deferred, parse_program
 from muspec.pipeline import DeadlockError, HwConfig, hw_run
 
 FUEL = 10_000
@@ -73,30 +72,42 @@ def test_with_mem_unwatches_and_with_regs_carries_the_watch():
     assert sigma.read_mem(7) == 3 and reads == {7: 3}  # the unwritten state still watches 7
 
 
-def test_state_snapshot_reads_cells_in_address_order():
-    # {16, 1, 5, 6} iterates 16 first as a set; the snapshot must read 1
-    # first. Cells 5 and 6 are watched and in addrs: they show as HOLE, zero
-    # or not, and are not read
-    reads = {}
-    sigma = ArchState({PC: 0}, {16: 3, 1: 2, 5: 4}).watched(frozenset({1, 5, 6, 16}), reads)
-    _regs, mem = state_snapshot(sigma, (5, 6))
-    assert list(reads) == [1, 16]
-    assert mem == ((1, 2), (5, HOLE), (6, HOLE), (16, 3))
+def test_state_snapshot_defers_what_its_run_has_not_logged():
+    # {16, 1, 5, 6} iterates 16 first as a set; the snapshot lists 1 first.
+    # The run has logged cell 1 and z's term, so they show their values;
+    # cells 5 and 6 and w's term are unlogged: they stay deferred, as the
+    # states that share the run differ there. Nothing is read or forced
+    plus_one = ("+", 16, 5, (1,))  # cell 5 plus 1
+    reads = {1: 2, plus_one: 5}
+    z, w = Deferred(plus_one, 5, reads), Deferred(6, 0, reads)
+    sigma = ArchState({PC: 0, "w": w, "z": z}, {16: 3, 1: 2, 5: 4}).watched(frozenset({1, 5, 6, 16}), reads)
+    regs, mem = state_snapshot(sigma, (5, 6, 16))
+    assert len(reads) == 2
+    assert regs == (("pc", 0), ("w", w), ("z", 5))
+    assert [a for a, _ in mem] == [1, 5, 6, 16] and mem[0] == (1, 2)
+    assert [(v.term, v.value) for _, v in mem[1:]] == [(5, 4), (6, 0), (16, 3)]
 
 
-def test_bot_inf_snapshot_reads_the_varying_cells_without_snapshot_addrs():
-    # the default snapshot_addrs is (): the snapshot must still read cell 7
+def test_bot_inf_fills_each_state_from_one_seq_run(monkeypatch):
+    # skip reads nothing: one seq-arch run serves every state, and each
+    # fills in its own value of cell 7, listed in every snapshot, zero or not
     skip = parse_program("skip")
-    shared = share_runs(lambda s, _start: (contract_trace(BOT_INF, skip, s), {}), (7,))
-    for sigma in StateDomain(modulus=16, vary=((7, 0, 1),)).initial_states(skip):
-        assert shared(sigma) == contract_trace(BOT_INF, skip, sigma), format_state(sigma)
-
-
-def test_lattice_runs_bot_inf_once_on_a_program_that_reads_nothing(monkeypatch):
+    dom = StateDomain(modulus=16, vary=((7, 0, 1),))
+    plain = [contract_trace(BOT_INF, skip, s, snapshot_addrs=dom.addresses) for s in dom.initial_states(skip)]
     runs = _counting(monkeypatch, (contracts, "contract_trace"))
-    dom = StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3)))
-    check_lattice([parse_program("skip")], dom, 7)
-    assert sum(c == BOT_INF for c, *_ in runs) == 1
+    tracer = analysis._side(BOT_INF, {}, skip, dom, FUEL)
+    traces = [tracer(sigma) for sigma in dom.initial_states(skip)]
+    assert traces == plain and [c for c, *_ in runs] == [SEQ_ARCH]
+    assert [t[0][1][1] for t in traces] == [((7, 0),), ((7, 1),)]
+
+
+def test_a_lattice_batch_runs_nothing_for_bot_inf_or_top(monkeypatch):
+    # bot-inf observes the seq-arch run and top shows nothing, so neither
+    # makes a contract_trace call of its own, nor a trace_degenerate call
+    runs = _counting(monkeypatch, (contracts, "contract_trace"))
+    degenerate = _counting(monkeypatch, (contracts, "trace_degenerate"))
+    check_lattice([parse_program("skip"), corpus.load("P2")], LATTICE_DOMAIN, 7)
+    assert runs and not [c for c, *_ in runs if c in (BOT_INF, TOP)] and not degenerate
 
 
 def test_bot_inf_witness_traces_are_the_plain_traces():
@@ -107,7 +118,7 @@ def test_bot_inf_witness_traces_are_the_plain_traces():
     p = programs[w.program_index]
     for sigma, trace in ((w.sigma, w.trace1), (w.sigma_prime, w.trace1_prime)):
         assert trace == contract_trace(BOT_INF, p, sigma, snapshot_addrs=dom.addresses)
-        assert "HOLE" not in format_trace(trace)
+        assert "deferred" not in format_trace(trace)
 
 
 def test_lattice_traces_each_contract_once_per_state(monkeypatch):
@@ -116,9 +127,9 @@ def test_lattice_traces_each_contract_once_per_state(monkeypatch):
     check_lattice(programs, LATTICE_DOMAIN, 7)
     per_state = Counter((c, id(p), sigma.key()) for c, p, sigma, *_ in runs)
     assert runs and max(per_state.values()) == 1, per_state.most_common(1)
-    # only the arch contracts run: the ct and pc-ct traces are made from
-    # their mode's arch run
-    assert {c for c, *_ in runs} == {TOP, BOT_INF, SEQ_ARCH, replace(SPEC_ARCH, window=7)}
+    # only the arch contracts run: the ct, pc-ct and bot-inf traces are
+    # made from their mode's arch run, and top runs nothing
+    assert {c for c, *_ in runs} == {SEQ_ARCH, replace(SPEC_ARCH, window=7)}
 
 
 def _plain_run(semantics, p, dom):
@@ -153,10 +164,10 @@ def test_shared_tracer_equals_plain_run_on_every_state(monkeypatch, vary):
             branched += len(runs) - before > 1
     # sharing happened, and so did runs that the read values told apart
     assert sum(shared_runs.values()) < sum(states.values()) and branched
-    # a ct contract runs its arch contract. An arch run forces only the
-    # loaded values it uses, while a bot-inf run shows the registers, so it
-    # forces every value it loads
-    assert shared_runs[SEQ_CT] == shared_runs[SEQ_ARCH] < shared_runs[BOT_INF] < states[BOT_INF], shared_runs
+    # a ct contract runs its arch contract, bot-inf observes the seq-arch
+    # run, and top runs nothing
+    assert shared_runs[SEQ_CT] == shared_runs[SEQ_ARCH] == shared_runs[BOT_INF] < states[BOT_INF], shared_runs
+    assert shared_runs[TOP] == 0, shared_runs
     assert shared_runs[SPEC_CT] == shared_runs[SPEC_ARCH], shared_runs
 
 
@@ -259,6 +270,9 @@ def _small_scope(test):
     test = example(["load w, 9", "z <- w ? 5", "load w, 8 + z"])(test)  # a cmov on a deferred guard
     test = example(["load z, 7", "jmp 2 + (z & 1)", "store z, 9", "load w, 8 + z"])(test)  # a jmp to a loaded target
     test = example(["load z, 7", "store z, 9", "load w, 9", "beqz w, end"])(test)  # a loaded value stored
+    test = example(["store z, 9", "load w, 9"])(test)  # a varying cell written by the first step
+    test = example(["load z, 7", "x <- 3 < 2"])(test)  # a load no step uses
+    test = example(["load z, 7", "load w, 9", "w <- z + w"])(test)  # two deferred loads combined
     # a load and a store on a mispredicted path: x is 0, so the branch is
     # taken and only the always-mispredicting semantics run past it
     test = example(["x <- 3 < 2", "beqz x, end", "load z, 7", "store z, 9"])(test)
