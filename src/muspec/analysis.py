@@ -122,6 +122,13 @@ class StateDomain:
             n *= hi - lo + 1
         return n
 
+    def position(self, sigma: ArchState) -> int:
+        """The index of ``sigma`` in ``initial_states``' order."""
+        index = 0
+        for addr, lo, hi in self.vary:
+            index = index * (hi - lo + 1) + sigma.read_mem(addr) - lo
+        return index
+
     @cached_property
     def _images(self) -> tuple:
         """Each state's memory in enumeration order, without its zero cells."""

@@ -10,7 +10,7 @@ where v is an int or the string "end" for the undefined value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional
 
@@ -352,6 +352,11 @@ class _Run:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A check's outcome: a pass, or the first counterexample pair in
+    enumeration order. ``states`` is how many states the check decided:
+    the domain's size on a pass, else sigma_prime's enumeration position
+    plus one; it is no part of the verdict's equality."""
+
     ok: bool
     check: str
     sigma: Optional[ArchState] = None
@@ -359,6 +364,7 @@ class Verdict:
     position: Optional[int] = None
     trace: Optional[tuple] = None
     trace_prime: Optional[tuple] = None
+    states: int = field(default=0, compare=False)
 
     def __bool__(self):
         return self.ok
@@ -414,9 +420,10 @@ def relate(program: Program, domain, key, observe, check: str) -> Verdict:
                 position=_first_divergence(rep_trace, trace),
                 trace=rep_trace,
                 trace_prime=trace,
+                states=domain.position(sigma) + 1,
             )
         equal[pair] = trace
-    return Verdict(ok=True, check=check)
+    return Verdict(ok=True, check=check, states=domain.size())
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ guard's zero test.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Union
 
 DEFAULT_MODULUS = 2 ** 16
@@ -83,7 +84,7 @@ def parse_value(text: str) -> Value:
     return BOTTOM if text == END else int(text)
 
 
-BINARY_OPS = ("+", "-", "*", "<", "=", "&", "|", "^")
+BINARY_OPS = frozenset("+-*<=&|^")
 
 
 # ---------------------------------------------------------------------------
@@ -410,47 +411,146 @@ def text_lines(text: str) -> Iterator:
             yield lineno, line
 
 
-def _name(name: str, lineno: int, column: int) -> str:
-    """A register or label name; ``end`` is reserved for the undefined value."""
+# A token is ``<-``, a num (decimal digits), an ident (word characters) or a
+# symbol (any other non-space character); none starts with a _BAD character.
+_TOKEN = re.compile(r"<-|\d+|\w+|\S")
+_BAD = re.compile(r"[^\w\s()?,+\-*<=&|^!:]")
+_SYMBOLS = frozenset("()?,+-*<=&|^!:") | {"<-", ""}  # "" is the end of the line
+_RESERVED = f"{END!r} is reserved for the undefined value"
+
+
+class _Unparsed(Exception):
+    """A syntax error at a slot of a line's token stack; None for an unrecognized instruction."""
+
+
+def _bad_index(code: str) -> Optional[int]:
+    """The index of the first character of ``code`` that starts no token, if
+    any: a _BAD one, or a word character that is no letter, digit or ``_``."""
+    bad = _BAD.search(code)
+    end = bad and bad.start()
+    if not code.isascii():
+        for m in _TOKEN.finditer(code[:end]):
+            ch = m[0][0]
+            if ch.isalnum() and not (ch.isalpha() or ch.isdecimal()):
+                return m.start()
+    return end
+
+
+def _column(code: str, at: int) -> int:
+    """The 1-based column of slot ``at`` of line ``code``'s token stack."""
+    starts = [m.start() for m in _TOKEN.finditer(code)] + [len(code)]
+    return starts[len(starts) - at] + 1
+
+
+def _is_ident(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
+
+
+def _value(tok: str):
+    return int(tok) if tok.isdecimal() else tok
+
+
+def _register(name: str, labels: dict, at: int) -> str:
+    """A name in a register position, which no label may share."""
+    if name in labels:
+        raise _Unparsed(f"label {name!r} used as a register", at)
     if name == END:
-        raise ParseError(f"{END!r} is reserved for the undefined value", lineno, column)
+        raise _Unparsed(_RESERVED, at)
     return name
 
 
-def _tokenize(code: str) -> list:
-    """``(kind, value, column)`` tokens of one line; a punctuation token's
-    kind is its text. The last token is ``eol``, or ``bad`` at the first
-    character that starts no token, which the line's parser reports only
-    when it reads the instruction, after every line's labels are bound."""
-    tokens = []
-    i, n = 0, len(code)
-    while i < n:
-        ch = code[i]
-        j = i + 1
-        if ch.isspace():
-            pass
-        elif code.startswith("<-", i):
-            j = i + 2
-            tokens.append(("<-", "<-", i + 1))
-        elif ch.isdecimal():
-            while j < n and code[j].isdecimal():
-                j += 1
-            tokens.append(("num", int(code[i:j]), i + 1))
-        elif ch.isalpha() or ch == "_":
-            while j < n and (code[j].isalnum() or code[j] == "_"):
-                j += 1
-            tokens.append(("ident", code[i:j], i + 1))
-        elif ch in "()?,+-*<=&|^!:":
-            tokens.append((ch, ch, i + 1))
+def _instr(rest: list, labels: dict) -> Instr:
+    """The instruction ``rest`` holds, which must end the line."""
+    head = rest.pop()
+    if head in ("skip", "spbarr") and not rest[-1]:
+        return Skip() if head == "skip" else Barrier()
+    if head == "jmp":
+        ins = Jmp(_expr(rest, labels))
+    elif head == "beqz":
+        ins = Beqz(_operand(rest, labels, "expected: beqz x, LBL|end"), _branch_target(rest, labels))
+    elif head in ("load", "store"):
+        reg = _operand(rest, labels, f"expected: {head} x, e")
+        ins = (Load if head == "load" else Store)(reg, _expr(rest, labels))
+    elif rest[-1] == "<-" and _is_ident(head):
+        target = _register(head, labels, len(rest))
+        rest.pop()
+        g = _expr(rest, labels)  # the guard when a '?' follows
+        if rest[-1] == "?":
+            rest.pop()
+            ins = CondAssign(target, _expr(rest, labels), g)
         else:
-            return tokens + [("bad", ch, i + 1)]
-        i = j
-    tokens.append(("eol", None, n + 1))
-    return tokens
+            ins = Assign(target, g)
+    else:
+        raise _Unparsed(None, len(rest))
+    if rest[-1]:
+        raise _Unparsed(f"trailing tokens starting at {_value(rest[-1])!r}", len(rest) - 1)
+    return ins
 
 
-class _Line:
-    """Recursive-descent parser of one program line, label prefixes first.
+def _operand(rest: list, labels: dict, usage: str) -> str:
+    """The register ``x`` of ``op x, ...``; ``usage`` where that shape breaks."""
+    reg = rest.pop()
+    if not _is_ident(reg) or rest.pop() != ",":
+        raise _Unparsed(usage, len(rest))
+    if not rest[-1]:
+        raise _Unparsed(usage, len(rest) - 1)
+    return _register(reg, labels, len(rest) + 1)
+
+
+def _branch_target(rest: list, labels: dict) -> Value:
+    tok = rest.pop()
+    if tok in _SYMBOLS or rest[-1]:
+        raise _Unparsed("branch target must be a label, number, or end", len(rest))
+    if tok.isdecimal() or tok == END:
+        return parse_value(tok)
+    if tok not in labels:
+        raise _Unparsed(f"unknown label {tok!r}", len(rest))
+    return labels[tok]
+
+
+def _expr(rest: list, labels: dict, close: str = "") -> Expr:
+    """An expression, followed by the symbol ``close`` when one is given."""
+    left = _term(rest, labels)
+    while rest[-1] in BINARY_OPS:
+        left = BinOp(rest.pop(), left, _term(rest, labels))
+    if close:
+        tok = rest.pop()
+        if tok != close:
+            raise _Unparsed(f"expected {close!r}, found {_value(tok)!r}" if tok else "unexpected end of line", len(rest))
+    return left
+
+
+def _term(rest: list, labels: dict) -> Expr:
+    tok = rest.pop()
+    if tok in _SYMBOLS:
+        if tok == "(":
+            return _expr(rest, labels, ")")
+        if tok == "!" or tok == "-":
+            return UnOp("not" if tok == "!" else "neg", _term(rest, labels))
+        raise _Unparsed(f"unexpected token {tok!r}" if tok else "unexpected end of line", len(rest))
+    if tok == "ite" and rest[-1] == "(":
+        rest.pop()
+        return Ite(*[_expr(rest, labels, close) for close in ",,)"])
+    if tok in labels:
+        return Const(labels[tok])
+    if tok == END:
+        raise _Unparsed(_RESERVED, len(rest))
+    return _leaf(tok)
+
+
+@lru_cache(maxsize=1024)
+def _leaf(tok: str) -> Expr:
+    """The Const of a number or the Reg of a name, shared between parses."""
+    return Const(int(tok)) if tok.isdecimal() else Reg(tok)
+
+
+def parse_program(text: str) -> Program:
+    """Parse program text into a well-formed Program.
+
+    One instruction per line; ``LBL:`` prefixes define labels, ``#`` starts
+    a comment, ``end`` denotes the undefined branch target and nothing else.
+    Every line's labels are bound before any instruction is read. Errors
+    name the 1-based line and column of the raw text.
 
     Grammar (loosest binding first):
         line   := (ident ':')* [instr]
@@ -461,145 +561,43 @@ class _Line:
         term   := num | ident | '(' expr ')' | '!' term | '-' term
                 | 'ite' '(' expr ',' expr ',' expr ')'
     All binary operators share one precedence level; parenthesize to nest.
+    A num is a run of decimal digits, an ident a letter or ``_`` followed by
+    word characters (see ``_TOKEN``).
+
+    A line's tokens are read off ``rest``, a stack of them, the first on
+    top, over two ``""`` marking the end of the line; an error names the
+    stack slot it is at, whose column only an error works out.
     """
-
-    def __init__(self, raw: str, lineno: int, labels: dict, addr: int):
-        """Tokenize ``raw`` and bind its labels in ``labels`` to ``addr``."""
-        self.code = raw.split("#", 1)[0]
-        self.lineno = lineno
-        self.tokens = _tokenize(self.code)
-        self.pos = 0
-        self.labels = labels
-        while self.tokens[self.pos][0] == "ident" and self.tokens[self.pos + 1][0] == ":":
-            _, label, column = self.tokens[self.pos]
-            if _name(label, lineno, column) in labels:
-                raise ParseError(f"duplicate label {label!r}", lineno, column)
-            labels[label] = addr
-            self.pos += 2
-        self.column = self.peek()[2]
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        if tok[0] == "eol":
-            raise ParseError("unexpected end of line", self.lineno, tok[2])
-        self.pos += 1
-        return tok
-
-    def accept(self, kind) -> bool:
-        """Take the next token when it is a ``kind``."""
-        if self.tokens[self.pos][0] != kind:
-            return False
-        self.pos += 1
-        return True
-
-    def expect(self, kind):
-        tok = self.take()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", self.lineno, tok[2])
-
-    def instr(self) -> Instr:
-        """The line's instruction, which must end the line."""
-        kind, ch, column = self.tokens[-1]
-        if kind == "bad":
-            raise ParseError(f"unexpected character {ch!r}", self.lineno, column)
-        kind, head, column = self.take()
-        after = self.peek()[0]
-        if head in ("skip", "spbarr") and after == "eol":
-            ins = Skip() if head == "skip" else Barrier()
-        elif head == "jmp":
-            ins = Jmp(self.expr())
-        elif head == "beqz":
-            ins = Beqz(self.operand("expected: beqz x, LBL|end"), self.branch_target())
-        elif head in ("load", "store"):
-            reg = self.operand(f"expected: {head} x, e")
-            ins = (Load if head == "load" else Store)(reg, self.expr())
-        elif kind == "ident" and after == "<-":
-            target = self.register(head, column)
-            self.take()
-            g = self.expr()  # the guard when a '?' follows
-            ins = CondAssign(target, self.expr(), g) if self.accept("?") else Assign(target, g)
-        else:
-            text = self.code[column - 1:].strip()
-            raise ParseError(f"unrecognized instruction {text!r}", self.lineno, column)
-        _, val, column = self.peek()
-        if val is not None:
-            raise ParseError(f"trailing tokens starting at {val!r}", self.lineno, column)
-        return ins
-
-    def operand(self, usage: str) -> str:
-        """The register ``x`` of ``op x, ...``; ``usage`` where that shape breaks."""
-        _, reg, column = self.peek()
-        if self.accept("ident") and self.accept(",") and self.peek()[0] != "eol":
-            return self.register(reg, column)
-        raise ParseError(usage, self.lineno, self.peek()[2])
-
-    def register(self, name: str, column: int) -> str:
-        """A name in a register position, which no label may share."""
-        if name in self.labels:
-            raise ParseError(f"label {name!r} used as a register", self.lineno, column)
-        return _name(name, self.lineno, column)
-
-    def branch_target(self) -> Value:
-        kind, val, column = self.take()
-        if kind not in ("ident", "num") or self.peek()[0] != "eol":
-            raise ParseError("branch target must be a label, number, or end", self.lineno, column)
-        if kind == "num" or val == END:
-            return parse_value(str(val))
-        if val not in self.labels:
-            raise ParseError(f"unknown label {val!r}", self.lineno, column)
-        return self.labels[val]
-
-    def expr(self) -> Expr:
-        left = self.term()
-        while self.peek()[0] in BINARY_OPS:
-            left = BinOp(self.take()[0], left, self.term())
-        return left
-
-    def term(self) -> Expr:
-        kind, val, column = self.take()
-        if kind == "num":
-            return Const(val)
-        if kind == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        if kind == "!":
-            return UnOp("not", self.term())
-        if kind == "-":
-            return UnOp("neg", self.term())
-        if kind == "ident":
-            if val == "ite" and self.accept("("):
-                cond = self.expr()
-                self.expect(",")
-                then = self.expr()
-                self.expect(",")
-                other = self.expr()
-                self.expect(")")
-                return Ite(cond, then, other)
-            if val in self.labels:
-                return Const(self.labels[val])
-            return Reg(_name(val, self.lineno, column))
-        raise ParseError(f"unexpected token {val!r}", self.lineno, column)
-
-
-def parse_program(text: str) -> Program:
-    """Parse program text into a well-formed Program.
-
-    One instruction per line; ``LBL:`` prefixes define labels, ``#`` starts
-    a comment, ``end`` denotes the undefined branch target and nothing else.
-    Errors name the 1-based line and column of the raw text.
-    """
-    labels, lines = {}, []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _Line(raw, lineno, labels, len(lines))
-        if line.peek()[0] != "eol":
-            lines.append(line)
-    program = Program(tuple(line.instr() for line in lines))
-    for addr, msg in check_well_formed(program)[:1]:
-        raise ParseError(f"ill-formed program: {msg}", lines[addr].lineno, lines[addr].column)
+    labels, lines, instrs = {}, [], []
+    clean = text.isascii() and not _BAD.search(text)  # no comment, no character starts no token
+    try:
+        for lineno, code in enumerate(text.splitlines(), start=1):
+            code = code if clean else code.split("#", 1)[0]
+            rest = _TOKEN.findall(code)[::-1]
+            rest[:0] = ("", "")
+            while rest[-2] == ":" and _is_ident(rest[-1]):
+                label = rest[-1]
+                if label == END or label in labels:
+                    raise _Unparsed(_RESERVED if label == END else f"duplicate label {label!r}", len(rest) - 1)
+                labels[label] = len(lines)
+                del rest[-2:]
+            if len(rest) > 2:
+                lines.append((lineno, code, rest, len(rest) - 1))
+        for lineno, code, rest, _ in lines:
+            bad = None if clean else _bad_index(code)
+            if bad is not None:
+                raise ParseError(f"unexpected character {code[bad]!r}", lineno, bad + 1)
+            instrs.append(_instr(rest, labels))
+        program = Program(tuple(instrs))
+        for addr, msg in check_well_formed(program)[:1]:
+            lineno, code, _, head = lines[addr]
+            raise _Unparsed(f"ill-formed program: {msg}", head)
+    except _Unparsed as error:  # at the line ``lineno``, ``code``
+        message, at = error.args
+        column = _column(code, at)
+        if message is None:
+            message = f"unrecognized instruction {code[column - 1:].strip()!r}"
+        raise ParseError(message, lineno, column) from None
     return program
 
 

@@ -94,6 +94,11 @@ def test_domain_parse_and_enumeration():
     assert len(states) == 3
     assert all(s.read_mem(5) == 1 for s in states)
     assert sorted(s.read_mem(3) for s in states) == [0, 1, 2]
+    # position counts the enumeration, the last varying cell fastest
+    dom = StateDomain(modulus=8, vary=((4, 1, 3), (2, 0, 1), (6, 5, 7)), fixed=((11, 4),))
+    states = list(dom.initial_states(p))
+    assert [dom.position(s) for s in states] == list(range(dom.size())) and len(states) == 18
+    assert [s.read_mem(6) for s in states[:4]] == [5, 6, 7, 5]
 
 
 def test_domain_rejects_empty_and_out_of_range_values():

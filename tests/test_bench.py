@@ -9,6 +9,8 @@ import json
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -86,3 +88,30 @@ def test_a_traced_round_where_enumeration_dominates_reports_no_problem(workload)
     # most of these rounds' time is per-state work, so the yield-count rule
     # is checked where a change to the enumeration shows most
     assert _traced_round(workload)["analysis.states"] > 0
+
+
+def test_verdicts_count_the_states_the_benchmark_rule_counts(monkeypatch):
+    # Verdict.states against workloads.states_decided, which works the count
+    # out from the domain alone: its size on a pass, else the enumeration
+    # position of sigma_prime plus one
+    from muspec import analysis, corpus
+    from muspec.contracts import ContractId
+    from muspec.pipeline import HwConfig
+
+    workloads = _load(monkeypatch, "workloads")
+    policy = analysis.Policy(corpus.TABLE_POLICY_LOW)
+    kinds = Counter()
+    for name in corpus.program_names():
+        program = corpus.load(name)
+        domain = analysis.StateDomain(modulus=16, vary=corpus.default_vary(name) + ((5, 0, 2),))
+        checks = [(f"ni[{c}]", policy, ContractId.parse(c, 7)) for c in ("seq-arch", "spec-ct", "bot-inf")]
+        checks += [
+            (f"sat[{cm}]", ContractId.parse("seq-ct", 7), HwConfig(countermeasure=cm, predictor="twobit"))
+            for cm in ("none", "loaddelay", "tt")
+        ]
+        for verdict in analysis.decide(program, domain, checks):
+            assert verdict.states == workloads.states_decided(verdict, domain), (name, verdict.check)
+            kinds[verdict.ok] += 1
+            # the count is no part of the verdict
+            assert verdict == replace(verdict, states=verdict.states + 1)
+    assert kinds[True] and kinds[False]

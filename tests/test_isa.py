@@ -1,6 +1,11 @@
 """Parser, printer, expression evaluation, and well-formedness checks."""
 import copy
+import hashlib
+import importlib.util
 import pickle
+import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +33,9 @@ from muspec.isa import (
     format_program,
     parse_program,
 )
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+PARSER_DIGEST = "224a66927b229dee489dfbe3fba2215fc7574644a427f2acb25f39dfd7fb9fda"
 
 EX1_TEXT = """\
 x <- 1 < 2
@@ -78,35 +86,65 @@ def test_parse_ite_expression():
     assert p.instrs[0] == Assign("x", Ite(Reg("y"), Const(1), Const(2)))
 
 
+def _where(value):
+    """A case's id for its message: the line and column the message names."""
+    if value.startswith("line "):
+        return "-".join(value[len("line "):].split(": ", 1)[0].split(", column "))
+    return None
+
+
 @pytest.mark.parametrize(
-    "text, line, column",
+    "text, message",
     [
         # columns are 1-based and count from the raw line
-        ("load x 5", 1, 8),  # missing comma
-        ("  beqz x, NOWHERE", 1, 11),
-        ("L: skip\nL: skip", 2, 1),
-        ("L: skip\nM: L: skip", 2, 4),  # a duplicate label at its own column
-        ("\tx <- $", 1, 7),
-        ("  L: x <- $", 1, 11),
-        ("A: end: skip", 1, 4),
-        ("x <- 1 +", 1, 9),  # the end of the line is one past its last character
-        ("skip\njmp  # nowhere", 2, 6),
-        ("x <- \u00b2", 1, 6),  # a digit that int() does not read
+        ("load x 5", "line 1, column 8: expected: load x, e"),  # missing comma
+        ("  beqz x, NOWHERE", "line 1, column 11: unknown label 'NOWHERE'"),
+        ("L: skip\nL: skip", "line 2, column 1: duplicate label 'L'"),
+        # a duplicate label at its own column
+        ("L: skip\nM: L: skip", "line 2, column 4: duplicate label 'L'"),
+        ("\tx <- $", "line 1, column 7: unexpected character '$'"),
+        ("  L: x <- $", "line 1, column 11: unexpected character '$'"),
+        ("A: end: skip", "line 1, column 4: 'end' is reserved for the undefined value"),
+        # the end of the line is one past its last character
+        ("x <- 1 +", "line 1, column 9: unexpected end of line"),
+        ("skip\njmp  # nowhere", "line 2, column 6: unexpected end of line"),
+        # a digit that int() does not read, also after a number or as a label
+        ("x <- \u00b2", "line 1, column 6: unexpected character '\u00b2'"),
+        ("x <- 3\u00b2", "line 1, column 7: unexpected character '\u00b2'"),
+        ("\u00b2: skip\n\u00b2: skip", "line 1, column 1: unexpected character '\u00b2'"),
+        # but a name may go on with one; a roman numeral starts no name either
+        ("x <- y\u00b2 + \u2167", "line 1, column 11: unexpected character '\u2167'"),
+        # every line's labels are bound before an instruction is read
+        ("L: $\nL: skip", "line 2, column 1: duplicate label 'L'"),
+        ("x <- (1", "line 1, column 8: unexpected end of line"),
+        ("x <- ite(1, 2 3)", "line 1, column 15: expected ',', found 3"),
+        ("skip 1", "line 1, column 1: unrecognized instruction 'skip 1'"),
+        ("3 <- 1", "line 1, column 1: unrecognized instruction '3 <- 1'"),
+        ("jmp <- 1", "line 1, column 5: unexpected token '<-'"),
+        ("x <- 1 2", "line 1, column 8: trailing tokens starting at 2"),
+        ("beqz x, 1 2", "line 1, column 9: branch target must be a label, number, or end"),
         # an ill-formed program names its instruction's line
-        ("skip\nbeqz x, L\nL: skip", 2, 1),
-        ("skip\n\nL:  pc <- 1", 3, 5),
+        (
+            "skip\nbeqz x, L\nL: skip",
+            "line 2, column 1: ill-formed program: branch at 1 targets its own fall-through",
+        ),
+        ("skip\n\nL:  pc <- 1", "line 3, column 5: ill-formed program: instruction at 1 targets pc"),
         # a label's name in a register position
-        ("x: x <- x + 1", 1, 4),  # parsed as x <- 0 + 1: register x written, never read
-        ("L: skip\nL <- 1 ? 2", 2, 1),
-        ("L: skip\nload L, 3", 2, 6),
-        ("L: skip\nstore L, 3", 2, 7),
-        ("L: skip\nbeqz L, L", 2, 6),  # register L as the guard, label L as the target
+        # parsed as x <- 0 + 1: register x written, never read
+        ("x: x <- x + 1", "line 1, column 4: label 'x' used as a register"),
+        ("L: skip\nL <- 1 ? 2", "line 2, column 1: label 'L' used as a register"),
+        ("L: skip\nload L, 3", "line 2, column 6: label 'L' used as a register"),
+        ("L: skip\nstore L, 3", "line 2, column 7: label 'L' used as a register"),
+        # register L as the guard, label L as the target
+        ("L: skip\nbeqz L, L", "line 2, column 6: label 'L' used as a register"),
     ],
+    ids=_where,
 )
-def test_parse_errors(text, line, column):
+def test_parse_errors(text, message):
     with pytest.raises(ParseError) as info:
         parse_program(text)
-    assert (info.value.line, info.value.column) == (line, column), str(info.value)
+    assert str(info.value) == message
+    assert message.startswith(f"line {info.value.line}, column {info.value.column}: ")
 
 
 def test_decimal_digits_parse_as_numbers():
@@ -125,13 +163,18 @@ _PIECES = (
 )
 
 
-def _mutated(draw) -> str:
-    """A corpus listing with one to three pieces of uAsm written over it."""
-    text = draw(st.sampled_from(_LISTINGS))
-    for _ in range(draw(st.integers(1, 3))):
-        i = draw(st.integers(0, len(text)))
-        text = text[:i] + draw(st.sampled_from(_PIECES)) + text[i + draw(st.integers(0, 3)):]
+def _edited(pick, integer) -> str:
+    """A corpus listing with one to three pieces of uAsm written over it;
+    ``pick(seq)`` chooses an item and ``integer(lo, hi)`` a number in lo..hi."""
+    text = pick(_LISTINGS)
+    for _ in range(integer(1, 3)):
+        i = integer(0, len(text))
+        text = text[:i] + pick(_PIECES) + text[i + integer(0, 3):]
     return text
+
+
+def _mutated(draw) -> str:
+    return _edited(lambda seq: draw(st.sampled_from(seq)), lambda lo, hi: draw(st.integers(lo, hi)))
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -147,6 +190,29 @@ def test_parse_gives_a_program_or_a_positioned_error(text):
         assert parse_program(format_program(p)) == p
 
 
+def _parsed(text: str) -> str:
+    try:
+        return repr(parse_program(text))
+    except ParseError as error:
+        return str(error)
+
+
+def test_parser_digest_is_pinned(monkeypatch):
+    # what the parser makes of 2,000 seeded edits of the corpus listings and
+    # of the benchmark's 200 lattice programs: each Program's repr, or each
+    # ParseError's message, line and column
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    rng = random.Random(2024)
+    texts = [_edited(rng.choice, rng.randint) for _ in range(2000)]
+    rng = random.Random(1)
+    texts += [workloads.random_program_source(rng) for _ in range(workloads.LATTICE_RANDOM_PROGRAMS)]
+    digest = hashlib.sha256("\n".join(map(_parsed, texts)).encode()).hexdigest()
+    assert digest == PARSER_DIGEST
+
+
 @pytest.mark.parametrize(
     "text, column",
     [
@@ -160,9 +226,9 @@ def test_parse_gives_a_program_or_a_positioned_error(text):
     ],
 )
 def test_end_is_reserved_for_the_undefined_branch_target(text, column):
-    with pytest.raises(ParseError, match="'end' is reserved") as info:
+    with pytest.raises(ParseError) as info:
         parse_program(text)
-    assert (info.value.line, info.value.column) == (1, column)
+    assert str(info.value) == f"line 1, column {column}: 'end' is reserved for the undefined value"
 
 
 def test_bottom_stays_the_single_instance():

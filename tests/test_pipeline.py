@@ -2,9 +2,11 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muspec import corpus
-from muspec.analysis import StateDomain
+from muspec.analysis import StateDomain, random_programs
 from muspec.arch import ArchState, arch_run
 from muspec.countermeasures import COUNTERMEASURES
 from muspec.isa import BOTTOM, PC, BinOp, Const, Reg, parse_program
@@ -255,7 +257,7 @@ def test_hw_run_deterministic():
 
 
 @pytest.mark.parametrize("name", [n for n in corpus.program_names()])
-@pytest.mark.parametrize("countermeasure", ["none", "seq", "loaddelay", "tt"])
+@pytest.mark.parametrize("countermeasure", COUNTERMEASURES)
 def test_final_state_matches_architectural_run(name, countermeasure):
     p = corpus.load(name)
     mem = {7: 2, 9: 1, 10: 1, 11: 3, 12: 2}
@@ -264,6 +266,34 @@ def test_final_state_matches_architectural_run(name, countermeasure):
     cfg = HwConfig(countermeasure=countermeasure)
     _, final = hw_run(p, sigma, cfg)
     assert final.sigma == expected
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.dictionaries(st.integers(0, 15), st.integers(0, 15), max_size=4),
+    st.sampled_from(("fallthrough", "twobit", "backward")),
+)
+def test_generated_programs_end_in_the_architectural_state(seed, mem, predictor):
+    # under every countermeasure on both schedulers: the hardware run ends in
+    # arch_run's final state, and at every step each index in a taint label
+    # names a pc assignment the buffer still tags
+    p = random_programs(1, seed=seed)[0]
+    sigma = ArchState.initial(p, mem)
+    expected, _ = arch_run(p, sigma)
+    for countermeasure in COUNTERMEASURES:
+        for scheduler in ("ooo", "seq"):
+            cfg = HwConfig(countermeasure=countermeasure, scheduler=scheduler, predictor=predictor)
+            h = initial_hw_state(sigma, cfg)
+            for _ in range(cfg.fuel):
+                if h.is_final():
+                    break
+                h, _, _ = hw_step(p, h, cfg)
+                assert len(h.labels) == len(h.buf)
+                for label in h.labels:
+                    for j in label:
+                        assert h.buf[j - 1][0] == "assign" and h.buf[j - 1][3] is not None
+            assert h.is_final() and h.sigma == expected, (countermeasure, scheduler)
 
 
 def test_adversary_view_initial_and_cache_sensitivity():
