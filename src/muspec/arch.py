@@ -305,7 +305,8 @@ def arch_run(
 
 
 # ---------------------------------------------------------------------------
-# State literals: `reg name=value` / `mem addr=value`, one per line.
+# State literals: `reg name=value` / `mem addr=value`, one per line. Values
+# and addresses are runs of decimal digits; `end` is a register value only.
 
 
 def parse_state(text: str, program: Program) -> ArchState:
@@ -318,13 +319,17 @@ def parse_state(text: str, program: Program) -> ArchState:
         lhs, rhs = assignment.split("=", 1)
         if kind not in given:
             raise ValueError(f"state line {lineno}: unknown kind {kind!r}")
-        try:
-            value = parse_value(rhs)
-            key = lhs if kind == "reg" else int(lhs)
-        except ValueError:
-            raise ValueError(f"state line {lineno}: expected integers in {assignment!r}") from None
+        if kind == "mem" and not lhs.isdecimal():
+            raise ValueError(f"state line {lineno}: expected integers in {assignment!r}")
+        key = lhs if kind == "reg" else int(lhs)
         if key in given[kind]:
             raise ValueError(f"state line {lineno}: {kind} {lhs} given twice")
+        try:
+            value = parse_value(rhs)
+        except ValueError:
+            raise ValueError(f"state line {lineno}: expected integers in {assignment!r}") from None
+        if value is BOTTOM and kind == "mem":
+            raise ValueError(f"state line {lineno}: a memory cell holds no end in {assignment!r}")
         given[kind][key] = value
     regs = {**ArchState.initial(program).regs, **given["reg"]}
     return ArchState(regs=regs, mem=given["mem"])

@@ -5,8 +5,9 @@ The pipeline keeps a taint label beside each reorder-buffer command: a
 frozenset of 1-based buffer positions naming the unresolved branch entries
 the command may transitively depend on, empty outside taint tracking.
 ``unlabel`` decides what a stage may see of the commands (masking
-possibly-transient data, or holding a load back) and ``relabel`` labels the
-stage's output.
+possibly-transient data, or holding a load back), and ``relabel`` gives the
+labels after the stage's edit of the buffer, which the pipeline applies to
+the unmasked commands.
 """
 from __future__ import annotations
 
@@ -87,28 +88,16 @@ def unlabel(countermeasure: str, buf, labels, directive):
 # Labeling: how taint is assigned and propagated.
 
 
-def _register_labels(buf, labels) -> dict:
-    """Label environment after the pending buffer writes: the label of a
-    register is the label of its youngest in-flight definition."""
-    env: dict = {}
-    for cmd, label in zip(buf, labels):
-        if cmd[0] in ("assign", "load"):
-            env[cmd[1]] = label
-    return env
-
-
 def _expr_label(buf, labels, payload) -> frozenset:
+    """The union of the labels of the registers ``payload`` reads, each the
+    label of the register's youngest in-flight definition."""
     if is_value(payload):
         return EMPTY
-    env = _register_labels(buf, labels)
+    env = {cmd[1]: label for cmd, label in zip(buf, labels) if cmd[0] in ("assign", "load")}
     out = set()
     for reg in expr_registers(payload):
         out |= env.get(reg, EMPTY)
     return frozenset(out)
-
-
-def _unresolved_branch_indexes(buf) -> frozenset:
-    return frozenset(j for j, cmd in enumerate(buf, start=1) if cmd[3] is not None)
 
 
 def _strip(labels, j) -> tuple:
@@ -119,60 +108,33 @@ def _decrement(labels) -> tuple:
     return tuple(frozenset(k - 1 for k in label if k > 1) if label else label for label in labels)
 
 
-def _fetch_labels(new_plain, buf, labels, policy: str) -> tuple:
-    """Relabel after a fetch. ``policy`` picks how fresh entries are tainted:
-    tt (loads by branch indexes, assignments by their operands), nda-strict
-    (every fresh instruction by branch indexes), nda-permissive (loads only).
+def relabel(buf, labels, lo: int, hi: int, new, directive, policy: str) -> tuple:
+    """The labels after a stage replaced entries lo..hi-1 of ``buf``
+    (labeled ``labels``) with the commands ``new``.
+
+    Outside taint tracking every label is empty. Under it, a fetch labels
+    the fresh entries by ``policy``: only the instruction of a two-entry
+    fetch can be tainted, a load (nda-strict: any instruction) by the
+    unresolved branch indexes, under tt an assignment by its operands. A
+    retire moves every label down one place. A resolved branch, committed or
+    rolled back, is clean and leaves every later label. Any other step keeps
+    the labels.
     """
-    grown = len(new_plain) - len(buf)
-    if grown == 0:
-        return buf, labels
-    appended = new_plain[len(buf):]
-    branches = _unresolved_branch_indexes(buf)
-    fresh = []
-    for offset, cmd in enumerate(appended):
-        kind, _x, payload, tag, marked = cmd
-        first = offset == 0
-        if marked or tag is not None or not first:
-            label = EMPTY  # pc bookkeeping entries are never tainted
-        elif grown == 1:
-            label = EMPTY  # branch prediction, jump, or terminate entry
-        elif policy == "nda-strict":
-            label = branches
-        elif policy == "nda-permissive":
-            label = branches if kind == "load" else EMPTY
-        elif kind == "load":
-            label = branches
-        elif kind == "assign":
-            label = _expr_label(buf, labels, payload)
-        else:
-            label = EMPTY
-        fresh.append(label)
-    return buf + appended, labels + tuple(fresh)
-
-
-def _execute_labels(new_plain, buf, labels, i: int) -> tuple:
-    """Relabel after execute i, restoring every untouched old entry."""
-    old_cmd, new_cmd = buf[i - 1], new_plain[i - 1]
-    if len(new_plain) < len(buf):
-        # rollback: suffix squashed, resolved branch is clean
-        return buf[: i - 1] + (new_cmd,), labels[: i - 1] + (EMPTY,)
-    new_buf = buf[: i - 1] + (new_cmd,) + buf[i:]
-    if old_cmd[0] == "assign" and old_cmd[3] is not None and new_cmd[3] is None:
-        # commit: this speculation source is gone from later labels
-        return new_buf, labels[: i - 1] + (EMPTY,) + _strip(labels[i:], i)
-    return new_buf, labels
-
-
-def relabel(new_plain, buf, labels, directive, policy: str) -> tuple:
-    """``(commands, labels)`` after a stage turned ``buf`` (labeled
-    ``labels``) into ``new_plain``. Without taint, the stage's output with
-    empty labels; under taint, every entry the stage did not change comes
-    from ``buf``, unmasked."""
     if policy not in TAINT:
-        return new_plain, (EMPTY,) * len(new_plain)
-    if directive[0] == "fetch":
-        return _fetch_labels(new_plain, buf, labels, policy)
+        return labels[:lo] + (EMPTY,) * len(new) + labels[hi:]
     if directive[0] == "retire":
-        return buf[1:], _decrement(labels[1:])
-    return _execute_labels(new_plain, buf, labels, directive[1])
+        return _decrement(labels[1:])
+    if directive[0] == "execute":
+        if buf[lo][3] is None:
+            return labels
+        return labels[:lo] + (EMPTY,) + _strip(labels[hi:], hi)
+    if len(new) < 2:  # a prediction, a jump or a terminate entry
+        return labels + (EMPTY,) * len(new)
+    kind, _x, payload, _tag, _marked = new[0]
+    if kind == "load" or policy == "nda-strict":
+        label = frozenset(j for j, cmd in enumerate(buf, start=1) if cmd[3] is not None)
+    elif kind == "assign" and policy == "tt":
+        label = _expr_label(buf, labels, payload)
+    else:
+        label = EMPTY
+    return labels + (label, EMPTY)  # the marked pc increment is never tainted

@@ -80,8 +80,13 @@ def observed(v: Value):
 
 
 def parse_value(text: str) -> Value:
-    """The value ``format_value`` prints as ``text``; ValueError otherwise."""
-    return BOTTOM if text == END else int(text)
+    """The value ``format_value`` prints as ``text``, a run of decimal digits
+    or ``end``; ValueError otherwise."""
+    if text == END:
+        return BOTTOM
+    if not text.isdecimal():
+        raise ValueError(f"not a value: {text!r}")
+    return int(text)
 
 
 BINARY_OPS = frozenset("+-*<=&|^")

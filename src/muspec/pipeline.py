@@ -3,15 +3,16 @@ micro-steps, the top-level step rule, runs, and the adversary view.
 
 A hardware state is the architectural state plus a reorder buffer, kept as
 a tuple of plain commands beside a parallel tuple of taint labels, and the
-cache / branch predictor / scheduler component states.  Stages take and
-return plain command tuples; the configured countermeasure decides what a
-stage may see (unlabel) and how its output is labeled (relabel).  A step
-re-projects only the buffer entries it changed, and a component it leaves
-alone stays the same object.  A run whose varying cells are watched loads
-deferred values (``ArchState.load``). An expression over one is deferred
-too; a step forces one only where it needs a natural: a load or store
-address, store data, a value assigned to the pc, or a branch guard's
-zero test.
+cache / branch predictor / scheduler component states.  A stage sees the
+commands the configured countermeasure lets it see (unlabel) and returns
+an edit of the buffer, ``(lo, hi, new)``: entries lo..hi-1 are replaced by
+the commands ``new``.  ``hw_step`` applies the edit once, to the commands,
+to their labels (relabel) and to the scheduler's projection; an empty edit
+keeps all three objects, and so does every component a step leaves alone.
+A run whose varying cells are watched loads deferred values
+(``ArchState.load``). An expression over one is deferred too; a step
+forces one only where it needs a natural: a load or store address, store
+data, a value assigned to the pc, or a branch guard's zero test.
 """
 from __future__ import annotations
 
@@ -138,7 +139,11 @@ def initial_hw_state(sigma: ArchState, cfg: HwConfig) -> HwState:
 
 # ---------------------------------------------------------------------------
 # Stages. Each takes plain command tuples and returns
-# (sigma, buf, cs, bp) or STUCK; only retire changes sigma.
+# (sigma, (lo, hi, new), cs, bp) or STUCK: the buffer edit replaces entries
+# lo..hi-1 with the commands new. Only retire changes sigma.
+
+KEEP = (0, 0, ())  # a cache miss, or an execute with nothing to compute
+DROP_HEAD = (0, 1, ())  # a retire
 
 
 def _instr_commands(ins) -> tuple:
@@ -168,21 +173,20 @@ def fetch_step(p: Program, sigma: ArchState, buf, cs, bp, mu_w: int):
     hit = cs.access(pc)
     cs2 = cs.update(pc)
     if not hit:
-        return (sigma, buf, cs2, bp)
+        return (sigma, KEEP, cs2, bp)
     ins = p.lookup(pc)
     if isinstance(ins, Beqz):
-        predicted = bp.predict(pc, ins.target)
-        return (sigma, buf + (cmd_assign(PC, predicted, tag=pc),), cs2, bp)
-    if isinstance(ins, Jmp):
-        return (sigma, buf + (cmd_assign(PC, ins.target),), cs2, bp)
-    if ins is None:
+        new = (cmd_assign(PC, bp.predict(pc, ins.target), tag=pc),)
+    elif isinstance(ins, Jmp):
+        new = (cmd_assign(PC, ins.target),)
+    elif ins is None:
         # no instruction at pc: the program is over on this path
-        return (sigma, buf + (cmd_assign(PC, BOTTOM),), cs2, bp)
-    if len(buf) >= mu_w - 1:
+        new = (cmd_assign(PC, BOTTOM),)
+    elif len(buf) >= mu_w - 1:
         return STUCK
-    entry = _instr_commands(ins)
-    marked = cmd_assign(PC, pc + 1, marked=True)
-    return (sigma, buf + (entry, marked), cs2, bp)
+    else:
+        new = (_instr_commands(ins), cmd_assign(PC, pc + 1, marked=True))
+    return (sigma, (len(buf), len(buf), new), cs2, bp)
 
 
 def _forced(payload, a, modulus: int):
@@ -194,10 +198,10 @@ def _forced(payload, a, modulus: int):
 def execute_step(p: Program, sigma: ArchState, buf, cs, bp, i: int, modulus: int):
     if not 1 <= i <= len(buf):
         return STUCK
-    prefix, entry, suffix = buf[: i - 1], buf[i - 1], buf[i:]
-    kind, A, B, tag, marked = entry
+    kind, A, B, tag, marked = buf[i - 1]
     if kind in ("skip", "barrier"):
-        return (sigma, buf, cs, bp)
+        return (sigma, KEEP, cs, bp)
+    prefix = buf[: i - 1]
     if any(c[0] == "barrier" for c in prefix):
         return STUCK
     a = apply_buffer(prefix, sigma.regs)
@@ -211,9 +215,8 @@ def execute_step(p: Program, sigma: ArchState, buf, cs, bp, i: int, modulus: int
         hit = cs.access(n)
         cs2 = cs.update(n)
         if not hit:
-            return (sigma, buf, cs2, bp)
-        loaded = cmd_assign(A, sigma.load(n), tag)
-        return (sigma, prefix + (loaded,) + suffix, cs2, bp)
+            return (sigma, KEEP, cs2, bp)
+        return (sigma, (i - 1, i, (cmd_assign(A, sigma.load(n), tag),)), cs2, bp)
 
     if kind == "assign" and tag is not None:
         # branch resolution: tag is the branch address
@@ -224,11 +227,8 @@ def execute_step(p: Program, sigma: ArchState, buf, cs, bp, i: int, modulus: int
         if guard is BOTTOM:
             return STUCK
         correct = ins0.target if is_zero(guard, modulus) else tag + 1
-        if B == correct:
-            resolved = cmd_assign(PC, B)
-            return (sigma, prefix + (resolved,) + suffix, cs, bp.update(tag, B, ins0.target))
-        corrected = cmd_assign(PC, correct)
-        return (sigma, prefix + (corrected,), cs, bp.update(tag, correct, ins0.target))
+        hi = i if B == correct else len(buf)  # a misprediction squashes every later entry
+        return (sigma, (i - 1, hi, (cmd_assign(PC, correct),)), cs, bp.update(tag, correct, ins0.target))
 
     if kind == "assign":
         v = B if is_value(B) else eval_expr(B, a, partial=True, modulus=modulus)
@@ -236,15 +236,14 @@ def execute_step(p: Program, sigma: ArchState, buf, cs, bp, i: int, modulus: int
             return STUCK
         if A == PC:  # a jmp target: fetch reads the pc
             v = force(v)
-        resolved = cmd_assign(A, v, None, marked)
-        return (sigma, prefix + (resolved,) + suffix, cs, bp)
+        return (sigma, (i - 1, i, (cmd_assign(A, v, None, marked),)), cs, bp)
 
     if kind == "store":
         v = _forced(A, a, modulus)
         n = _forced(B, a, modulus)
         if v is BOTTOM or n is BOTTOM:
             return STUCK
-        return (sigma, prefix + (cmd_store(v, n, tag),) + suffix, cs, bp)
+        return (sigma, (i - 1, i, (cmd_store(v, n, tag),)), cs, bp)
 
     return STUCK
 
@@ -255,23 +254,23 @@ def retire_step(sigma: ArchState, buf, cs, bp):
     kind, A, B, tag, _marked = buf[0]
     if tag is not None:
         return STUCK
-    rest = buf[1:]
     if kind in ("skip", "barrier"):
-        return (sigma, rest, cs, bp)
+        return (sigma, DROP_HEAD, cs, bp)
     if kind == "assign":
         if not is_value(B):
             return STUCK
-        return (sigma.with_reg(A, B), rest, cs, bp)
+        return (sigma.with_reg(A, B), DROP_HEAD, cs, bp)
     if kind == "store":
         if not (isinstance(A, int) and isinstance(B, int)):
             return STUCK
-        return (sigma.with_mem(B, A), rest, cs.update(B), bp)
+        return (sigma.with_mem(B, A), DROP_HEAD, cs.update(B), bp)
     return STUCK
 
 
 def hw_step(p: Program, h: HwState, cfg: HwConfig) -> Tuple[HwState, tuple, bool]:
     """One top-level step: query the scheduler, run the stage through the
-    countermeasure wrappers, relabel, update the scheduler.
+    countermeasure wrappers, apply its edit to the commands, the labels and
+    the projection, update the scheduler.
 
     Returns (new state, directive, stage_progressed). A stuck stage is a
     delay: the buffer and architectural state stay put while the scheduler
@@ -288,37 +287,19 @@ def hw_step(p: Program, h: HwState, cfg: HwConfig) -> Tuple[HwState, tuple, bool
     else:
         result = retire_step(h.sigma, plain, h.cs, h.bp)
 
-    if result is STUCK:
+    progressed = result is not STUCK
+    sigma, (lo, hi, new), cs2, bp2 = result if progressed else (h.sigma, KEEP, h.cs, h.bp)
+    if lo == hi and not new:
         # the buffer stays put, and the scheduler already holds its projection
-        sc2 = h.sc.update(h.sc.proj)
-        return HwState(h.sigma, h.buf, h.labels, h.cs, h.bp, sc2), directive, False
-    sigma, out, cs2, bp2 = result
-    buf, labels = cm.relabel(out, h.buf, h.labels, directive, cfg.countermeasure)
-    sc2 = h.sc.update(_projection(h, buf, labels, directive))
-    return HwState(sigma, buf, labels, cs2, bp2, sc2), directive, True
-
-
-def _projection(h: HwState, buf, labels, directive) -> tuple:
-    """``buf_project(zip(buf, labels))`` for the step from ``h``, edited from
-    the projection the scheduler holds: a fetch appends, a retire drops the
-    head, an execute replaces entry i or truncates the buffer after it. A
-    step that changes other labels, a taint retire or a commit, projects the
-    whole buffer."""
-    proj, n = h.sc.proj, len(h.buf)
-    if directive[0] == "fetch":
-        return proj + tuple(map(project_entry, buf[n:], labels[n:])) if len(buf) > n else proj
-    if directive[0] == "retire":
-        if labels == h.labels[1:]:
-            return proj[1:]
-    else:
-        i = directive[1]
-        if len(buf) < n:
-            return proj[: i - 1] + (project_entry(buf[i - 1], labels[i - 1]),)
-        if labels == h.labels:
-            if buf[i - 1] is h.buf[i - 1]:
-                return proj
-            return proj[: i - 1] + (project_entry(buf[i - 1], labels[i - 1]),) + proj[i:]
-    return buf_project(zip(buf, labels))
+        return HwState(sigma, h.buf, h.labels, cs2, bp2, h.sc.update(h.sc.proj)), directive, progressed
+    buf = h.buf[:lo] + new + h.buf[hi:]
+    labels = cm.relabel(h.buf, h.labels, lo, hi, new, directive, cfg.countermeasure)
+    end = lo + len(new)
+    if labels[end:] == h.labels[hi:]:
+        proj = h.sc.proj[:lo] + tuple(map(project_entry, new, labels[lo:end])) + h.sc.proj[hi:]
+    else:  # a taint retire or a commit moved a later label
+        proj = buf_project(zip(buf, labels))
+    return HwState(sigma, buf, labels, cs2, bp2, h.sc.update(proj)), directive, progressed
 
 
 def adversary_view(h: HwState, before: HwState = None, seen: tuple = None) -> tuple:

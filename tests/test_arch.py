@@ -1,4 +1,6 @@
 """Architectural step and run semantics."""
+import re
+
 import pytest
 
 from muspec.arch import ArchState, FuelExhausted, arch_run, arch_step, format_state, parse_state
@@ -130,6 +132,32 @@ def test_state_literal_rejects_a_cell_given_twice():
     with pytest.raises(ValueError, match=r"^state line 2: mem 07 given twice$"):
         parse_state("mem 7=1\nmem 07=end\n", p)
     assert parse_state("reg x=1\nmem 1=1\n", p) == ArchState({"pc": 0, "x": 1}, {1: 1})
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        # run raised StuckError on the end in memory, hwrun DeadlockError
+        ("mem 7=end", "a memory cell holds no end in '7=end'"),
+        # ran z < 2 as 1 on -4, where the wrapped 65532 gives 0
+        ("mem 7=-4", "expected integers in '7=-4'"),
+        ("mem 7=+4", "expected integers in '7=+4'"),
+        ("mem 7=1_0", "expected integers in '7=1_0'"),
+        ("mem -3=2", "expected integers in '-3=2'"),
+        ("mem +3=2", "expected integers in '+3=2'"),
+        ("mem 1_0=2", "expected integers in '1_0=2'"),
+        ("reg y=-1", "expected integers in 'y=-1'"),
+    ],
+)
+def test_state_literal_values_are_decimal_digits(line, message):
+    p = parse_program("skip")
+    with pytest.raises(ValueError, match=f"^state line 2: {re.escape(message)}"):
+        parse_state(f"reg x=1\n{line}\n", p)
+
+
+def test_state_literal_end_is_a_register_value():
+    p = parse_program("skip")
+    assert parse_state("reg pc=end\nreg x=end\nmem 7=3\n", p) == ArchState({"pc": BOTTOM, "x": BOTTOM}, {7: 3})
 
 
 def test_zero_memory_cells_are_canonical():

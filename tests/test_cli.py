@@ -32,6 +32,16 @@ def test_trace_subcommand_emits_branch_and_loads(capsys):
     assert out == "pc 2\nload 9\nload 12\n"
 
 
+def test_run_and_hwrun_reject_end_in_memory_alike(capsys, tmp_path):
+    # run raised StuckError on this state, and hwrun DeadlockError
+    program, state = tmp_path / "p.masm", tmp_path / "s.txt"
+    program.write_text("load z, 7\nload w, z\n")
+    state.write_text("mem 7=end\n")
+    for command in ("run", "hwrun"):
+        code, _, err = run_cli(capsys, command, str(program), "--state", str(state))
+        assert (code, err) == (2, "error: state line 1: a memory cell holds no end in '7=end'\n")
+
+
 def test_trace_with_state_file(capsys, tmp_path):
     state = tmp_path / "s.txt"
     state.write_text("mem 9=1\nmem 12=7\n")

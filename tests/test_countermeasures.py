@@ -112,12 +112,9 @@ def test_fetched_load_labeled_with_unresolved_branch_indexes():
         (cmd_assign(PC, 3, tag=1), E),
         (cmd_assign(PC, 4, tag=2), E),
     )
-    new_plain = buf + (
-        cmd_load("w", Const(9)),
-        cmd_assign(PC, 5, marked=True),
-    )
-    out, out_labels = relabel(new_plain, buf, labels, FETCH, "tt")
-    assert out == new_plain
+    new = (cmd_load("w", Const(9)), cmd_assign(PC, 5, marked=True))
+    out_labels = relabel(buf, labels, 3, 3, new, FETCH, "tt")
+    assert out_labels[:3] == labels
     assert out_labels[3] == frozenset((2, 3))
     assert out_labels[4] == E  # the marked pc increment is never tainted
 
@@ -127,15 +124,12 @@ def test_fetched_assignment_inherits_operand_labels():
         (cmd_assign(PC, 2, tag=0), E),
         (cmd_load("z", Const(7)), frozenset((1,))),
     )
-    new_plain = buf + (
-        cmd_assign("q", BinOp("+", Reg("z"), Const(1))),
-        cmd_assign(PC, 3, marked=True),
-    )
-    _, out = relabel(new_plain, buf, labels, FETCH, "tt")
+    new = (cmd_assign("q", BinOp("+", Reg("z"), Const(1))), cmd_assign(PC, 3, marked=True))
+    out = relabel(buf, labels, 2, 2, new, FETCH, "tt")
     assert out[2] == frozenset((1,))
-    _, out = relabel(new_plain, buf, labels, FETCH, "nda-strict")
+    out = relabel(buf, labels, 2, 2, new, FETCH, "nda-strict")
     assert out[2] == frozenset((1,))  # strict: any fresh instruction
-    _, out = relabel(new_plain, buf, labels, FETCH, "nda-permissive")
+    out = relabel(buf, labels, 2, 2, new, FETCH, "nda-permissive")
     assert out[2] == E  # permissive: loads only
 
 
@@ -146,8 +140,7 @@ def test_retire_decrements_labels():
         (cmd_load("w", Const(9)), frozenset((2,))),
         (cmd_load("v", Const(9)), frozenset((1, 2))),
     )
-    out, out_labels = relabel(buf[1:], buf, labels, RETIRE, "tt")
-    assert out == buf[1:]
+    out_labels = relabel(buf, labels, 0, 1, (), RETIRE, "tt")
     assert out_labels == (E, frozenset((1,)), frozenset((1,)))
 
 
@@ -156,9 +149,7 @@ def test_branch_commit_strips_its_index_from_later_labels():
         (cmd_assign(PC, 3, tag=2), E),
         (cmd_load("w", Const(9)), frozenset((1,))),
     )
-    new_plain = (cmd_assign(PC, 3), cmd_load("w", Const(9)))
-    out, out_labels = relabel(new_plain, buf, labels, execute(1), "tt")
-    assert out == new_plain
+    out_labels = relabel(buf, labels, 0, 1, (cmd_assign(PC, 3),), execute(1), "tt")
     assert out_labels == (E, E)
 
 
@@ -167,8 +158,7 @@ def test_branch_rollback_discards_labeled_suffix():
         (cmd_assign(PC, 3, tag=2), E),
         (cmd_load("w", Const(9)), frozenset((1,))),
     )
-    new_plain = (cmd_assign(PC, BOTTOM),)
-    assert relabel(new_plain, buf, labels, execute(1), "tt") == (new_plain, (E,))
+    assert relabel(buf, labels, 0, 2, (cmd_assign(PC, BOTTOM),), execute(1), "tt") == (E,)
 
 
 # -- end-to-end countermeasure behavior -------------------------------------------

@@ -1,5 +1,6 @@
 """Hardware stage rules, top-level stepping, runs, and the adversary view."""
 import hashlib
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from muspec.isa import BOTTOM, PC, BinOp, Const, Reg, parse_program
 from muspec.pipeline import (
     STUCK,
     HwConfig,
+    HwState,
     adversary_view,
     execute_step,
     fetch_step,
@@ -23,12 +25,16 @@ from muspec.pipeline import (
     retire_step,
 )
 from muspec.uarch import (
+    FETCH,
     LruCache,
+    OooScheduler,
+    SequentialScheduler,
     buf_project,
     cmd_assign,
     cmd_load,
     cmd_skip,
     cmd_store,
+    execute,
     make_predictor,
 )
 
@@ -47,6 +53,13 @@ def plain(*cmds):
     return tuple(cmds)
 
 
+def edited(buf, result):
+    """``buf`` after the edit of a stage's result: entries lo..hi-1 replaced
+    by the commands new."""
+    lo, hi, new = result[1]
+    return buf[:lo] + new + buf[hi:]
+
+
 def warm_cache(*addrs):
     cs = LruCache(8)
     for a in addrs:
@@ -63,9 +76,8 @@ def test_fetch_branch_appends_tagged_prediction():
     regs = {PC: 0, "x": 0}
     result = fetch_step(p, ArchState(regs), (), warm_cache(0), bp, MU_W)
     assert result is not STUCK
-    _, buf, cs, _ = result
-    assert buf == (cmd_assign(PC, 1, tag=0),)
-    assert cs.access(0)
+    assert edited((), result) == (cmd_assign(PC, 1, tag=0),)
+    assert result[2].access(0)
 
 
 def test_fetch_cold_cache_misses_then_hits():
@@ -73,34 +85,30 @@ def test_fetch_cold_cache_misses_then_hits():
     bp = make_predictor("fallthrough")
     regs = {PC: 0}
     r1 = fetch_step(p, ArchState(regs), (), LruCache(4), bp, MU_W)
-    _, buf1, cs1, _ = r1
-    assert buf1 == ()  # miss: only the cache learned the address
+    cs1 = r1[2]
+    assert edited((), r1) == ()  # miss: only the cache learned the address
     assert cs1.access(0)
     r2 = fetch_step(p, ArchState(regs), (), cs1, bp, MU_W)
-    _, buf2, _, _ = r2
-    assert buf2 == (cmd_skip(), cmd_assign(PC, 1, marked=True))
+    assert edited((), r2) == (cmd_skip(), cmd_assign(PC, 1, marked=True))
 
 
 def test_fetch_load_appends_marked_pc_increment():
     p = parse_program("load z, 4 + 3")
     bp = make_predictor("fallthrough")
     result = fetch_step(p, ArchState({PC: 0, "z": 0}), (), warm_cache(0), bp, MU_W)
-    _, buf, _, _ = result
-    assert buf == (cmd_load("z", BinOp("+", Const(4), Const(3))), cmd_assign(PC, 1, marked=True))
+    assert edited((), result) == (cmd_load("z", BinOp("+", Const(4), Const(3))), cmd_assign(PC, 1, marked=True))
 
 
 def test_fetch_jump_appends_target_expression():
     p = parse_program("jmp 4 + 1\nskip\nskip\nskip\nskip\nskip")
     result = fetch_step(p, ArchState({PC: 0}), (), warm_cache(0), None, MU_W)
-    _, buf, _, _ = result
-    assert buf == (cmd_assign(PC, BinOp("+", Const(4), Const(1))),)
+    assert edited((), result) == (cmd_assign(PC, BinOp("+", Const(4), Const(1))),)
 
 
 def test_fetch_past_program_appends_terminate_entry():
     p = parse_program("skip")
     result = fetch_step(p, ArchState({PC: 1}), (), warm_cache(1), None, MU_W)
-    _, buf, _, _ = result
-    assert buf == (cmd_assign(PC, BOTTOM),)
+    assert edited((), result) == (cmd_assign(PC, BOTTOM),)
 
 
 def test_fetch_stuck_on_undefined_pc_or_full_buffer():
@@ -123,7 +131,7 @@ def test_execute_load_hit_resolves_to_value():
     p = parse_program("skip")
     buf = plain(cmd_load("z", Const(9)), cmd_assign(PC, 1, marked=True))
     result = execute_step(p, ArchState({PC: 0, "z": 0}, {9: 4}), buf, warm_cache(9), None, 1, MOD)
-    _, buf2, cs2, _ = result
+    buf2 = edited(buf, result)
     assert buf2[0] == cmd_assign("z", 4)
     assert buf2[1] == buf[1]
 
@@ -132,9 +140,8 @@ def test_execute_load_miss_only_updates_cache():
     p = parse_program("skip")
     buf = plain(cmd_load("z", Const(9)))
     result = execute_step(p, ArchState({PC: 0, "z": 0}, {9: 4}), buf, LruCache(4), None, 1, MOD)
-    _, buf2, cs2, _ = result
-    assert buf2 == buf
-    assert cs2.access(9)
+    assert edited(buf, result) == buf
+    assert result[2].access(9)
 
 
 def test_execute_branch_rollback_squashes_suffix():
@@ -142,9 +149,8 @@ def test_execute_branch_rollback_squashes_suffix():
     bp = make_predictor("twobit")
     buf = plain(cmd_assign(PC, 1, tag=0), cmd_skip(), cmd_assign(PC, 2, marked=True))
     result = execute_step(p, ArchState({PC: 0, "x": 0}), buf, warm_cache(), bp, 1, MOD)
-    _, buf2, _, bp2 = result
-    assert buf2 == (cmd_assign(PC, 5),)  # corrected target, suffix gone
-    assert bp2.counters == ((0, 1),)  # branch recorded as taken
+    assert edited(buf, result) == (cmd_assign(PC, 5),)  # corrected target, suffix gone
+    assert result[3].counters == ((0, 1),)  # branch recorded as taken
 
 
 def test_execute_branch_commit_keeps_suffix():
@@ -152,15 +158,14 @@ def test_execute_branch_commit_keeps_suffix():
     bp = make_predictor("fallthrough")
     buf = plain(cmd_assign(PC, 1, tag=0), cmd_skip())
     result = execute_step(p, ArchState({PC: 0, "x": 3}), buf, warm_cache(), bp, 1, MOD)
-    _, buf2, _, _ = result
-    assert buf2 == (cmd_assign(PC, 1), cmd_skip())
+    assert edited(buf, result) == (cmd_assign(PC, 1), cmd_skip())
 
 
 def test_execute_assignment_resolves_expression():
     p = parse_program("skip")
     buf = plain(cmd_assign("x", BinOp("+", Const(2), Const(3))))
     result = execute_step(p, ArchState({PC: 0, "x": 0}), buf, warm_cache(), None, 1, MOD)
-    assert result[1][0] == cmd_assign("x", 5)
+    assert edited(buf, result)[0] == cmd_assign("x", 5)
 
 
 def test_execute_stuck_cases():
@@ -182,17 +187,17 @@ def test_execute_store_resolves_both_operands():
     p = parse_program("skip")
     buf = plain(cmd_store(Reg("x"), BinOp("+", Const(2), Const(1))))
     result = execute_step(p, ArchState({PC: 0, "x": 9}), buf, warm_cache(), None, 1, MOD)
-    assert result[1][0] == cmd_store(9, 3)
+    assert edited(buf, result)[0] == cmd_store(9, 3)
 
 
 # -- retire -------------------------------------------------------------------
 
 
 def test_retire_assignment_writes_register():
-    result = retire_step(ArchState({PC: 0, "x": 0}), plain(cmd_assign("x", 5)), warm_cache(), None)
-    sigma, buf, _, _ = result
-    assert sigma.regs["x"] == 5
-    assert buf == ()
+    buf = plain(cmd_assign("x", 5))
+    result = retire_step(ArchState({PC: 0, "x": 0}), buf, warm_cache(), None)
+    assert result[0].regs["x"] == 5
+    assert edited(buf, result) == ()
 
 
 def test_retire_store_writes_memory_and_cache():
@@ -234,6 +239,41 @@ def test_ooo_run_performs_rollback_on_misprediction():
             shrunk = True
         prev_len = len(h.buf)
     assert shrunk  # a mispredicted branch squashed its suffix
+
+
+@dataclass(frozen=True)
+class Picks:
+    """A scheduler that always picks ``directive``."""
+
+    directive: tuple
+    proj: tuple
+
+    def next(self) -> tuple:
+        return self.directive
+
+    def update(self, proj: tuple) -> "Picks":
+        return Picks(self.directive, proj)
+
+
+@pytest.mark.parametrize("countermeasure", COUNTERMEASURES)
+def test_an_empty_edit_keeps_the_buffer_objects(countermeasure):
+    # a fetch miss, a load miss and a skip execute progress, but leave the
+    # commands, the labels and the projection the same objects, so the
+    # scheduler's stall check and hw_steps' progress check stay identity tests
+    p = parse_program("skip")
+    cfg = HwConfig(countermeasure=countermeasure)
+    sigma = ArchState({PC: 0, "z": 0}, {9: 4})
+    for buf, directive in (
+        ((), FETCH),
+        ((cmd_load("z", Const(9)),), execute(1)),
+        ((cmd_skip(),), execute(1)),
+    ):
+        labels = (frozenset(),) * len(buf)
+        sc = Picks(directive, buf_project(zip(buf, labels)))
+        h = HwState(sigma, buf, labels, LruCache(4), make_predictor("fallthrough"), sc)
+        h2, _, progressed = hw_step(p, h, cfg)
+        assert progressed, directive
+        assert h2.buf is h.buf and h2.labels is h.labels and h2.sc.proj is h.sc.proj, directive
 
 
 def test_buffer_never_exceeds_capacity():
@@ -325,17 +365,28 @@ def test_view_projection_is_buffer_projection_on_every_state(countermeasure, sch
     # step, so every state a run reaches must keep it equal to the buffer's
     # own projection. Buffer sizes 3 and 7 and the two-bit predictor bring
     # squashes, commits and taint retires, which project the whole buffer.
+    # A fresh scheduler on that projection must pick what the run's
+    # scheduler picks from the candidate memo the run shares.
     mem = {7: 2, 9: 1, 10: 1, 11: 3, 12: 2}
     micros = (dict(), dict(cache="direct:4:1", predictor="twobit"))
-    for mu_w in (3, 5, 7):
-        for micro in micros:
-            cfg = HwConfig(buffer_size=mu_w, countermeasure=countermeasure, scheduler=scheduler, **micro)
-            for name in corpus.program_names():
-                p = corpus.load(name)
-                h = initial_hw_state(ArchState.initial(p, mem), cfg)
-                assert adversary_view(h)[0] == buf_project(zip(h.buf, h.labels))
-                for h, _directive in hw_steps(p, h, cfg):
-                    assert adversary_view(h)[0] == buf_project(zip(h.buf, h.labels))
+    runs = [
+        (corpus.load(name), mu_w, micro)
+        for mu_w in (3, 5, 7)
+        for micro in micros
+        for name in corpus.program_names()
+    ]
+    runs += [(p, mu_w, micros[1]) for mu_w in (3, 7) for p in random_programs(30, seed=1)]
+    for p, mu_w, micro in runs:
+        cfg = HwConfig(buffer_size=mu_w, countermeasure=countermeasure, scheduler=scheduler, **micro)
+        h = initial_hw_state(ArchState.initial(p, mem), cfg)
+        for h, _directive in [(h, None), *hw_steps(p, h, cfg)]:
+            proj = buf_project(zip(h.buf, h.labels))
+            assert adversary_view(h)[0] == proj
+            if cfg.scheduler == "seq":
+                fresh = SequentialScheduler(proj)
+            else:
+                fresh = OooScheduler(mu_w, proj, h.sc.stall)
+            assert fresh.next() == h.sc.next()
 
 
 @pytest.mark.parametrize("micro", MICROARCHS)
