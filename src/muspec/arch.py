@@ -24,6 +24,7 @@ from .isa import (
     eval_expr,
     force,
     format_value,
+    is_register_name,
     is_zero,
     observed,
     parse_value,
@@ -305,14 +306,24 @@ def arch_run(
 
 
 # ---------------------------------------------------------------------------
-# State literals: `reg name=value` / `mem addr=value`, one per line. Values
-# and addresses are runs of decimal digits; `end` is a register value only.
+# State literals: `reg name=value` / `mem addr=value`, one per line, after an
+# optional first line `values <V>`. Values and addresses are runs of decimal
+# digits; `end` is a register value only.
 
 
-def parse_state(text: str, program: Program) -> ArchState:
+def parse_state(text: str, program: Program, modulus: int = DEFAULT_MODULUS) -> Tuple[ArchState, int]:
+    """The state ``text`` gives ``program``, and the modulus its run takes:
+    the ``values`` line's, as in a domain file, else ``modulus``. Every
+    value is below that modulus, and every register one a program can name."""
     given = {"reg": {}, "mem": {}}
-    for lineno, line in text_lines(text):
+    for n, (lineno, line) in enumerate(text_lines(text)):
         parts = line.split()
+        if parts[0] == "values":
+            v = int(parts[1]) if len(parts) == 2 and parts[1].isdecimal() else 0
+            if n or v < 2 or v & (v - 1):
+                raise ValueError(f"state line {lineno}: expected 'values <V>' first, V a power of two >= 2")
+            modulus = v
+            continue
         if len(parts) != 2 or "=" not in parts[1]:
             raise ValueError(f"state line {lineno}: expected 'reg name=value' or 'mem addr=value'")
         kind, assignment = parts
@@ -321,6 +332,8 @@ def parse_state(text: str, program: Program) -> ArchState:
             raise ValueError(f"state line {lineno}: unknown kind {kind!r}")
         if kind == "mem" and not lhs.isdecimal():
             raise ValueError(f"state line {lineno}: expected integers in {assignment!r}")
+        if kind == "reg" and not is_register_name(lhs):
+            raise ValueError(f"state line {lineno}: no program names a register {lhs!r}")
         key = lhs if kind == "reg" else int(lhs)
         if key in given[kind]:
             raise ValueError(f"state line {lineno}: {kind} {lhs} given twice")
@@ -330,9 +343,11 @@ def parse_state(text: str, program: Program) -> ArchState:
             raise ValueError(f"state line {lineno}: expected integers in {assignment!r}") from None
         if value is BOTTOM and kind == "mem":
             raise ValueError(f"state line {lineno}: a memory cell holds no end in {assignment!r}")
+        if value is not BOTTOM and value >= modulus:
+            raise ValueError(f"state line {lineno}: {assignment!r} holds no value below {modulus}")
         given[kind][key] = value
     regs = {**ArchState.initial(program).regs, **given["reg"]}
-    return ArchState(regs=regs, mem=given["mem"])
+    return ArchState(regs=regs, mem=given["mem"]), modulus
 
 
 def format_state(state: ArchState) -> str:

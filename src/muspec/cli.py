@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .arch import DEFAULT_FUEL, ArchState, arch_run, format_state, parse_state
 from .contracts import ContractId, contract_trace, format_trace
-from .isa import ParseError, Program, parse_program
+from .isa import DEFAULT_MODULUS, ParseError, Program, parse_program
 from .pipeline import HwConfig, adversary_view, hw_steps, initial_hw_state
 
 
@@ -59,8 +59,11 @@ def _load_policy(args) -> Policy:
     return Policy(corpus.TABLE_POLICY_LOW) if args.policy is None else Policy.parse(_read(args.policy))
 
 
-def _load_state(args, program: Program) -> ArchState:
-    return ArchState.initial(program) if args.state is None else parse_state(_read(args.state), program)
+def _load_state(args, program: Program, modulus: int = DEFAULT_MODULUS) -> tuple:
+    """The --state file's state and its run's modulus (see parse_state)."""
+    if args.state is None:
+        return ArchState.initial(program), modulus
+    return parse_state(_read(args.state), program, modulus)
 
 
 def _load_config(args) -> HwConfig:
@@ -81,7 +84,7 @@ def _emit(args, record: dict):
         print(f"{kind} {fields}".strip())
 
 
-def _verdict_records(args, verdict: Verdict, dump_prefix=None) -> int:
+def _verdict_records(args, verdict: Verdict, modulus: int, dump_prefix=None) -> int:
     if verdict.ok:
         _emit(args, {"kind": "pass", "check": verdict.check})
         return 0
@@ -99,14 +102,15 @@ def _verdict_records(args, verdict: Verdict, dump_prefix=None) -> int:
         for suffix, state in (("sigma", verdict.sigma), ("sigma_prime", verdict.sigma_prime)):
             path = f"{dump_prefix}.{suffix}.txt"
             with open(path, "w") as fh:
-                fh.write(format_state(state))
+                fh.write(f"values {modulus}\n{format_state(state)}")
             _emit(args, {"kind": "state-file", "which": suffix, "path": path})
     return 1
 
 
 def _cmd_run(args) -> int:
     program = _load_program(args.program)
-    final, steps = arch_run(program, _load_state(args, program), fuel=args.fuel)
+    sigma, modulus = _load_state(args, program)
+    final, steps = arch_run(program, sigma, args.fuel, modulus)
     _emit(args, {"kind": "run", "steps": steps})
     sys.stdout.write(format_state(final))
     return 0
@@ -127,7 +131,8 @@ def _cmd_trace(args) -> int:
         args.usage_error(f"{contract} is not bot-inf and does not read --domain")
     program, domain = _load_program(args.program), _load_domain(args, None)
     addrs = () if domain is None else domain.addresses
-    trace = contract_trace(contract, program, _load_state(args, program), args.fuel, snapshot_addrs=addrs)
+    sigma, modulus = _load_state(args, program)
+    trace = contract_trace(contract, program, sigma, args.fuel, modulus, snapshot_addrs=addrs)
     sys.stdout.write(format_trace(trace))
     return 0
 
@@ -135,7 +140,9 @@ def _cmd_trace(args) -> int:
 def _cmd_hwrun(args) -> int:
     program = _load_program(args.program)
     cfg = _load_config(args)
-    h = initial_hw_state(_load_state(args, program), cfg)
+    sigma, modulus = _load_state(args, program, cfg.modulus)
+    cfg = replace(cfg, modulus=modulus)
+    h = initial_hw_state(sigma, cfg)
     # collected first, so that a run that raises prints nothing
     lines = [f"step 0 dir=- view={adversary_view(h)}"]
     for k, (h, directive) in enumerate(hw_steps(program, h, cfg), start=1):
@@ -169,7 +176,7 @@ def _cmd_check(args) -> int:
         verdict = check_wsni(program, contract, domain, fuel=fuel)
     else:  # sni
         verdict = check_sni(program, _load_policy(args), contract, domain, fuel=fuel)
-    return _verdict_records(args, verdict, args.dump_states)
+    return _verdict_records(args, verdict, domain.modulus, args.dump_states)
 
 
 def _cmd_classify(args) -> int:

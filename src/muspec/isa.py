@@ -451,6 +451,11 @@ def _is_ident(tok: str) -> bool:
     return tok[:1].isalpha() or tok[:1] == "_"
 
 
+def is_register_name(name: str) -> bool:
+    """Whether a program can name a register ``name``: one ident token, not ``end``."""
+    return name != END and _is_ident(name) and _TOKEN.fullmatch(name) is not None
+
+
 def _value(tok: str):
     return int(tok) if tok.isdecimal() else tok
 

@@ -2,13 +2,15 @@
 micro-steps, the top-level step rule, runs, and the adversary view.
 
 A hardware state is the architectural state plus a reorder buffer, kept as
-a tuple of plain commands beside a parallel tuple of taint labels, and the
-cache / branch predictor / scheduler component states.  A stage sees the
-commands the configured countermeasure lets it see (unlabel) and returns
-an edit of the buffer, ``(lo, hi, new)``: entries lo..hi-1 are replaced by
-the commands ``new``.  ``hw_step`` applies the edit once, to the commands,
-to their labels (relabel) and to the scheduler's projection; an empty edit
-keeps all three objects, and so does every component a step leaves alone.
+a tuple of plain commands beside a parallel tuple of taint labels and their
+data-independent projection, and the cache / branch predictor / scheduler
+component states.  The scheduler picks each directive from the state's
+projection, and the adversary view shows it.  A stage sees the commands
+the configured countermeasure lets it see (unlabel) and returns an edit of
+the buffer, ``(lo, hi, new)``: entries lo..hi-1 are replaced by the
+commands ``new``.  ``hw_step`` applies the edit once, to the commands, to
+their labels (relabel) and to the projection; an empty edit keeps all
+three objects, and so does every component a step leaves alone.
 A run whose varying cells are watched loads deferred values
 (``ArchState.load``). An expression over one is deferred too; a step
 forces one only where it needs a natural: a load or store address, store
@@ -118,6 +120,7 @@ class HwState:
     sigma: ArchState
     buf: tuple  # (command, ...)
     labels: tuple  # a taint label per command, EMPTY outside taint tracking
+    proj: tuple  # always buf_project(zip(buf, labels))
     cs: object
     bp: object
     sc: object
@@ -131,6 +134,7 @@ def initial_hw_state(sigma: ArchState, cfg: HwConfig) -> HwState:
         sigma=sigma,
         buf=(),
         labels=(),
+        proj=(),
         cs=make_cache(cfg.cache),
         bp=make_predictor(cfg.predictor),
         sc=make_scheduler(cfg.scheduler, cfg.buffer_size),
@@ -276,7 +280,7 @@ def hw_step(p: Program, h: HwState, cfg: HwConfig) -> Tuple[HwState, tuple, bool
     delay: the buffer and architectural state stay put while the scheduler
     state still advances, so a later step can pick a different directive.
     """
-    directive = h.sc.next()
+    directive = h.sc.next(h.proj)
     plain = cm.unlabel(cfg.countermeasure, h.buf, h.labels, directive)
     if plain is None:  # the countermeasure holds the directive back
         result = STUCK
@@ -289,33 +293,22 @@ def hw_step(p: Program, h: HwState, cfg: HwConfig) -> Tuple[HwState, tuple, bool
 
     progressed = result is not STUCK
     sigma, (lo, hi, new), cs2, bp2 = result if progressed else (h.sigma, KEEP, h.cs, h.bp)
-    if lo == hi and not new:
-        # the buffer stays put, and the scheduler already holds its projection
-        return HwState(sigma, h.buf, h.labels, cs2, bp2, h.sc.update(h.sc.proj)), directive, progressed
+    if lo == hi and not new:  # the buffer, its labels and its projection stay put
+        return HwState(sigma, h.buf, h.labels, h.proj, cs2, bp2, h.sc.update(h.proj, h.proj)), directive, progressed
     buf = h.buf[:lo] + new + h.buf[hi:]
     labels = cm.relabel(h.buf, h.labels, lo, hi, new, directive, cfg.countermeasure)
     end = lo + len(new)
     if labels[end:] == h.labels[hi:]:
-        proj = h.sc.proj[:lo] + tuple(map(project_entry, new, labels[lo:end])) + h.sc.proj[hi:]
+        proj = h.proj[:lo] + tuple(map(project_entry, new, labels[lo:end])) + h.proj[hi:]
     else:  # a taint retire or a commit moved a later label
         proj = buf_project(zip(buf, labels))
-    return HwState(sigma, buf, labels, cs2, bp2, h.sc.update(proj)), directive, progressed
+    return HwState(sigma, buf, labels, proj, cs2, bp2, h.sc.update(h.proj, proj)), directive, progressed
 
 
-def adversary_view(h: HwState, before: HwState = None, seen: tuple = None) -> tuple:
+def adversary_view(h: HwState) -> tuple:
     """What the microarchitectural adversary sees: the data-independent
-    buffer projection (the scheduler's, always
-    ``buf_project(zip(h.buf, h.labels))``) plus cache, predictor, and
-    scheduler state. ``seen``, the view of an earlier state ``before``,
-    lends its cache and predictor keys where ``h`` kept those components."""
-    if before is None:
-        return (h.sc.proj, h.cs.key(), h.bp.key(), h.sc.key())
-    return (
-        h.sc.proj,
-        seen[1] if h.cs is before.cs else h.cs.key(),
-        seen[2] if h.bp is before.bp else h.bp.key(),
-        h.sc.key(),
-    )
+    buffer projection plus cache, predictor, and scheduler state."""
+    return (h.proj, h.cs.key(), h.bp.key(), h.sc.key(h.proj))
 
 
 def hw_steps(
@@ -377,13 +370,10 @@ def hw_run(
     else:
         h, steps, idle = start
         buf = tuple((kind, a, sigma.rebound(b), tag, marked) for kind, a, b, tag, marked in h.buf)
-        h = HwState(h.sigma.resumed(sigma), buf, h.labels, h.cs, h.bp, h.sc)
-    view = adversary_view(h)
-    views = [view]
-    for h2, _directive in hw_steps(p, h, cfg, steps, idle, starts):
-        view = adversary_view(h2, h, view)
-        views.append(view)
-        h = h2
+        h = HwState(h.sigma.resumed(sigma), buf, h.labels, h.proj, h.cs, h.bp, h.sc)
+    views = [adversary_view(h)]
+    for h, _directive in hw_steps(p, h, cfg, steps, idle, starts):
+        views.append(adversary_view(h))
     return tuple(views), h
 
 

@@ -243,7 +243,9 @@ def make_predictor(kind: str):
 
 
 # ---------------------------------------------------------------------------
-# Schedulers. Both consume only data-independent buffer projections.
+# Schedulers. A scheduler is its own state plus a policy over the buffer's
+# data-independent projection, which the hardware state owns and hands to
+# ``next``, ``key`` and ``update`` (the projections before and after a step).
 
 
 def _exec_projected(entry) -> bool:
@@ -272,21 +274,18 @@ def _retire_ready(entry) -> bool:
 
 @dataclass(unsafe_hash=True)
 class SequentialScheduler:
-    """Fetch / execute 1 / retire in strict program order; its state is the
-    last projection it saw."""
+    """Fetch / execute 1 / retire in strict program order; it keeps no state."""
 
-    proj: tuple = ()
-
-    def next(self) -> tuple:
-        if not self.proj:
+    def next(self, proj: tuple) -> tuple:
+        if not proj:
             return FETCH
-        return execute(1) if _exec_projected(self.proj[0]) else RETIRE
+        return execute(1) if _exec_projected(proj[0]) else RETIRE
 
-    def update(self, proj: tuple) -> "SequentialScheduler":
-        return SequentialScheduler(proj)
+    def update(self, old: tuple, new: tuple) -> "SequentialScheduler":
+        return self
 
-    def key(self):
-        return ("seq", self.proj)
+    def key(self, proj: tuple):
+        return ("seq", proj)
 
 
 @dataclass(unsafe_hash=True)
@@ -307,12 +306,10 @@ class OooScheduler:
     """
 
     mu_w: int
-    proj: tuple = ()
     stall: int = 0
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def _candidates(self) -> list:
-        proj = self.proj
+    def _candidates(self, proj: tuple) -> list:
         cands = []
         kinds = [e[0] for e in proj]
         if (
@@ -343,18 +340,18 @@ class OooScheduler:
         cands.extend(reversed(branches))
         return cands or [FETCH]
 
-    def next(self) -> tuple:
-        cands = self.memo.get(self.proj)
+    def next(self, proj: tuple) -> tuple:
+        cands = self.memo.get(proj)
         if cands is None:
-            cands = self.memo[self.proj] = self._candidates()
+            cands = self.memo[proj] = self._candidates(proj)
         return cands[(self.stall // 2) % len(cands)]
 
-    def update(self, proj: tuple) -> "OooScheduler":
-        stall = self.stall + 1 if proj is self.proj or proj == self.proj else 0
-        return OooScheduler(self.mu_w, proj, stall, self.memo)
+    def update(self, old: tuple, new: tuple) -> "OooScheduler":
+        stall = self.stall + 1 if new is old or new == old else 0
+        return OooScheduler(self.mu_w, stall, self.memo)
 
-    def key(self):
-        return ("ooo", self.mu_w, self.proj, self.stall)
+    def key(self, proj: tuple):
+        return ("ooo", self.mu_w, proj, self.stall)
 
 
 def make_scheduler(kind: str, mu_w: int):

@@ -272,10 +272,11 @@ def test_criterion_7_projection_and_obliviousness():
         if buf_project(buf1) != buf_project(buf2):
             failures += 1
             continue
+        p1, p2 = buf_project(buf1), buf_project(buf2)
         for scheduler in (SequentialScheduler(), OooScheduler(MU_W)):
-            s1 = scheduler.update(buf_project(buf1))
-            s2 = scheduler.update(buf_project(buf2))
-            if s1.key() != s2.key() or s1.next() != s2.next():
+            s1 = scheduler.update((), p1)
+            s2 = scheduler.update((), p2)
+            if s1.key(p1) != s2.key(p2) or s1.next(p1) != s2.next(p2):
                 failures += 1
     elapsed = time.time() - start
     report("7 (projection/obliviousness)", failures == 0, elapsed, "1000 trials")

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from muspec.arch import ArchState, FuelExhausted, arch_run, arch_step, format_state, parse_state
-from muspec.isa import BOTTOM, PC, StuckError, parse_program
+from muspec.isa import BOTTOM, DEFAULT_MODULUS, PC, StuckError, parse_program
 from muspec import corpus
 
 
@@ -110,10 +110,11 @@ def test_stuck_on_final_state():
 
 def test_state_literal_round_trip():
     p = parse_program("load x, 5\nstore x, 6")
-    s = parse_state("reg x=3\nmem 5=2\n# comment\n", p)
+    s, modulus = parse_state("reg x=3\nmem 5=2\n# comment\n", p)
     assert s.regs["x"] == 3
     assert s.read_mem(5) == 2
-    assert parse_state(format_state(s), p) == s
+    assert modulus == DEFAULT_MODULUS
+    assert parse_state(format_state(s), p) == (s, DEFAULT_MODULUS)
 
 
 def test_state_literal_errors_name_the_line():
@@ -131,7 +132,7 @@ def test_state_literal_rejects_a_cell_given_twice():
         parse_state("reg x=1\n# c\nreg x=2\n", p)
     with pytest.raises(ValueError, match=r"^state line 2: mem 07 given twice$"):
         parse_state("mem 7=1\nmem 07=end\n", p)
-    assert parse_state("reg x=1\nmem 1=1\n", p) == ArchState({"pc": 0, "x": 1}, {1: 1})
+    assert parse_state("reg x=1\nmem 1=1\n", p)[0] == ArchState({"pc": 0, "x": 1}, {1: 1})
 
 
 @pytest.mark.parametrize(
@@ -147,6 +148,15 @@ def test_state_literal_rejects_a_cell_given_twice():
         ("mem +3=2", "expected integers in '+3=2'"),
         ("mem 1_0=2", "expected integers in '1_0=2'"),
         ("reg y=-1", "expected integers in 'y=-1'"),
+        # run printed these back in its final state
+        ("reg =3", "no program names a register ''"),
+        ("reg 5=3", "no program names a register '5'"),
+        ("reg end=1", "no program names a register 'end'"),
+        ("reg x-y=1", "no program names a register 'x-y'"),
+        # a run never wrapped a value at or above its modulus
+        ("mem 7=65540", "'7=65540' holds no value below 65536"),
+        ("reg y=65536", "'y=65536' holds no value below 65536"),
+        ("values 16", "expected 'values <V>' first, V a power of two >= 2"),
     ],
 )
 def test_state_literal_values_are_decimal_digits(line, message):
@@ -157,7 +167,22 @@ def test_state_literal_values_are_decimal_digits(line, message):
 
 def test_state_literal_end_is_a_register_value():
     p = parse_program("skip")
-    assert parse_state("reg pc=end\nreg x=end\nmem 7=3\n", p) == ArchState({"pc": BOTTOM, "x": BOTTOM}, {7: 3})
+    assert parse_state("reg pc=end\nreg x=end\nmem 7=3\n", p)[0] == ArchState({"pc": BOTTOM, "x": BOTTOM}, {7: 3})
+
+
+def test_state_literal_values_line_sets_the_modulus():
+    # a witness dumped by check names its domain's modulus, and replays at it
+    p = parse_program("skip")
+    s, modulus = parse_state("# witness\nvalues 16\nreg x=15\nmem 7=3\n", p, modulus=256)
+    assert (s, modulus) == (ArchState({"pc": 0, "x": 15}, {7: 3}), 16)
+    assert parse_state("mem 7=200\n", p, modulus=256)[1] == 256
+    with pytest.raises(ValueError, match=r"^state line 2: '7=16' holds no value below 16$"):
+        parse_state("values 16\nmem 7=16\n", p, modulus=256)
+    with pytest.raises(ValueError, match=r"^state line 1: '7=20' holds no value below 16$"):
+        parse_state("mem 7=20\n", p, modulus=16)
+    for line in ("values 12", "values 1", "values 0", "values x", "values 16 32", "values -16"):
+        with pytest.raises(ValueError, match=r"^state line 1: expected 'values <V>' first"):
+            parse_state(f"{line}\nmem 7=1\n", p)
 
 
 def test_zero_memory_cells_are_canonical():

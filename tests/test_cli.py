@@ -42,6 +42,50 @@ def test_run_and_hwrun_reject_end_in_memory_alike(capsys, tmp_path):
         assert (code, err) == (2, "error: state line 1: a memory cell holds no end in '7=end'\n")
 
 
+def test_run_and_hwrun_reject_a_value_at_or_above_the_modulus(capsys, tmp_path):
+    # such a value was kept as it was: a run never wrapped it
+    program, state, config = tmp_path / "p.masm", tmp_path / "s.txt", tmp_path / "c.txt"
+    program.write_text("load z, 7\nx <- z < 5\n")
+    config.write_text("modulus = 16\n")
+    for text, message in (
+        ("mem 7=65540\n", "state line 1: '7=65540' holds no value below 65536"),
+        ("values 16\nmem 7=16\n", "state line 2: '7=16' holds no value below 16"),
+    ):
+        state.write_text(text)
+        for command in ("run", "hwrun"):
+            code, out, err = run_cli(capsys, command, str(program), "--state", str(state))
+            assert (code, out, err) == (2, "", f"error: {message}\n"), (text, command)
+    # without a values line, hwrun runs at its config's modulus
+    state.write_text("mem 7=20\n")
+    code, out, err = run_cli(capsys, "hwrun", str(program), "--state", str(state), "--config", str(config))
+    assert (code, out, err) == (2, "", "error: state line 1: '7=20' holds no value below 16\n")
+
+
+def test_a_dumped_witness_replays_at_the_domains_modulus(capsys, tmp_path):
+    # trace and hwrun ran the dumped states at modulus 65536, where z * 2
+    # does not wrap: trace printed load 36 where the check saw load 4
+    program, domain, policy = tmp_path / "p.masm", tmp_path / "d.txt", tmp_path / "pol.txt"
+    program.write_text("load z, 7\nz <- z * 2\nload w, 8 + z\n")
+    domain.write_text("values 16\nvary 7 in 14..15\n")
+    policy.write_text("low 0..3\n")
+    prefix = tmp_path / "w"
+    code, out, _ = run_cli(
+        capsys, "--format", "json-lines", "check", "ni", str(program), "--contract", "seq-ct",
+        "--domain", str(domain), "--policy", str(policy), "--dump-states", str(prefix),
+    )
+    assert code == 1
+    record = json.loads(out.splitlines()[0])
+    assert record["trace"] == "load 7;load 4;"
+    for suffix, key in (("sigma", "trace"), ("sigma_prime", "trace_prime")):
+        path = tmp_path / f"w.{suffix}.txt"
+        assert path.read_text().startswith("values 16\n")
+        code, out, _ = run_cli(capsys, "trace", "--contract", "seq-ct", "--state", str(path), str(program))
+        assert (code, out) == (0, record[key].replace(";", "\n"))
+    code, out, _ = run_cli(capsys, "hwrun", str(program), "--state", str(tmp_path / "w.sigma.txt"))
+    assert code == 0
+    assert out.endswith("reg pc=end\nreg w=0\nreg z=12\nmem 7=14\n")
+
+
 def test_trace_with_state_file(capsys, tmp_path):
     state = tmp_path / "s.txt"
     state.write_text("mem 9=1\nmem 12=7\n")

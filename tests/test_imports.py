@@ -89,3 +89,66 @@ def test_every_module_level_name_is_referenced():
         for defined in [_defined_names(ast.parse(path.read_text()))]
     }
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+
+# Protocol methods take every parameter their protocol passes, read or not.
+PROTOCOL_METHODS = {
+    "countermeasures.py": {"nda_unlabel"},
+    "uarch.py": {
+        "FallthroughPredictor.predict",
+        "FallthroughPredictor.update",
+        "BackwardTakenPredictor.update",
+        "SequentialScheduler.update",
+    },
+}
+
+
+def _unused_parameters(tree: ast.Module) -> list:
+    """``name(parameter)`` for each parameter, ``self`` and ``cls`` aside, of
+    a function, a method or a nested function that its body never reads."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                a = child.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p]
+                read = {
+                    n.id
+                    for stmt in child.body
+                    for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                found.extend(f"{name}({p})" for p in params if p not in read and p not in ("self", "cls"))
+                visit(child, f"{name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_unused_parameter_detector_flags_and_clears():
+    tree = ast.parse(
+        "def f(a, b, *c, d, **e):\n    return a\n"
+        "def g(x, y):\n    def h(z):\n        return x\n    return h\n"
+        "class C:\n    def m(self, v):\n        pass\n    @classmethod\n    def n(cls, w=1):\n        return w\n"
+    )
+    assert _unused_parameters(tree) == ["f(b)", "f(c)", "f(d)", "f(e)", "g(y)", "g.h(z)", "C.m(v)"]
+
+
+def test_no_unused_parameters_in_package():
+    found = {path.name: _unused_parameters(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
+    functions = {name: {p[: p.index("(")] for p in params} for name, params in found.items()}
+    unread = {
+        name: [p for p in params if p[: p.index("(")] not in PROTOCOL_METHODS.get(name, ())]
+        for name, params in found.items()
+    }
+    assert {name: params for name, params in unread.items() if params} == {}
+    # the allowlist names only methods that leave a parameter unread
+    stale = {name: fns - functions[name] for name, fns in PROTOCOL_METHODS.items()}
+    assert not any(stale.values()), stale

@@ -246,13 +246,12 @@ class Picks:
     """A scheduler that always picks ``directive``."""
 
     directive: tuple
-    proj: tuple
 
-    def next(self) -> tuple:
+    def next(self, proj: tuple) -> tuple:
         return self.directive
 
-    def update(self, proj: tuple) -> "Picks":
-        return Picks(self.directive, proj)
+    def update(self, old: tuple, new: tuple) -> "Picks":
+        return self
 
 
 @pytest.mark.parametrize("countermeasure", COUNTERMEASURES)
@@ -269,11 +268,11 @@ def test_an_empty_edit_keeps_the_buffer_objects(countermeasure):
         ((cmd_skip(),), execute(1)),
     ):
         labels = (frozenset(),) * len(buf)
-        sc = Picks(directive, buf_project(zip(buf, labels)))
-        h = HwState(sigma, buf, labels, LruCache(4), make_predictor("fallthrough"), sc)
+        proj = buf_project(zip(buf, labels))
+        h = HwState(sigma, buf, labels, proj, LruCache(4), make_predictor("fallthrough"), Picks(directive))
         h2, _, progressed = hw_step(p, h, cfg)
         assert progressed, directive
-        assert h2.buf is h.buf and h2.labels is h.labels and h2.sc.proj is h.sc.proj, directive
+        assert h2.buf is h.buf and h2.labels is h.labels and h2.proj is h.proj, directive
 
 
 def test_buffer_never_exceeds_capacity():
@@ -342,7 +341,7 @@ def test_adversary_view_initial_and_cache_sensitivity():
     h = initial_hw_state(ArchState.initial(p), cfg)
     proj, cs, bp, sc = adversary_view(h)
     assert proj == ()
-    h2 = h.__class__(h.sigma, h.buf, h.labels, h.cs.update(3), h.bp, h.sc)
+    h2 = h.__class__(h.sigma, h.buf, h.labels, h.proj, h.cs.update(3), h.bp, h.sc)
     assert adversary_view(h2) != adversary_view(h)
 
 
@@ -352,8 +351,8 @@ def test_adversary_view_ignores_resolved_values():
     h = initial_hw_state(ArchState.initial(p), cfg)
     labels = (frozenset(),)
     buf1, buf2 = (cmd_assign("x", 5),), (cmd_assign("x", 9),)
-    v1 = adversary_view(h.__class__(h.sigma, buf1, labels, h.cs, h.bp, h.sc.update(buf_project(zip(buf1, labels)))))
-    v2 = adversary_view(h.__class__(h.sigma, buf2, labels, h.cs, h.bp, h.sc.update(buf_project(zip(buf2, labels)))))
+    v1 = adversary_view(h.__class__(h.sigma, buf1, labels, buf_project(zip(buf1, labels)), h.cs, h.bp, h.sc))
+    v2 = adversary_view(h.__class__(h.sigma, buf2, labels, buf_project(zip(buf2, labels)), h.cs, h.bp, h.sc))
     assert v1 == v2
     assert v1[0]  # the entry is in the view, only its value is not
 
@@ -361,9 +360,9 @@ def test_adversary_view_ignores_resolved_values():
 @pytest.mark.parametrize("scheduler", ["seq", "ooo"])
 @pytest.mark.parametrize("countermeasure", COUNTERMEASURES)
 def test_view_projection_is_buffer_projection_on_every_state(countermeasure, scheduler):
-    # adversary_view reads the projection the scheduler keeps, edited step by
-    # step, so every state a run reaches must keep it equal to the buffer's
-    # own projection. Buffer sizes 3 and 7 and the two-bit predictor bring
+    # the state keeps its projection, edited step by step, and the scheduler
+    # and adversary_view read it, so every state a run reaches must keep it
+    # equal to the buffer's own projection. Buffer sizes 3 and 7 and the two-bit predictor bring
     # squashes, commits and taint retires, which project the whole buffer.
     # A fresh scheduler on that projection must pick what the run's
     # scheduler picks from the candidate memo the run shares.
@@ -381,19 +380,19 @@ def test_view_projection_is_buffer_projection_on_every_state(countermeasure, sch
         h = initial_hw_state(ArchState.initial(p, mem), cfg)
         for h, _directive in [(h, None), *hw_steps(p, h, cfg)]:
             proj = buf_project(zip(h.buf, h.labels))
+            assert h.proj == proj
             assert adversary_view(h)[0] == proj
             if cfg.scheduler == "seq":
-                fresh = SequentialScheduler(proj)
+                fresh = SequentialScheduler()
             else:
-                fresh = OooScheduler(mu_w, proj, h.sc.stall)
-            assert fresh.next() == h.sc.next()
+                fresh = OooScheduler(mu_w, h.sc.stall)
+            assert fresh.next(proj) == h.sc.next(h.proj)
 
 
 @pytest.mark.parametrize("micro", MICROARCHS)
 @pytest.mark.parametrize("countermeasure", COUNTERMEASURES)
 def test_run_views_are_the_views_of_its_states(countermeasure, micro):
-    # hw_run lends one view's cache and predictor keys to the next while
-    # the step keeps those components; the views must still be each state's own
+    # hw_run's views must be each state's own
     mem = {7: 2, 9: 1, 10: 1, 11: 3, 12: 2}
     cfg = HwConfig(countermeasure=countermeasure, **micro)
     for name in corpus.program_names():

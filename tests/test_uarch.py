@@ -247,22 +247,22 @@ def test_predictions_always_legal_outcomes():
 
 
 def test_sequential_fetches_on_empty():
-    assert SequentialScheduler(()).next() == FETCH
+    assert SequentialScheduler().next(()) == FETCH
 
 
 def test_sequential_executes_unresolved_head():
     proj = buf_project(lbl(cmd_assign("x", Reg("y"))))
-    assert SequentialScheduler(proj).next() == execute(1)
+    assert SequentialScheduler().next(proj) == execute(1)
 
 
 def test_sequential_retires_skip_and_resolved_heads():
-    assert SequentialScheduler(buf_project(lbl(cmd_skip()))).next() == RETIRE
-    assert SequentialScheduler(buf_project(lbl(cmd_assign("x", 3)))).next() == RETIRE
+    assert SequentialScheduler().next(buf_project(lbl(cmd_skip()))) == RETIRE
+    assert SequentialScheduler().next(buf_project(lbl(cmd_assign("x", 3)))) == RETIRE
 
 
 def test_sequential_executes_tagged_head():
     proj = buf_project(((cmd_assign(PC, 5, tag=0), E),))
-    assert SequentialScheduler(proj).next() == execute(1)
+    assert SequentialScheduler().next(proj) == execute(1)
 
 
 def test_scheduler_obliviousness():
@@ -272,27 +272,44 @@ def test_scheduler_obliviousness():
         v = rng.randrange(50)
         bufa = lbl(cmd_assign("x", v), cmd_load("y", Reg("x")))
         bufb = lbl(cmd_assign("x", v + 1), cmd_load("y", Reg("x")))
+        pa, pb = buf_project(bufa), buf_project(bufb)
         for kind in ("seq", "ooo"):
-            sa = make_scheduler(kind, 5).update(buf_project(bufa))
-            sb = make_scheduler(kind, 5).update(buf_project(bufb))
-            assert sa.key() == sb.key()
-            assert sa.next() == sb.next()
+            sa = make_scheduler(kind, 5).update((), pa)
+            sb = make_scheduler(kind, 5).update((), pb)
+            assert sa.key(pa) == sb.key(pb)
+            assert sa.next(pa) == sb.next(pb)
 
 
 def test_ooo_rotates_on_stall():
     proj = buf_project(lbl(cmd_assign("x", Reg("y")), cmd_assign("z", Reg("x"))))
-    sc = OooScheduler(5, proj, stall=0)
-    first = sc.next()
+    sc = OooScheduler(5, stall=0)
+    first = sc.next(proj)
     for _ in range(8):
-        sc = sc.update(proj)
-    assert sc.next() != first  # a stuck directive is eventually abandoned
+        sc = sc.update(proj, proj)
+    assert sc.next(proj) != first  # a stuck directive is eventually abandoned
 
 
 def test_ooo_avoids_blocked_loads():
     buf = lbl(cmd_store(Reg("x"), Const(3)), cmd_load("y", Const(4)))
-    sc = OooScheduler(5, buf_project(buf))
-    cands = sc._candidates()
+    sc = OooScheduler(5)
+    cands = sc._candidates(buf_project(buf))
     assert execute(2) not in cands  # load blocked by the earlier store
     buf = lbl(cmd_barrier(), cmd_assign("x", Reg("y")))
-    sc = OooScheduler(5, buf_project(buf))
-    assert execute(2) not in sc._candidates()
+    assert execute(2) not in sc._candidates(buf_project(buf))
+
+
+def test_scheduler_keys_and_updates():
+    # the sequential scheduler keeps no state; both keys keep the formats the
+    # adversary views were pinned with
+    proj = buf_project(lbl(cmd_assign("x", Reg("y"))))
+    seq = SequentialScheduler()
+    assert seq.update((), proj) is seq
+    assert seq.key(proj) == ("seq", proj)
+    assert OooScheduler(5, stall=3).key(proj) == ("ooo", 5, proj, 3)
+    # the out-of-order stall counter grows on an equal projection, identical
+    # or not, and resets on a different one
+    sc = OooScheduler(5, stall=3)
+    assert sc.update(proj, proj).stall == 4
+    assert sc.update(proj, buf_project(lbl(cmd_assign("x", Reg("y"))))).stall == 4
+    assert sc.update((), proj).stall == 0
+    assert sc.update(proj, proj).memo is sc.memo
