@@ -29,7 +29,9 @@ from .contracts import (
     relate,
 )
 from .isa import (
+    BINARY_OPS,
     BOTTOM,
+    UNARY_OPS,
     Assign,
     Barrier,
     Beqz,
@@ -43,6 +45,7 @@ from .isa import (
     Skip,
     Store,
     UnOp,
+    is_modulus,
     text_lines,
 )
 from .pipeline import HwConfig, hw_tracer
@@ -95,7 +98,7 @@ class StateDomain:
     fixed: tuple = ()  # ((addr, value), ...)
 
     def __post_init__(self):
-        if self.modulus < 2 or self.modulus & (self.modulus - 1):
+        if not is_modulus(self.modulus):
             raise ValueError(f"domain needs values a power of two >= 2, got {self.modulus}")
         for addr, lo, hi in self.vary:
             if not 0 <= lo <= hi < self.modulus:
@@ -412,8 +415,8 @@ def _random_expr(rng: random.Random, depth: int = 2):
     if roll < 0.7:
         return Reg(rng.choice(_RANDOM_REGS))
     if roll < 0.8:
-        return UnOp(rng.choice(("neg", "not")), _random_expr(rng, depth - 1))
-    op = rng.choice(("+", "-", "*", "<", "=", "&", "|", "^"))
+        return UnOp(rng.choice(list(UNARY_OPS)), _random_expr(rng, depth - 1))
+    op = rng.choice(list(BINARY_OPS))
     return BinOp(op, _random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
 
 

@@ -24,6 +24,7 @@ from .isa import (
     eval_expr,
     force,
     format_value,
+    is_modulus,
     is_register_name,
     is_zero,
     observed,
@@ -320,7 +321,7 @@ def parse_state(text: str, program: Program, modulus: int = DEFAULT_MODULUS) -> 
         parts = line.split()
         if parts[0] == "values":
             v = int(parts[1]) if len(parts) == 2 and parts[1].isdecimal() else 0
-            if n or v < 2 or v & (v - 1):
+            if n or not is_modulus(v):
                 raise ValueError(f"state line {lineno}: expected 'values <V>' first, V a power of two >= 2")
             modulus = v
             continue

@@ -130,8 +130,8 @@ def _cmd_trace(args) -> int:
     if args.domain is not None and contract.mode != "bot":
         args.usage_error(f"{contract} is not bot-inf and does not read --domain")
     program, domain = _load_program(args.program), _load_domain(args, None)
-    addrs = () if domain is None else domain.addresses
-    sigma, modulus = _load_state(args, program)
+    addrs, modulus = ((), DEFAULT_MODULUS) if domain is None else (domain.addresses, domain.modulus)
+    sigma, modulus = _load_state(args, program, modulus)
     trace = contract_trace(contract, program, sigma, args.fuel, modulus, snapshot_addrs=addrs)
     sys.stdout.write(format_trace(trace))
     return 0

@@ -1,8 +1,10 @@
 """Labeled ISA semantics (contracts), their traces, and contract strength.
 
-A contract runs a mode, seq or spec at a window, and its observer (ct,
-pc-ct or arch) chooses what to show of the run's arch trace (``_shown``);
-bot-inf shows the state after each step of the seq run, and top nothing.
+A contract runs a mode, seq or spec at a window, whose explorer
+(``trace_seq``, ``trace_spec``) gives the run's arch trace, and its observer
+(ct, pc-ct or arch) chooses what to show of that trace (``_shown``, which
+``contract_trace`` and the shared runs apply); bot-inf shows the state after
+each step of the seq run, and top nothing.
 Observations are plain tuples so traces hash and compare cheaply:
     ("load", n) | ("store", n) | ("pc", v) | ("loadv", n, v) | ("state", blob)
 where v is an int or the string "end" for the undefined value.
@@ -16,7 +18,6 @@ from typing import Optional
 
 from .arch import DEFAULT_FUEL, ArchState, FuelExhausted, arch_step, share_runs
 from .isa import (
-    BOTTOM,
     DEFAULT_MODULUS,
     PC,
     Barrier,
@@ -26,10 +27,8 @@ from .isa import (
     Load,
     Program,
     Store,
-    StuckError,
     eval_expr,
     force,
-    is_zero,
     observed,
     term_value,
 )
@@ -37,8 +36,6 @@ from .isa import (
 INF = math.inf
 
 DEFAULT_SPEC_WINDOW = 7
-
-OBSERVERS = ("ct", "arch", "pc-ct")
 
 # name -> (mode, observer) of the seven contracts, and the inverse
 CONTRACTS = {
@@ -127,20 +124,17 @@ def _shown(trace: tuple, observer: str, speculative=(), fill=None) -> tuple:
 def trace_seq(
     p: Program,
     state: ArchState,
-    observer: str = "ct",
     fuel: int = DEFAULT_FUEL,
     modulus: int = DEFAULT_MODULUS,
     steps: list = None,
 ) -> tuple:
-    """``observer``'s trace of the sequential run from ``state``. ``steps``,
-    if a list, receives each step's state and arch observation (None when
+    """The arch trace of the sequential run from ``state``. ``steps``, if a
+    list, receives each step's state and arch observation (None when
     silent), which ``bot-inf`` snapshots (see ``_snapshots``)."""
-    if observer not in ("ct", "arch"):
-        raise ValueError(f"sequential observer must be ct|arch, got {observer!r}")
     trace = []
     for _ in range(fuel):
         if state.is_final():
-            return _shown(tuple(trace), observer)
+            return tuple(trace)
         state, obs = _labeled_step(p, state, modulus)
         if steps is not None:
             steps.append((state, obs))
@@ -152,23 +146,21 @@ def trace_seq(
 def trace_spec(
     p: Program,
     state: ArchState,
-    observer: str = "ct",
     window: int = DEFAULT_SPEC_WINDOW,
     fuel: int = DEFAULT_FUEL,
     modulus: int = DEFAULT_MODULUS,
     speculative: list = None,
 ) -> tuple:
-    """Always-mispredict exploration with speculative window ``window``.
+    """The arch trace of the always-mispredict exploration from ``state``
+    with speculative window ``window``.
 
     Configurations are stacks of (state, remaining window); the initial
-    state sits at the bottom with an infinite window. Branches push the
-    mispredicted continuation; exhausted windows roll back with a pc
-    observation of the resumed state. ``speculative``, if a list, receives
-    the position in the run's arch trace of each memory observation made
-    in a speculative frame.
+    state sits at the bottom with an infinite window. A branch takes its
+    ``arch_step`` and pushes the mispredicted continuation, observing its
+    pc; exhausted windows roll back with a pc observation of the resumed
+    state. ``speculative``, if a list, receives the position in the trace
+    of each memory observation made in a speculative frame.
     """
-    if observer not in OBSERVERS:
-        raise ValueError(f"unknown observer {observer!r}")
     if window < 1:
         raise ValueError("speculative window must be >= 1")
     speculative = [] if speculative is None else speculative
@@ -177,7 +169,7 @@ def trace_spec(
     for _ in range(fuel):
         top, w = stack[-1]
         if w == INF and top.is_final():
-            return _shown(tuple(trace), observer, speculative)
+            return tuple(trace)
         if w == 0:
             resumed, _ = stack[-2]
             trace.append(("pc", observed(resumed.regs[PC])))
@@ -185,17 +177,13 @@ def trace_spec(
             continue
         ins = p.lookup(top.regs[PC])
         if isinstance(ins, Beqz):
-            guard = top.regs[ins.guard]
-            if guard is BOTTOM:
-                raise StuckError(f"branch on undefined register {ins.guard}")
             pc = top.regs[PC]
-            zero = guard == 0 if guard.__class__ is int else is_zero(guard, modulus)
-            correct = ins.target if zero else pc + 1
-            mispred = pc + 1 if zero else ins.target
+            nxt = arch_step(p, top, modulus)
+            mispred = ins.target if nxt.regs[PC] == pc + 1 else pc + 1
             new_w = INF if w == INF else w - 1
             w_mispred = window if w == INF else new_w
             trace.append(("pc", observed(mispred)))
-            stack[-1] = (top.with_regs(**{PC: correct}), new_w)
+            stack[-1] = (nxt, new_w)
             stack.append((top.with_regs(**{PC: mispred}), w_mispred))
             continue
         if top.is_final():
@@ -274,7 +262,7 @@ def trace_degenerate(
     if which != "bot":
         raise ValueError(f"unknown degenerate contract {which!r}")
     steps = []
-    trace_seq(p, state, "arch", fuel, modulus, steps)
+    trace_seq(p, state, fuel, modulus, steps)
     return _snapshots(steps, snapshot_addrs)(state.mem)
 
 
@@ -285,14 +273,15 @@ def contract_trace(
     fuel: int = DEFAULT_FUEL,
     modulus: int = DEFAULT_MODULUS,
     snapshot_addrs: tuple = (),
-    speculative: list = None,
-    steps: list = None,
 ) -> tuple:
-    """``contract``'s trace from ``state``; ``speculative`` as in ``trace_spec``, ``steps`` in ``trace_seq``."""
+    """``contract``'s trace from ``state``: what its observer shows of its
+    mode's arch trace (``_shown``), or its degenerate trace."""
     if contract.mode == "seq":
-        return trace_seq(p, state, contract.observer, fuel, modulus, steps)
+        return _shown(trace_seq(p, state, fuel, modulus), contract.observer)
     if contract.mode == "spec":
-        return trace_spec(p, state, contract.observer, contract.window, fuel, modulus, speculative)
+        speculative = []
+        trace = trace_spec(p, state, contract.window, fuel, modulus, speculative)
+        return _shown(trace, contract.observer, speculative)
     return trace_degenerate(p, state, contract.mode, fuel, modulus, snapshot_addrs)
 
 
@@ -307,8 +296,8 @@ def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers
         return lambda sigma: ()
     mode = ("seq", None) if contract.mode == "bot" else (contract.mode, contract.window)
     if mode not in tracers:
-        arch, cells = ContractId(mode[0], "arch", mode[1]), (a for a, *_ in domain.vary)
-        tracers[mode] = share_runs(lambda s, _: (_Run(arch, p, s, fuel, domain.modulus), {}), cells)
+        cells = (a for a, *_ in domain.vary)
+        tracers[mode] = share_runs(lambda s, _: (_Run(*mode, p, s, fuel, domain.modulus), {}), cells)
     shared, observer = tracers[mode], contract.observer
     if contract.mode == "bot":
         def tracer(sigma):
@@ -333,17 +322,21 @@ def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers
 
 
 class _Run:
-    """One run of a contract mode, a leaf of its shared trie: ``contract``'s
-    arch ``trace`` from ``sigma``, whose loads at ``positions`` left their
-    ``cells``' values deferred, ``shown``, its ct and pc-ct traces, and
+    """One run of a contract mode, a leaf of its shared trie: the arch
+    ``trace`` of ``mode``'s explorer (at ``window``, for spec) from
+    ``sigma``, whose loads at ``positions`` left their ``cells``' values
+    deferred, ``shown``, what the ct and pc-ct observers show of it, and
     ``fills``, its arch traces filled in so far, by those cells' values; a
     seq run's ``steps``, and its ``bot_inf`` trace function once made."""
 
     __slots__ = ("trace", "shown", "positions", "cells", "fills", "steps", "bot_inf")
 
-    def __init__(self, contract: ContractId, p: Program, sigma: ArchState, fuel: int, modulus: int):
+    def __init__(self, mode: str, window, p: Program, sigma: ArchState, fuel: int, modulus: int):
         speculative, self.steps, self.bot_inf = [], [], None
-        self.trace = trace = contract_trace(contract, p, sigma, fuel, modulus, (), speculative, self.steps)
+        if mode == "seq":
+            self.trace = trace = trace_seq(p, sigma, fuel, modulus, self.steps)
+        else:
+            self.trace = trace = trace_spec(p, sigma, window, fuel, modulus, speculative)
         ct = _shown(trace, "ct")
         self.shown = {"ct": ct, "pc-ct": _shown(trace, "pc-ct", speculative) if speculative else ct}
         deferred = [i for i, o in enumerate(trace) if o[0] == "loadv" and o[2].__class__ is Deferred]

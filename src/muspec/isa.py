@@ -20,6 +20,12 @@ from typing import Iterator, Optional, Union
 
 DEFAULT_MODULUS = 2 ** 16
 
+
+def is_modulus(v: int) -> bool:
+    """Whether arithmetic may wrap modulo ``v``: a power of two >= 2."""
+    return v >= 2 and v & (v - 1) == 0
+
+
 PC = "pc"
 
 END = "end"
@@ -89,9 +95,6 @@ def parse_value(text: str) -> Value:
     return int(text)
 
 
-BINARY_OPS = frozenset("+-*<=&|^")
-
-
 # ---------------------------------------------------------------------------
 # Expressions
 
@@ -147,43 +150,30 @@ class StuckError(Exception):
     """Raised when evaluation or a semantic step has no defined successor."""
 
 
-def _apply_unop(op: str, v: int, modulus: int) -> int:
-    if op == "neg":
-        return (-v) % modulus
-    if op == "not":
-        return 1 if v == 0 else 0
-    raise StuckError(f"unknown unary operator {op!r}")
+# The operators, by name, each a function of its naturals and the modulus.
+# The unary ones are spelled as UNARY_SPELLINGS says, a binary one as its
+# name. A deferred value's term also applies ``ite`` (see ``term_value``).
+UNARY_OPS = {"neg": lambda v, m: -v % m, "not": lambda v, m: 1 if v == 0 else 0}
+BINARY_OPS = {
+    "+": lambda a, b, m: (a + b) % m,
+    "-": lambda a, b, m: (a - b) % m,
+    "*": lambda a, b, m: (a * b) % m,
+    "<": lambda a, b, m: 1 if a < b else 0,
+    "=": lambda a, b, m: 1 if a == b else 0,
+    "&": lambda a, b, m: (a & b) % m,
+    "|": lambda a, b, m: (a | b) % m,
+    "^": lambda a, b, m: (a ^ b) % m,
+}
+UNARY_SPELLINGS = {"neg": "-", "not": "!"}
+_TERM_OPS = {**UNARY_OPS, **BINARY_OPS, "ite": lambda c, t, o, m: t if c != 0 else o}
 
 
-def _apply_binop(op: str, a: int, b: int, modulus: int) -> int:
-    if op == "+":
-        return (a + b) % modulus
-    if op == "-":
-        return (a - b) % modulus
-    if op == "*":
-        return (a * b) % modulus
-    if op == "<":
-        return 1 if a < b else 0
-    if op == "=":
-        return 1 if a == b else 0
-    if op == "&":
-        return (a & b) % modulus
-    if op == "|":
-        return (a | b) % modulus
-    if op == "^":
-        return (a ^ b) % modulus
-    raise StuckError(f"unknown binary operator {op!r}")
-
-
-def _apply(op: str, args, modulus: int) -> int:
-    """``op``, an operator of ``_apply_unop`` or ``_apply_binop`` or
-    ``ite``, applied to the naturals ``args``."""
-    if op == "ite":
-        cond, then, other = args
-        return then if cond != 0 else other
-    if len(args) == 1:
-        return _apply_unop(op, args[0], modulus)
-    return _apply_binop(op, args[0], args[1], modulus)
+def _operator(table: dict, op: str):
+    """``op``'s function in ``table``, UNARY_OPS or BINARY_OPS."""
+    f = table.get(op)
+    if f is None:
+        raise StuckError(f"unknown operator {op!r}")
+    return f
 
 
 # A deferred value whose term would have more nodes is forced instead, so
@@ -197,14 +187,15 @@ def term_value(term, mem: dict) -> int:
     """The value of a deferred value's ``term`` when memory is ``mem``.
 
     A term is a watched cell (an int), or a tuple ``(op, modulus, operand,
-    ...)`` applying ``op`` (see ``_apply``) to operands that are terms or
-    constants, a constant ``c`` written ``(c,)``.
+    ...)`` applying ``op``, an operator of UNARY_OPS or BINARY_OPS or
+    ``ite``, to operands that are terms or constants, a constant ``c``
+    written ``(c,)``.
     """
     if term.__class__ is int:
         return mem.get(term, 0)
     op, modulus, *operands = term
     args = [o[0] if o.__class__ is tuple and len(o) == 1 else term_value(o, mem) for o in operands]
-    return _apply(op, args, modulus)
+    return _TERM_OPS[op](*args, modulus)
 
 
 def term_cells(term) -> tuple:
@@ -235,7 +226,7 @@ def _lifted(op: str, args, modulus: int) -> Value:
             terms.append((arg,))
             values.append(arg)
             size += 1
-    v = Deferred(tuple(terms), _apply(op, values, modulus), reads, size)
+    v = Deferred(tuple(terms), _TERM_OPS[op](*values, modulus), reads, size)
     return v.force() if size > MAX_TERM_SIZE else v
 
 
@@ -260,16 +251,18 @@ def eval_expr(e: Expr, a, partial: bool = False, modulus: int = DEFAULT_MODULUS)
     elif isinstance(e, Reg):
         v = a[e.name]
     elif isinstance(e, UnOp):
+        f = _operator(UNARY_OPS, e.op)
         sub = eval_expr(e.arg, a, partial, modulus)
         if sub.__class__ is int:
-            v = _apply_unop(e.op, sub, modulus)
+            v = f(sub, modulus)
         else:
             v = _lifted(e.op, (sub,), modulus)
     elif isinstance(e, BinOp):
+        f = _operator(BINARY_OPS, e.op)
         lhs = eval_expr(e.left, a, partial, modulus)
         rhs = eval_expr(e.right, a, partial, modulus)
         if lhs.__class__ is int and rhs.__class__ is int:
-            v = _apply_binop(e.op, lhs, rhs, modulus)
+            v = f(lhs, rhs, modulus)
         else:
             v = _lifted(e.op, (lhs, rhs), modulus)
     elif isinstance(e, Ite):
@@ -417,10 +410,13 @@ def text_lines(text: str) -> Iterator:
 
 
 # A token is ``<-``, a num (decimal digits), an ident (word characters) or a
-# symbol (any other non-space character); none starts with a _BAD character.
+# symbol (any other non-space character); none starts with a _BAD character,
+# one that is no word character, space, punctuation or operator spelling.
 _TOKEN = re.compile(r"<-|\d+|\w+|\S")
-_BAD = re.compile(r"[^\w\s()?,+\-*<=&|^!:]")
-_SYMBOLS = frozenset("()?,+-*<=&|^!:") | {"<-", ""}  # "" is the end of the line
+_SYMBOL_CHARS = "()?,:" + "".join(BINARY_OPS) + "".join(UNARY_SPELLINGS.values())
+_BAD = re.compile(f"[^\\w\\s{re.escape(_SYMBOL_CHARS)}]")
+_SYMBOLS = frozenset(_SYMBOL_CHARS) | {"<-", ""}  # "" is the end of the line
+_UNARY_NAMES = {spelling: op for op, spelling in UNARY_SPELLINGS.items()}
 _RESERVED = f"{END!r} is reserved for the undefined value"
 
 
@@ -535,8 +531,8 @@ def _term(rest: list, labels: dict) -> Expr:
     if tok in _SYMBOLS:
         if tok == "(":
             return _expr(rest, labels, ")")
-        if tok == "!" or tok == "-":
-            return UnOp("not" if tok == "!" else "neg", _term(rest, labels))
+        if tok in _UNARY_NAMES:
+            return UnOp(_UNARY_NAMES[tok], _term(rest, labels))
         raise _Unparsed(f"unexpected token {tok!r}" if tok else "unexpected end of line", len(rest))
     if tok == "ite" and rest[-1] == "(":
         rest.pop()
@@ -625,8 +621,7 @@ def format_expr(e: Expr) -> str:
     if isinstance(e, Reg):
         return e.name
     if isinstance(e, UnOp):
-        mark = "!" if e.op == "not" else "-"
-        return f"{mark}{_atom(e.arg)}"
+        return f"{UNARY_SPELLINGS[e.op]}{_atom(e.arg)}"
     if isinstance(e, BinOp):
         return f"({format_expr(e.left)} {e.op} {format_expr(e.right)})"
     if isinstance(e, Ite):

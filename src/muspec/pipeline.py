@@ -40,6 +40,7 @@ from .isa import (
     Store,
     eval_expr,
     force,
+    is_modulus,
     is_value,
     is_zero,
     text_lines,
@@ -86,7 +87,7 @@ class HwConfig:
             raise ValueError(f"buffer_size must be >= 2, got {self.buffer_size}")
         if self.fuel < 1:
             raise ValueError(f"fuel must be >= 1, got {self.fuel}")
-        if self.modulus < 2 or self.modulus & (self.modulus - 1):
+        if not is_modulus(self.modulus):
             raise ValueError(f"modulus must be a power of two >= 2, got {self.modulus}")
         make_cache(self.cache)
         if self.countermeasure == "seq" and self.scheduler != "seq":

@@ -151,6 +151,24 @@ def test_a_bot_inf_witness_replays_byte_identically(capsys, tmp_path):
     assert (code, out) == (0, "state pc=1,w=0,x=0,z=0\nstate pc=end,w=0,x=0,z=0\n")
 
 
+def test_trace_runs_at_the_domains_modulus(capsys, tmp_path):
+    # trace read the domain's cells but not its values, and ran a state file
+    # without a values line at 65536: it showed z=28 and [36]=0
+    program, domain, state = tmp_path / "p.masm", tmp_path / "d.txt", tmp_path / "s.txt"
+    program.write_text("load z, 7\nz <- z * 2\nload w, 8 + z\n")
+    domain.write_text("values 16\nvary 7 in 14..15\n")
+    argv = ("trace", "--contract", "bot-inf", "--domain", str(domain), "--state", str(state), str(program))
+    at_16 = "state pc=3,w=0,z=12,[4]=0,[7]=14\nstate pc=end,w=0,z=12,[4]=0,[7]=14\n"
+    for text in ("mem 7=14\n", "values 16\nmem 7=14\n"):
+        state.write_text(text)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.endswith(at_16), text
+    # a values line in the state file still decides
+    state.write_text("values 65536\nmem 7=14\n")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.endswith("state pc=end,w=0,z=28,[7]=14,[36]=0\n")
+
+
 @pytest.mark.parametrize("contract", ["seq-ct", "seq-arch", "spec-ct", "spec-pc-ct", "spec-arch", "top"])
 def test_domain_without_bot_inf_is_a_usage_error(capsys, tmp_path, contract):
     # only bot-inf snapshots show memory cells that no step touched

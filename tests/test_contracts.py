@@ -2,7 +2,7 @@
 import pytest
 
 from muspec import corpus
-from muspec.arch import ArchState, FuelExhausted
+from muspec.arch import DEFAULT_FUEL, ArchState, FuelExhausted
 from muspec.analysis import StateDomain
 from muspec.contracts import (
     SEQ_ARCH,
@@ -10,6 +10,7 @@ from muspec.contracts import (
     TOP,
     ContractId,
     contract_stronger_test,
+    contract_trace,
     format_trace,
     trace_degenerate,
     trace_seq,
@@ -24,6 +25,16 @@ def state(p, mem=None):
     return ArchState.initial(p, mem)
 
 
+def seq(p, s, observer):
+    """What ``observer`` shows of the seq run from ``s``."""
+    return contract_trace(ContractId("seq", observer), p, s)
+
+
+def spec(p, s, observer, window=W, fuel=DEFAULT_FUEL):
+    """What ``observer`` shows of the spec run from ``s`` at ``window``."""
+    return contract_trace(ContractId("spec", observer, window), p, s, fuel)
+
+
 # -- sequential traces --------------------------------------------------------
 
 
@@ -31,23 +42,23 @@ def test_example1_ct_trace():
     # branch observation is pc 2 in our zero-based addressing (the original
     # counts lines from 1)
     p = corpus.load("ex1")
-    assert trace_seq(p, state(p), "ct") == (("pc", 2), ("load", 9), ("load", 12))
+    assert seq(p, state(p), "ct") == (("pc", 2), ("load", 9), ("load", 12))
 
 
 def test_skip_has_empty_trace():
     p = parse_program("skip")
-    assert trace_seq(p, state(p), "ct") == ()
+    assert seq(p, state(p), "ct") == ()
 
 
 def test_example1_arch_trace_attaches_values():
     p = corpus.load("ex1")
-    t = trace_seq(p, state(p, {9: 0, 12: 4}), "arch")
+    t = trace_seq(p, state(p, {9: 0, 12: 4}))
     assert t == (("pc", 2), ("loadv", 9, 0), ("loadv", 12, 4))
 
 
 def test_store_and_jmp_observations():
     p = parse_program("x <- 2\nstore x, 6\njmp 3")
-    assert trace_seq(p, state(p), "ct") == (("store", 6), ("pc", 3))
+    assert seq(p, state(p), "ct") == (("store", 6), ("pc", 3))
 
 
 def test_ct_is_value_erasure_of_arch():
@@ -59,8 +70,8 @@ def test_ct_is_value_erasure_of_arch():
     for name in corpus.program_names():
         p = corpus.load(name)
         s = state(p, {7: 2, 9: 1, 10: 1, 11: 3})
-        assert erase(trace_seq(p, s, "arch")) == trace_seq(p, s, "ct")
-        assert erase(trace_spec(p, s, "arch", W)) == trace_spec(p, s, "ct", W)
+        assert erase(trace_seq(p, s)) == seq(p, s, "ct")
+        assert erase(trace_spec(p, s, W)) == spec(p, s, "ct")
 
 
 # -- speculative traces -------------------------------------------------------
@@ -68,7 +79,7 @@ def test_ct_is_value_erasure_of_arch():
 
 def test_p1_spec_trace_shows_mispredicted_loads_then_rollback():
     p = corpus.load("P1")
-    t = trace_spec(p, state(p, {7: 2}), "ct", window=10)
+    t = spec(p, state(p, {7: 2}), "ct", window=10)
     # branch at 1 architecturally jumps to end; the mispredicted path does
     # both loads before the rollback observation of the resumed pc
     assert t == (("pc", 2), ("load", 7), ("load", 12), ("pc", "end"))
@@ -76,8 +87,8 @@ def test_p1_spec_trace_shows_mispredicted_loads_then_rollback():
 
 def test_p1_pc_ct_filters_speculative_loads():
     p = corpus.load("P1")
-    ct = trace_spec(p, state(p, {7: 2}), "ct", window=10)
-    pcct = trace_spec(p, state(p, {7: 2}), "pc-ct", window=10)
+    ct = spec(p, state(p, {7: 2}), "ct", window=10)
+    pcct = spec(p, state(p, {7: 2}), "pc-ct", window=10)
     assert pcct == (("pc", 2), ("pc", "end"))
     assert [o for o in pcct] == [o for o in ct if o[0] == "pc"]
 
@@ -90,38 +101,38 @@ def test_pc_ct_is_subsequence_of_ct():
     for name in corpus.program_names():
         p = corpus.load(name)
         s = state(p, {7: 1, 9: 2, 10: 1, 11: 0})
-        assert subsequence(trace_spec(p, s, "pc-ct", W), trace_spec(p, s, "ct", W))
+        assert subsequence(spec(p, s, "pc-ct"), spec(p, s, "ct"))
 
 
 def test_straight_line_spec_equals_seq():
     p = parse_program("x <- 1\nload y, 4\nstore y, 5")
     s = state(p, {4: 2})
     for observer in ("ct", "arch"):
-        assert trace_spec(p, s, observer, W) == trace_seq(p, s, observer)
+        assert spec(p, s, observer) == seq(p, s, observer)
 
 
 def test_window_one_explores_single_speculative_step():
     p = corpus.load("P1")
-    t = trace_spec(p, state(p, {7: 2}), "ct", window=1)
+    t = spec(p, state(p, {7: 2}), "ct", window=1)
     # one step into the wrong path (the first load), then rollback
     assert t == (("pc", 2), ("load", 7), ("pc", "end"))
 
 
 def test_barrier_zeroes_speculative_window():
     p = corpus.load("P1f")
-    t = trace_spec(p, state(p, {7: 2}), "ct", window=10)
+    t = spec(p, state(p, {7: 2}), "ct", window=10)
     assert t == (("pc", 2), ("pc", "end"))
 
 
 def test_barrier_on_architectural_path_is_plain_step():
     p = parse_program("spbarr\nload x, 5")
-    assert trace_spec(p, state(p), "ct", W) == (("load", 5),)
+    assert spec(p, state(p), "ct") == (("load", 5),)
 
 
 def test_nested_branches_roll_back_innermost_first():
     p = corpus.load("P1'")
-    t0 = trace_spec(p, state(p, {7: 0}), "pc-ct", W)
-    t1 = trace_spec(p, state(p, {7: 1}), "pc-ct", W)
+    t0 = spec(p, state(p, {7: 0}), "pc-ct")
+    t1 = spec(p, state(p, {7: 1}), "pc-ct")
     # the nested mispredict observation depends on the loaded value
     assert t0 != t1
 
@@ -129,13 +140,13 @@ def test_nested_branches_roll_back_innermost_first():
 def test_spec_trace_window_must_be_positive():
     p = parse_program("skip")
     with pytest.raises(ValueError):
-        trace_spec(p, state(p), "ct", window=0)
+        trace_spec(p, state(p), window=0)
 
 
 def test_fuel_exhausted_on_loop():
     p = corpus.load("loop")
     with pytest.raises(FuelExhausted):
-        trace_spec(p, state(p), "ct", W, fuel=50)
+        spec(p, state(p), "ct", fuel=50)
 
 
 # -- degenerate contracts -----------------------------------------------------
@@ -226,9 +237,9 @@ def test_top_stronger_than_everything():
 
 def test_format_trace_records():
     p = corpus.load("ex1")
-    text = format_trace(trace_seq(p, state(p), "ct"))
+    text = format_trace(seq(p, state(p), "ct"))
     assert text == "pc 2\nload 9\nload 12\n"
-    text = format_trace(trace_seq(p, state(p, {9: 1}), "arch"))
+    text = format_trace(trace_seq(p, state(p, {9: 1})))
     assert "loadv 9 1" in text
 
 
@@ -238,7 +249,7 @@ def test_rollback_resumes_the_correct_continuation():
     # trace continues exactly like the sequential one
     p = corpus.load("ex1")
     s = state(p, {9: 1, 12: 3})
-    spec = trace_spec(p, s, "ct", window=7)
-    seq = trace_seq(p, s, "ct")
-    assert spec == (("pc", "end"),) + seq
-    assert seq == (("pc", 2), ("load", 9), ("load", 76))
+    spec_ct = spec(p, s, "ct", window=7)
+    seq_ct = seq(p, s, "ct")
+    assert spec_ct == (("pc", "end"),) + seq_ct
+    assert seq_ct == (("pc", 2), ("load", 9), ("load", 76))

@@ -5,6 +5,7 @@ import importlib.util
 import pickle
 import random
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -13,12 +14,16 @@ from hypothesis import strategies as st
 
 from muspec import corpus
 from muspec.isa import (
+    BINARY_OPS,
     BOTTOM,
+    UNARY_OPS,
+    UNARY_SPELLINGS,
     Assign,
     Beqz,
     BinOp,
     CondAssign,
     Const,
+    Deferred,
     Ite,
     Load,
     ParseError,
@@ -30,8 +35,10 @@ from muspec.isa import (
     UnOp,
     check_well_formed,
     eval_expr,
+    format_expr,
     format_program,
     parse_program,
+    term_value,
 )
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -310,6 +317,57 @@ def test_eval_logic_ops():
 def test_eval_ite_nonzero_selects_then():
     assert eval_expr(Ite(Const(2), Const(10), Const(20)), {}) == 10
     assert eval_expr(Ite(Const(0), Const(10), Const(20)), {}) == 20
+
+
+# Each operator, written out modulo 16, with its arity.
+REFERENCE_OPS = {
+    "neg": lambda v: (16 - v) % 16,
+    "not": lambda v: int(v == 0),
+    "+": lambda a, b: (a + b) % 16,
+    "-": lambda a, b: (a - b) % 16,
+    "*": lambda a, b: a * b % 16,
+    "<": lambda a, b: int(a < b),
+    "=": lambda a, b: int(a == b),
+    "&": lambda a, b: a & b,
+    "|": lambda a, b: a | b,
+    "^": lambda a, b: a ^ b,
+    "ite": lambda c, t, o: t if c else o,
+}
+
+
+def _applied(op, args):
+    """``op`` applied to the expressions ``args``."""
+    if op == "ite":
+        return Ite(*args)
+    return UnOp(op, *args) if op in UNARY_OPS else BinOp(op, *args)
+
+
+def test_operators_agree_everywhere():
+    # evaluation on constants, the term a deferred operand builds, and the
+    # reference agree on every operator and every operand modulo 16
+    assert REFERENCE_OPS.keys() == UNARY_OPS.keys() | BINARY_OPS.keys() | {"ite"}
+    for op, reference in REFERENCE_OPS.items():
+        arity = 3 if op == "ite" else 1 if op in UNARY_OPS else 2
+        regs = _applied(op, [Reg(f"r{i}") for i in range(arity)])
+        for args in product(range(16), repeat=arity):
+            plain = eval_expr(_applied(op, [Const(v) for v in args]), {}, modulus=16)
+            reads = {}
+            deferred = eval_expr(regs, {f"r{i}": Deferred(i, v, reads) for i, v in enumerate(args)}, modulus=16)
+            assert deferred.__class__ is Deferred and not reads
+            assert plain == term_value(deferred.term, dict(enumerate(args))) == deferred.value == reference(*args), (
+                op, args)
+    # each unary spelling prints and parses back
+    assert UNARY_SPELLINGS.keys() == UNARY_OPS.keys()
+    for op, spelling in UNARY_SPELLINGS.items():
+        e = UnOp(op, Reg("x"))
+        assert format_expr(e) == f"{spelling}x"
+        assert parse_program(f"y <- {format_expr(e)}").instrs[0] == Assign("y", e)
+    # an operator is looked up in its own arity's table only
+    x = {"x": Deferred(1, 3, {})}
+    wrong = (UnOp("+", Const(1)), UnOp("ite", Reg("x")), BinOp("not", Const(1), Const(2)), BinOp("neg", Reg("x"), Reg("x")))
+    for e in wrong:
+        with pytest.raises(StuckError, match="^unknown operator '"):
+            eval_expr(e, x, modulus=16)
 
 
 def test_partial_agrees_with_total_without_bottom():

@@ -48,6 +48,19 @@ def _counting(monkeypatch, *targets):
     return calls
 
 
+def _mode_runs(monkeypatch):
+    """Record the runs of the two modes' explorers, each as ``(mode,
+    window, program, state)``; a seq run's window is None."""
+    runs = []
+    for name, mode in (("trace_seq", "seq"), ("trace_spec", "spec")):
+        def counted(p, sigma, *args, fn=getattr(contracts, name), mode=mode):
+            runs.append((mode, args[0] if mode == "spec" else None, p, sigma))
+            return fn(p, sigma, *args)
+
+        monkeypatch.setattr(contracts, name, counted)
+    return runs
+
+
 def test_watch_is_not_part_of_the_value():
     plain = ArchState({PC: 0, "x": 1}, {7: 3, 9: 0})
     reads = {}
@@ -94,20 +107,22 @@ def test_bot_inf_fills_each_state_from_one_seq_run(monkeypatch):
     skip = parse_program("skip")
     dom = StateDomain(modulus=16, vary=((7, 0, 1),))
     plain = [contract_trace(BOT_INF, skip, s, snapshot_addrs=dom.addresses) for s in dom.initial_states(skip)]
-    runs = _counting(monkeypatch, (contracts, "contract_trace"))
+    runs = _mode_runs(monkeypatch)
     tracer = analysis._side(BOT_INF, {}, skip, dom, FUEL)
     traces = [tracer(sigma) for sigma in dom.initial_states(skip)]
-    assert traces == plain and [c for c, *_ in runs] == [SEQ_ARCH]
+    assert traces == plain and [(mode, window) for mode, window, *_ in runs] == [("seq", None)]
     assert [t[0][1][1] for t in traces] == [((7, 0),), ((7, 1),)]
 
 
 def test_a_lattice_batch_runs_nothing_for_bot_inf_or_top(monkeypatch):
     # bot-inf observes the seq-arch run and top shows nothing, so neither
-    # makes a contract_trace call of its own, nor a trace_degenerate call
-    runs = _counting(monkeypatch, (contracts, "contract_trace"))
+    # makes a run of its own, through contract_trace or trace_degenerate:
+    # every run is a mode's shared one
+    runs = _mode_runs(monkeypatch)
+    plain = _counting(monkeypatch, (contracts, "contract_trace"))
     degenerate = _counting(monkeypatch, (contracts, "trace_degenerate"))
     check_lattice([parse_program("skip"), corpus.load("P2")], LATTICE_DOMAIN, 7)
-    assert runs and not [c for c, *_ in runs if c in (BOT_INF, TOP)] and not degenerate
+    assert runs and not plain and not degenerate
 
 
 def test_bot_inf_witness_traces_are_the_plain_traces():
@@ -123,13 +138,13 @@ def test_bot_inf_witness_traces_are_the_plain_traces():
 
 def test_lattice_traces_each_contract_once_per_state(monkeypatch):
     programs = [corpus.load(n) for n in corpus.program_names()]
-    runs = _counting(monkeypatch, (contracts, "contract_trace"))
+    runs = _mode_runs(monkeypatch)
     check_lattice(programs, LATTICE_DOMAIN, 7)
-    per_state = Counter((c, id(p), sigma.key()) for c, p, sigma, *_ in runs)
+    per_state = Counter((mode, window, id(p), sigma.key()) for mode, window, p, sigma in runs)
     assert runs and max(per_state.values()) == 1, per_state.most_common(1)
-    # only the arch contracts run: the ct, pc-ct and bot-inf traces are
-    # made from their mode's arch run, and top runs nothing
-    assert {c for c, *_ in runs} == {SEQ_ARCH, replace(SPEC_ARCH, window=7)}
+    # only the modes run: the ct, pc-ct, arch and bot-inf traces are made
+    # from their mode's arch run, and top runs nothing
+    assert {(mode, window) for mode, window, *_ in runs} == {("seq", None), ("spec", 7)}
 
 
 def _plain_run(semantics, p, dom):
@@ -149,16 +164,17 @@ def test_shared_tracer_equals_plain_run_on_every_state(monkeypatch, vary):
     semantics = CONTRACTS + tuple(
         HwConfig(countermeasure=cm, predictor="twobit") for cm in COUNTERMEASURES
     )
-    runs = _counting(monkeypatch, (contracts, "contract_trace"), (pipeline, "hw_run"))
+    runs = _counting(monkeypatch, (contracts, "trace_seq"), (contracts, "trace_spec"), (pipeline, "hw_run"))
     states, shared_runs = Counter(), Counter()
     branched = 0
     for p in random_programs(20, seed=5):
         for sem in semantics:
             plain = _plain_run(sem, p, dom)
+            expected = [plain(sigma) for sigma in dom.initial_states(p)]  # runs not counted below
             before = len(runs)
             shared = analysis._side(sem, {}, p, dom, FUEL)
-            for sigma in dom.initial_states(p):
-                assert shared(sigma) == plain(sigma), (str(p), sem, format_state(sigma))
+            for sigma, trace in zip(dom.initial_states(p), expected):
+                assert shared(sigma) == trace, (str(p), sem, format_state(sigma))
                 states[sem] += 1
             shared_runs[sem] += len(runs) - before
             branched += len(runs) - before > 1
@@ -368,12 +384,12 @@ def test_a_table_row_traces_each_contract_once_per_state(monkeypatch):
     # the row's NI and both SNI checks all key on seq-ct, and share its tracer
     p = corpus.load("P2")
     dom = StateDomain(modulus=16, vary=corpus.default_vary("P2"))
-    runs = _counting(monkeypatch, (contracts, "contract_trace"))
+    runs = _mode_runs(monkeypatch)
     analysis.classify_constant_time(p, analysis.Policy(corpus.TABLE_POLICY_LOW), dom, 7)
-    per_state = Counter((c, sigma.key()) for c, _p, sigma, *_ in runs)
+    per_state = Counter((mode, window, sigma.key()) for mode, window, _p, sigma in runs)
     assert runs and max(per_state.values()) == 1, per_state.most_common(1)
-    # seq-ct, spec-ct and spec-pc-ct are made from the seq-arch and spec-arch runs
-    assert {c for c, *_ in runs} == {SEQ_ARCH, replace(SPEC_ARCH, window=7)}
+    # seq-ct, spec-ct and spec-pc-ct are made from the seq and spec runs' arch traces
+    assert {(mode, window) for mode, window, *_ in runs} == {("seq", None), ("spec", 7)}
 
 
 def _forced_paths(trace, p, dom):
@@ -615,7 +631,7 @@ def test_a_lattice_batch_runs_spec_once_per_forced_path(monkeypatch):
     # run per forced path: pc-ct's dropped observations are marked in it
     programs = [corpus.load(n) for n in corpus.program_names()]
     m = LATTICE_DOMAIN.modulus
-    paths = [_forced_paths(lambda p, s: contracts.trace_spec(p, s, "arch", 7, modulus=m), p, LATTICE_DOMAIN)
+    paths = [_forced_paths(lambda p, s: contracts.trace_spec(p, s, 7, modulus=m), p, LATTICE_DOMAIN)
              for p in programs]
     calls = _counting(monkeypatch, (contracts, "trace_spec"))
     runs = []
@@ -624,7 +640,7 @@ def test_a_lattice_batch_runs_spec_once_per_forced_path(monkeypatch):
         assert all(w is None for w in check_lattice([p], LATTICE_DOMAIN, 7).values())
         runs.append(len(calls) - before)
     assert runs == paths
-    assert {args[2] for args in calls} == {"arch"}  # spec-pc-ct adds no run
+    assert {args[2] for args in calls} == {7}  # spec-pc-ct adds no run of its own
 
 
 def test_ct_and_arch_batch_runs_each_read_path_once_as_arch(monkeypatch):
@@ -634,13 +650,14 @@ def test_ct_and_arch_batch_runs_each_read_path_once_as_arch(monkeypatch):
     seq_paths = spec_paths = 0
     m = LATTICE_DOMAIN.modulus
     for p in programs:
-        seq_paths += _forced_paths(lambda p, s: contracts.trace_seq(p, s, "arch", modulus=m), p, LATTICE_DOMAIN)
-        spec_paths += _forced_paths(lambda p, s: contracts.trace_spec(p, s, "arch", 7, modulus=m), p, LATTICE_DOMAIN)
+        seq_paths += _forced_paths(lambda p, s: contracts.trace_seq(p, s, modulus=m), p, LATTICE_DOMAIN)
+        spec_paths += _forced_paths(lambda p, s: contracts.trace_spec(p, s, 7, modulus=m), p, LATTICE_DOMAIN)
     seq = _counting(monkeypatch, (contracts, "trace_seq"))
     spec = _counting(monkeypatch, (contracts, "trace_spec"))
+    plain = _counting(monkeypatch, (contracts, "contract_trace"))
     for p in programs:
         analysis.decide(p, LATTICE_DOMAIN, OBSERVER_PAIRS)
-    assert {args[2] for args in seq + spec} == {"arch"}
+    assert {args[2] for args in spec} == {7} and not plain  # every run is its mode's shared arch run
     assert (len(seq), len(spec)) == (seq_paths, spec_paths)
     assert seq_paths < len(programs) * LATTICE_DOMAIN.size()  # sharing happened
 
