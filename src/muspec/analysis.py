@@ -202,23 +202,27 @@ def _low_fingerprint(sigma: ArchState, policy: Policy) -> tuple:
     return tuple(sorted((a, v) for a, v in sigma.mem.items() if policy.is_low(a)))
 
 
-def _side(side, tracers, program, domain, fuel):
+def _side(side, tracers, program, domain, fuel, as_key=False):
     """One side of a check as a function of the initial state: a Policy is
     the low fingerprint, a tuple the tuple of its parts, and a semantics
-    its tracer in ``tracers``, built on first use."""
+    its tracer in ``tracers``, built on first use. A side ``as_key`` need
+    only be equal on two states exactly when the traces are: bot-inf's
+    builds no trace (``contract_tracer``), so it is kept apart from its
+    tracer."""
     if isinstance(side, tuple):
-        parts = [_side(s, tracers, program, domain, fuel) for s in side]
+        parts = [_side(s, tracers, program, domain, fuel, as_key) for s in side]
         return lambda sigma: tuple(f(sigma) for f in parts)
     if isinstance(side, Policy):
         return lambda sigma: _low_fingerprint(sigma, side)
-    if side not in tracers:
+    slot = (side, as_key) if side == BOT_INF else side
+    if slot not in tracers:
         if isinstance(side, ContractId):
-            tracers[side] = contract_tracer(side, program, domain, fuel, tracers)
+            tracers[slot] = contract_tracer(side, program, domain, fuel, tracers, as_key)
         elif isinstance(side, HwConfig):
-            tracers[side] = hw_tracer(side, program, domain)
+            tracers[slot] = hw_tracer(side, program, domain)
         else:
             raise TypeError(f"semantics must be a ContractId or HwConfig, got {side!r}")
-    return tracers[side]
+    return tracers[slot]
 
 
 def decide(program: Program, domain: StateDomain, checks, fuel: int = DEFAULT_FUEL) -> list:
@@ -230,8 +234,14 @@ def decide(program: Program, domain: StateDomain, checks, fuel: int = DEFAULT_FU
     hardware config's runs keep its own fuel."""
     tracers = {}
     return [
-        relate(program, domain, *(_side(s, tracers, program, domain, fuel) for s in sides), name)
-        for name, *sides in checks
+        relate(
+            program,
+            domain,
+            _side(key, tracers, program, domain, fuel, as_key=True),
+            _side(observed, tracers, program, domain, fuel),
+            name,
+        )
+        for name, key, observed in checks
     ]
 
 

@@ -221,14 +221,19 @@ def _snapped(v):
 
 
 def _snapshots(steps, addrs):
-    """The ``bot-inf`` trace of a seq run's ``steps`` as a function of the
-    memory of a state sharing the run: a snapshot after each step, listing
-    ``addrs`` and each cell loaded or stored so far. Each distinct listing,
-    of registers or memory, with a deferred value is filled once per call."""
-    touched, deferred, snapshots = set(addrs), {}, []
+    """The ``bot-inf`` trace of a seq run's ``steps`` for the states sharing
+    the run: a snapshot after each step, listing ``addrs`` and each cell
+    loaded or stored so far. Returns the deferred terms the listings show,
+    each once, and the filler, the trace as a function of those terms'
+    values under a state. Each distinct listing, of registers or memory,
+    with a deferred value is filled once per call."""
+    touched, terms, deferred, snapshots = set(addrs), {}, {}, []
 
     def listing(entries):
-        key = tuple((k, v.term, None) if v.__class__ is Deferred else (k, v) for k, v in entries)
+        key = tuple(
+            (k, terms.setdefault(v.term, len(terms)), None) if v.__class__ is Deferred else (k, v)
+            for k, v in entries
+        )
         return entries if key == entries else deferred.setdefault(key, len(deferred))
 
     for state, obs in steps:
@@ -237,14 +242,14 @@ def _snapshots(steps, addrs):
         snapshots.append(tuple(map(listing, state_snapshot(state, touched))))
     deferred = tuple(deferred)
 
-    def filled(mem: dict) -> tuple:
-        done = [tuple((e[0], term_value(e[1], mem)) if len(e) == 3 else e for e in d) for d in deferred]
+    def filled(values: tuple) -> tuple:
+        done = [tuple((e[0], values[e[1]]) if len(e) == 3 else e for e in d) for d in deferred]
         return tuple(
             ("state", (r if r.__class__ is tuple else done[r], c if c.__class__ is tuple else done[c]))
             for r, c in snapshots
         )
 
-    return filled
+    return tuple(terms), filled
 
 
 def trace_degenerate(
@@ -263,7 +268,8 @@ def trace_degenerate(
         raise ValueError(f"unknown degenerate contract {which!r}")
     steps = []
     trace_seq(p, state, fuel, modulus, steps)
-    return _snapshots(steps, snapshot_addrs)(state.mem)
+    terms, filled = _snapshots(steps, snapshot_addrs)
+    return filled(tuple(map(term_value, terms, repeat(state.mem))))
 
 
 def contract_trace(
@@ -285,13 +291,21 @@ def contract_trace(
     return trace_degenerate(p, state, contract.mode, fuel, modulus, snapshot_addrs)
 
 
-def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers: dict):
+def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers: dict, as_key: bool = False):
     """``contract``'s trace function on ``domain``'s states, run once per
     distinct path of the terms over the domain's varying cells that a run
     forces (see ``arch_step``). A mode, seq or spec at a window, runs once
     per path for all its observers (``_Run``): ct, pc-ct, arch and, of seq,
     bot-inf; top shows nothing and runs nothing. ``tracers``, a batch's
-    tracers by semantics, keeps each mode's runs under ``(mode, window)``."""
+    tracers by semantics, keeps each mode's runs under ``(mode, window)``.
+
+    With ``as_key`` it returns a function equal on two states exactly when
+    their traces are: the trace function, but for bot-inf. A bot-inf trace
+    is a function of its seq run and the values of the deferred terms it
+    shows (``_snapshots``), so its key is that pair, and no trace is built.
+    States on different runs differ in a term the runs logged, and each
+    cell of that term is shown in the snapshot just after the load that
+    read it."""
     if contract.mode == "top":
         return lambda sigma: ()
     mode = ("seq", None) if contract.mode == "bot" else (contract.mode, contract.window)
@@ -304,7 +318,9 @@ def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers
             run = shared(sigma)
             if run.bot_inf is None:
                 run.bot_inf = _snapshots(run.steps, domain.addresses)
-            return run.bot_inf(sigma.mem)
+            terms, filled = run.bot_inf
+            values = tuple(map(term_value, terms, repeat(sigma.mem)))
+            return (run, values) if as_key else filled(values)
     elif observer != "arch":
         def tracer(sigma):  # runs once per state, so it only looks up
             return shared(sigma).shown[observer]
@@ -327,7 +343,7 @@ class _Run:
     ``sigma``, whose loads at ``positions`` left their ``cells``' values
     deferred, ``shown``, what the ct and pc-ct observers show of it, and
     ``fills``, its arch traces filled in so far, by those cells' values; a
-    seq run's ``steps``, and its ``bot_inf`` trace function once made."""
+    seq run's ``steps``, and its ``bot_inf`` terms and filler once made."""
 
     __slots__ = ("trace", "shown", "positions", "cells", "fills", "steps", "bot_inf")
 
@@ -448,8 +464,8 @@ def contract_stronger_test(
         raise ValueError(f"{c1} >= {c2} needs at least one program")
     for idx, p in enumerate(corpus):
         tracers = {}
-        c1_tracer, c2_tracer = (contract_tracer(c, p, domain, fuel, tracers) for c in (c1, c2))
-        v = relate(p, domain, c2_tracer, c1_tracer, f"{c1} >= {c2}")
+        c2_key = contract_tracer(c2, p, domain, fuel, tracers, as_key=True)
+        v = relate(p, domain, c2_key, contract_tracer(c1, p, domain, fuel, tracers), f"{c1} >= {c2}")
         if not v.ok:
             return StrengthWitness(idx, v.sigma, v.sigma_prime, v.trace, v.trace_prime)
     return None

@@ -114,15 +114,72 @@ def test_bot_inf_fills_each_state_from_one_seq_run(monkeypatch):
     assert [t[0][1][1] for t in traces] == [((7, 0),), ((7, 1),)]
 
 
+def _bot_inf_fills(monkeypatch):
+    """Record the ``bot-inf`` runs snapshotted, and the values each filler
+    call is given."""
+    snapshotted, fills = [], []
+
+    def counted(steps, addrs, fn=contracts._snapshots):
+        snapshotted.append(steps)
+        terms, filled = fn(steps, addrs)
+
+        def counted_fill(values):
+            fills.append(values)
+            return filled(values)
+
+        return terms, counted_fill
+
+    monkeypatch.setattr(contracts, "_snapshots", counted)
+    return snapshotted, fills
+
+
 def test_a_lattice_batch_runs_nothing_for_bot_inf_or_top(monkeypatch):
     # bot-inf observes the seq-arch run and top shows nothing, so neither
     # makes a run of its own, through contract_trace or trace_degenerate:
-    # every run is a mode's shared one
+    # every run is a mode's shared one. bot-inf is only a key there, its
+    # seq run and the deferred values it shows, so no bot-inf trace is filled
     runs = _mode_runs(monkeypatch)
     plain = _counting(monkeypatch, (contracts, "contract_trace"))
     degenerate = _counting(monkeypatch, (contracts, "trace_degenerate"))
+    snapshotted, fills = _bot_inf_fills(monkeypatch)
     check_lattice([parse_program("skip"), corpus.load("P2")], LATTICE_DOMAIN, 7)
     assert runs and not plain and not degenerate
+    assert snapshotted and not fills
+
+
+# programs whose bot-inf classes have pairs: the first step stores over a
+# varying cell, at its address or at one that wraps onto it modulo 16, so
+# no snapshot shows the cell's initial value; the last one's runs branch
+BOT_INF_PAIRED = ("store x, 7\nload y, 9", "store x, 8 * 9\nload y, 1", "store x, 7\nload z, 9\nbeqz z, end")
+BOT_INF_DOMAINS = (
+    LATTICE_DOMAIN,
+    StateDomain(modulus=16, vary=((0, 0, 2), (1, 0, 1), (8, 0, 1)), fixed=((9, 5),)),
+)
+
+
+def _partition(f, p, dom):
+    """The domain's states grouped by ``f``, as lists of enumeration positions."""
+    classes = {}
+    for i, sigma in enumerate(dom.initial_states(p)):
+        classes.setdefault(f(sigma), []).append(i)
+    return sorted(classes.values())
+
+
+def test_a_bot_inf_key_groups_the_states_its_traces_group():
+    # a bot-inf key is the state's seq run and the deferred values its trace
+    # shows: equal exactly when the plain traces are equal
+    programs = [corpus.load(n) for n in corpus.program_names()] + random_programs(200, seed=29)
+    programs += map(parse_program, BOT_INF_PAIRED)
+    paired = Counter()
+    for dom in BOT_INF_DOMAINS:
+        for p in programs:
+            key = analysis._side(BOT_INF, {}, p, dom, FUEL, as_key=True)
+            classes = _partition(key, p, dom)
+            plain = lambda s: contract_trace(BOT_INF, p, s, modulus=dom.modulus, snapshot_addrs=dom.addresses)
+            assert classes == _partition(plain, p, dom), (str(p), dom)
+            paired[dom] += any(len(c) > 1 for c in classes)
+    # on both domains some class has a pair
+    assert all(paired[dom] for dom in BOT_INF_DOMAINS), paired
 
 
 def test_bot_inf_witness_traces_are_the_plain_traces():
