@@ -398,13 +398,10 @@ def relate(program: Program, domain, key, observe, check: str) -> Verdict:
     state whose key raises; an observation error at the arrival of the
     state whose comparison first needs that observation, and never for a
     state alone in its class. A shared tracer returns one trace object per
-    run, or for arch per run and values filled in, so each distinct pair of
-    trace objects is compared once: ``equal`` keeps the pairs found equal,
-    keyed by their ids, and holds the state's trace so that its id is not
-    reused while the check runs.
+    run, so a state that shares its representative's run is not compared
+    element by element.
     """
     groups: dict = {}  # key -> [first state, its trace once observed, else None]
-    equal: dict = {}
     for sigma in domain.initial_states(program):
         k = key(sigma)
         group = groups.get(k)
@@ -415,12 +412,7 @@ def relate(program: Program, domain, key, observe, check: str) -> Verdict:
         if rep_trace is None:
             rep_trace = group[1] = observe(rep_sigma)
         trace = observe(sigma)
-        if rep_trace is trace:
-            continue
-        pair = (id(rep_trace), id(trace))
-        if pair in equal:
-            continue
-        if rep_trace != trace:
+        if rep_trace is not trace and rep_trace != trace:
             return Verdict(
                 ok=False,
                 check=check,
@@ -431,7 +423,6 @@ def relate(program: Program, domain, key, observe, check: str) -> Verdict:
                 trace_prime=trace,
                 states=domain.position(sigma) + 1,
             )
-        equal[pair] = trace
     return Verdict(ok=True, check=check, states=domain.size())
 
 

@@ -47,16 +47,20 @@ from .isa import (
 )
 from .uarch import (
     apply_buffer,
+    blocked,
     buf_project,
     cmd_assign,
     cmd_barrier,
     cmd_load,
     cmd_skip,
     cmd_store,
+    executable,
     make_cache,
     make_predictor,
     make_scheduler,
+    may_fetch,
     project_entry,
+    retire_ready,
 )
 
 STUCK = object()  # stage outcome: no rule applies for the directive
@@ -145,9 +149,12 @@ def initial_hw_state(sigma: ArchState, cfg: HwConfig) -> HwState:
 # ---------------------------------------------------------------------------
 # Stages. Each takes plain command tuples and returns
 # (sigma, (lo, hi, new), cs, bp) or STUCK: the buffer edit replaces entries
-# lo..hi-1 with the commands new. Only retire changes sigma.
+# lo..hi-1 with the commands new. Only retire changes sigma. Each is stuck
+# where the buffer's ordering rules (uarch) rule its directive out, and
+# otherwise only on what they do not read: an undefined operand or pc, or
+# a two-entry fetch into the last free slot.
 
-KEEP = (0, 0, ())  # a cache miss, or an execute with nothing to compute
+KEEP = (0, 0, ())  # a cache miss, or the execute of a skip or a barrier
 DROP_HEAD = (0, 1, ())  # a retire
 
 
@@ -170,10 +177,13 @@ def _instr_commands(ins) -> tuple:
 
 
 def fetch_step(p: Program, sigma: ArchState, buf, cs, bp, mu_w: int):
-    pc = apply_buffer(buf, sigma.regs)[PC]
-    if pc is BOTTOM:
+    if not may_fetch(buf, mu_w):
         return STUCK
-    if len(buf) >= mu_w:
+    pc = sigma.regs[PC]
+    for kind, x, payload, _tag, _marked in buf:
+        if kind == "assign" and x == PC:  # resolved (may_fetch); the youngest is the pc
+            pc = payload
+    if pc is BOTTOM:  # the program is over
         return STUCK
     hit = cs.access(pc)
     cs2 = cs.update(pc)
@@ -203,17 +213,14 @@ def _forced(payload, a, modulus: int):
 def execute_step(p: Program, sigma: ArchState, buf, cs, bp, i: int, modulus: int):
     if not 1 <= i <= len(buf):
         return STUCK
-    kind, A, B, tag, marked = buf[i - 1]
+    kind, A, B, tag, marked = entry = buf[i - 1]
     if kind in ("skip", "barrier"):
         return (sigma, KEEP, cs, bp)
-    prefix = buf[: i - 1]
-    if any(c[0] == "barrier" for c in prefix):
+    if not executable(entry) or blocked(buf, i):
         return STUCK
-    a = apply_buffer(prefix, sigma.regs)
+    a = apply_buffer(buf[: i - 1], sigma.regs)
 
     if kind == "load":
-        if A == PC or any(c[0] == "store" for c in prefix):
-            return STUCK
         n = _forced(B, a, modulus)
         if n is BOTTOM:
             return STUCK
@@ -221,7 +228,7 @@ def execute_step(p: Program, sigma: ArchState, buf, cs, bp, i: int, modulus: int
         cs2 = cs.update(n)
         if not hit:
             return (sigma, KEEP, cs2, bp)
-        return (sigma, (i - 1, i, (cmd_assign(A, sigma.load(n), tag),)), cs2, bp)
+        return (sigma, (i - 1, i, (cmd_assign(A, sigma.load(n)),)), cs2, bp)
 
     if kind == "assign" and tag is not None:
         # branch resolution: tag is the branch address
@@ -236,40 +243,29 @@ def execute_step(p: Program, sigma: ArchState, buf, cs, bp, i: int, modulus: int
         return (sigma, (i - 1, hi, (cmd_assign(PC, correct),)), cs, bp.update(tag, correct, ins0.target))
 
     if kind == "assign":
-        v = B if is_value(B) else eval_expr(B, a, partial=True, modulus=modulus)
+        v = eval_expr(B, a, partial=True, modulus=modulus)
         if v is BOTTOM:
             return STUCK
         if A == PC:  # a jmp target: fetch reads the pc
             v = force(v)
         return (sigma, (i - 1, i, (cmd_assign(A, v, None, marked),)), cs, bp)
 
-    if kind == "store":
-        v = _forced(A, a, modulus)
-        n = _forced(B, a, modulus)
-        if v is BOTTOM or n is BOTTOM:
-            return STUCK
-        return (sigma, (i - 1, i, (cmd_store(v, n, tag),)), cs, bp)
-
-    return STUCK
+    v = _forced(A, a, modulus)  # a store
+    n = _forced(B, a, modulus)
+    if v is BOTTOM or n is BOTTOM:
+        return STUCK
+    return (sigma, (i - 1, i, (cmd_store(v, n),)), cs, bp)
 
 
 def retire_step(sigma: ArchState, buf, cs, bp):
-    if not buf:
+    if not buf or not retire_ready(buf[0]):
         return STUCK
-    kind, A, B, tag, _marked = buf[0]
-    if tag is not None:
-        return STUCK
-    if kind in ("skip", "barrier"):
-        return (sigma, DROP_HEAD, cs, bp)
+    kind, A, B, _tag, _marked = buf[0]
     if kind == "assign":
-        if not is_value(B):
-            return STUCK
         return (sigma.with_reg(A, B), DROP_HEAD, cs, bp)
     if kind == "store":
-        if not (isinstance(A, int) and isinstance(B, int)):
-            return STUCK
         return (sigma.with_mem(B, A), DROP_HEAD, cs.update(B), bp)
-    return STUCK
+    return (sigma, DROP_HEAD, cs, bp)
 
 
 def hw_step(p: Program, h: HwState, cfg: HwConfig) -> Tuple[HwState, tuple, bool]:

@@ -3,17 +3,32 @@ schedulers.
 
 Reorder-buffer commands are 5-tuples ``(kind, a, b, tag, marked)``:
 
-    ("skip",    None, None,      tag, False)
-    ("barrier", None, None,      tag, False)
-    ("assign",  x,    payload,   tag, marked)   marked: pc-increment writes
-    ("load",    x,    payload,   tag, False)
-    ("store",   payload, payload, tag, False)   value operand, address operand
+    ("skip",    None, None,      None, False)
+    ("barrier", None, None,      None, False)
+    ("assign",  x,    payload,   tag,  marked)   marked: pc-increment writes
+    ("load",    x,    payload,   None, False)
+    ("store",   payload, payload, None, False)   value operand, address operand
 
-A payload is an Expr (unresolved) or a Value (resolved).  ``tag`` is None
-for untagged entries or the branch address whose prediction produced the
-entry.  The pipeline keeps a reorder buffer as a tuple of commands and a
-parallel tuple of taint labels, frozensets of 1-based buffer indexes (empty
-outside taint tracking).
+A payload is an Expr (unresolved) or a Value (resolved).  An assignment's
+``tag`` is None, or for a branch prediction the branch's address.  The
+pipeline keeps a reorder buffer as a tuple of commands and a parallel tuple
+of taint labels, frozensets of 1-based buffer indexes (empty outside taint
+tracking).
+
+The buffer's ordering rules are stated once, here: ``may_fetch``,
+``executable``, ``blocked`` and ``retire_ready``.  Each reads only an
+entry's kind, target and tag and whether its payloads are resolved (a
+value in a command, R in a projection), so it gives the same answer on the
+commands and on their projection.  The schedulers build their candidates
+from these rules over the projection, and the pipeline's stages enforce
+them over the commands:
+
+- fetch needs room and no barrier or unresolved pc write in the buffer;
+- an entry executes while it has something to compute (an unresolved
+  payload, or a branch prediction to check) and is not blocked: no older
+  barrier, and for a load no older store;
+- the head retires once it has nothing left to execute; a load never
+  does, its execute turns it into an assignment.
 """
 from __future__ import annotations
 
@@ -53,8 +68,8 @@ def cmd_load(x, payload):
     return ("load", x, payload, None, False)
 
 
-def cmd_store(value_payload, addr_payload, tag=None):
-    return ("store", value_payload, addr_payload, tag, False)
+def cmd_store(value_payload, addr_payload):
+    return ("store", value_payload, addr_payload, None, False)
 
 
 def project_entry(cmd, label) -> tuple:
@@ -77,7 +92,8 @@ def apply_buffer(buf, regs: dict) -> dict:
     """Register assignment after the pending plain commands in ``buf``.
 
     Resolved assignments write their value, unresolved assignments and
-    loads write BOTTOM; a barrier anywhere maps every register to BOTTOM.
+    loads write BOTTOM.  A barrier writes nothing: no entry behind one
+    executes (``blocked``).
     """
     a = dict(regs)
     for kind, x, payload, _tag, _marked in buf:
@@ -85,9 +101,57 @@ def apply_buffer(buf, regs: dict) -> dict:
             a[x] = payload if is_value(payload) else BOTTOM
         elif kind == "load":
             a[x] = BOTTOM
-        elif kind == "barrier":
-            return {r: BOTTOM for r in a}
     return a
+
+
+# ---------------------------------------------------------------------------
+# Ordering rules. Each takes commands or projected entries alike.
+
+
+def _resolved(payload) -> bool:
+    """A projected payload, R or UR, is resolved when it is R; a command's,
+    an Expr or a Value, when it is a value."""
+    return payload == R if payload.__class__ is str else is_value(payload)
+
+
+def may_fetch(buf, mu_w: int) -> bool:
+    """Fetch needs a free slot, and no barrier or unresolved pc write in
+    flight: it waits for a barrier to retire and for the pc to be known."""
+    if len(buf) >= mu_w:
+        return False
+    for entry in buf:
+        kind = entry[0]
+        if kind == "barrier" or kind == "assign" and entry[1] == PC and not _resolved(entry[2]):
+            return False
+    return True
+
+
+def executable(entry) -> bool:
+    """Whether executing the entry computes something: an unresolved
+    payload, or a branch prediction (a tagged entry) to check."""
+    kind = entry[0]
+    if kind == "assign":
+        return entry[3] is not None or not _resolved(entry[2])
+    if kind == "store":
+        return not (_resolved(entry[1]) and _resolved(entry[2]))
+    return kind == "load"
+
+
+def blocked(buf, i: int) -> bool:
+    """Whether entry i (1-based) must wait for older entries: any entry
+    behind a barrier, a load behind a store."""
+    load = buf[i - 1][0] == "load"
+    for j in range(i - 1):
+        kind = buf[j][0]
+        if kind == "barrier" or load and kind == "store":
+            return True
+    return False
+
+
+def retire_ready(entry) -> bool:
+    """Whether the entry may retire from the head: it has nothing left to
+    execute, and it is not a load, which its execute makes an assignment."""
+    return entry[0] != "load" and not executable(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -248,30 +312,6 @@ def make_predictor(kind: str):
 # ``next``, ``key`` and ``update`` (the projections before and after a step).
 
 
-def _exec_projected(entry) -> bool:
-    kind, a, b, tag, _marked, _label = entry
-    if kind in ("skip", "barrier"):
-        return False
-    if kind == "assign":
-        return b == UR or tag is not None
-    if kind == "load":
-        return True
-    if kind == "store":
-        return a == UR or b == UR
-    raise ValueError(f"unknown command kind {kind!r}")
-
-
-def _retire_ready(entry) -> bool:
-    kind, a, b, tag, _marked, _label = entry
-    if tag is not None:
-        return False
-    if kind in ("skip", "barrier"):
-        return True
-    if kind == "store":
-        return a == R and b == R
-    return b == R
-
-
 @dataclass(unsafe_hash=True)
 class SequentialScheduler:
     """Fetch / execute 1 / retire in strict program order; it keeps no state."""
@@ -279,7 +319,7 @@ class SequentialScheduler:
     def next(self, proj: tuple) -> tuple:
         if not proj:
             return FETCH
-        return execute(1) if _exec_projected(proj[0]) else RETIRE
+        return execute(1) if executable(proj[0]) else RETIRE
 
     def update(self, old: tuple, new: tuple) -> "SequentialScheduler":
         return self
@@ -290,8 +330,9 @@ class SequentialScheduler:
 
 @dataclass(unsafe_hash=True)
 class OooScheduler:
-    """Out-of-order policy: fetch ahead while there is room, execute the
-    youngest executable entry, retire last.
+    """Out-of-order policy over the buffer rules' candidates: fetch ahead
+    while there is room, execute plain entries oldest first, retire, then
+    resolve branch predictions youngest first.
 
     The directive may be stuck for reasons invisible in the projection
     (unresolved operands, masked values, a full buffer on a two-entry
@@ -310,32 +351,15 @@ class OooScheduler:
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def _candidates(self, proj: tuple) -> list:
-        cands = []
-        kinds = [e[0] for e in proj]
-        if (
-            len(proj) < self.mu_w
-            and "barrier" not in kinds
-            and not any(e[0] == "assign" and e[1] == PC and e[2] == UR for e in proj)
-        ):
-            cands.append(FETCH)
+        cands = [FETCH] if may_fetch(proj, self.mu_w) else []
         plain, branches = [], []
-        for i in range(1, len(proj) + 1):
-            entry = proj[i - 1]
-            if not _exec_projected(entry):
-                continue
-            prefix = kinds[: i - 1]
-            if "barrier" in prefix:
-                continue
-            if entry[0] == "load" and "store" in prefix:
-                continue
-            if entry[3] is not None:
-                branches.append(execute(i))
-            else:
-                plain.append(execute(i))
+        for i, entry in enumerate(proj, 1):
+            if executable(entry) and not blocked(proj, i):
+                (plain if entry[3] is None else branches).append(execute(i))
         # data flows oldest-first; predictions resolve late and innermost
         # first, keeping speculative windows open as long as possible
         cands.extend(plain)
-        if proj and _retire_ready(proj[0]):
+        if proj and retire_ready(proj[0]):
             cands.append(RETIRE)
         cands.extend(reversed(branches))
         return cands or [FETCH]

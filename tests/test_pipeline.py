@@ -1,6 +1,6 @@
 """Hardware stage rules, top-level stepping, runs, and the adversary view."""
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,16 +26,21 @@ from muspec.pipeline import (
 )
 from muspec.uarch import (
     FETCH,
+    RETIRE,
     LruCache,
     OooScheduler,
     SequentialScheduler,
+    blocked,
     buf_project,
     cmd_assign,
     cmd_load,
     cmd_skip,
     cmd_store,
     execute,
+    executable,
     make_predictor,
+    may_fetch,
+    retire_ready,
 )
 
 MU_W = 5
@@ -387,6 +392,44 @@ def test_view_projection_is_buffer_projection_on_every_state(countermeasure, sch
             else:
                 fresh = OooScheduler(mu_w, h.sc.stall)
             assert fresh.next(proj) == h.sc.next(h.proj)
+
+
+def test_buffer_rules_read_alike_on_commands_and_projection_and_bind_the_stages():
+    # may_fetch, executable, blocked and retire_ready read only kinds, pc
+    # writes, tags and whether payloads are resolved, so at every state a run
+    # reaches they must answer alike on its commands and on its projection,
+    # which is all a scheduler sees. A directive they rule out must make no
+    # progress: its stage is stuck, or the countermeasure holds it back.
+    mem = {7: 2, 9: 1, 10: 1, 11: 3, 12: 2}
+    programs = [corpus.load(name) for name in corpus.program_names()] + random_programs(30, seed=1)
+    ruled_out = dict.fromkeys(("fetch", "execute", "retire"), 0)
+    for countermeasure in COUNTERMEASURES:
+        for scheduler in ("seq", "ooo"):
+            cfg = HwConfig(countermeasure=countermeasure, scheduler=scheduler, predictor="twobit")
+            mu_w = cfg.buffer_size
+            for p in programs:
+                h = initial_hw_state(ArchState.initial(p, mem), cfg)
+                for h, _directive in [(h, None), *hw_steps(p, h, cfg)]:
+                    buf, proj = h.buf, h.proj
+                    assert may_fetch(buf, mu_w) == may_fetch(proj, mu_w)
+                    for i in range(1, len(buf) + 1):
+                        assert executable(buf[i - 1]) == executable(proj[i - 1])
+                        assert blocked(buf, i) == blocked(proj, i)
+                        assert retire_ready(buf[i - 1]) == retire_ready(proj[i - 1])
+                    out = [] if may_fetch(buf, mu_w) else [FETCH]
+                    out += [
+                        execute(i)
+                        for i, cmd in enumerate(buf, 1)
+                        # an execute of a skip or a barrier progresses, changing nothing
+                        if cmd[0] not in ("skip", "barrier") and (not executable(cmd) or blocked(buf, i))
+                    ]
+                    if not (buf and retire_ready(buf[0])):
+                        out.append(RETIRE)
+                    for directive in out:
+                        _, _, progressed = hw_step(p, replace(h, sc=Picks(directive)), cfg)
+                        assert not progressed, (p, countermeasure, buf, directive)
+                        ruled_out[directive[0]] += 1
+    assert all(ruled_out.values()), ruled_out
 
 
 @pytest.mark.parametrize("micro", MICROARCHS)

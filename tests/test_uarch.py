@@ -14,6 +14,7 @@ from muspec.uarch import (
     SequentialScheduler,
     TwoBitPredictor,
     apply_buffer,
+    blocked,
     buf_project,
     cmd_assign,
     cmd_barrier,
@@ -24,6 +25,7 @@ from muspec.uarch import (
     make_cache,
     make_predictor,
     make_scheduler,
+    may_fetch,
 )
 
 E = frozenset()
@@ -96,10 +98,13 @@ def test_apply_unresolved_assignment_writes_bottom():
     assert a["y"] == 2
 
 
-def test_apply_barrier_bottoms_everything():
-    buf = (cmd_assign("x", 5), cmd_barrier(), cmd_assign("y", 6))
-    a = apply_buffer(buf, {"x": 0, "y": 0, PC: 3})
-    assert all(v is BOTTOM for v in a.values())
+def test_a_barrier_stops_fetch_and_blocks_every_younger_entry():
+    buf = (cmd_assign("x", Reg("z")), cmd_barrier(), cmd_assign("y", Reg("x")), cmd_load("w", Const(3)))
+    # the rule reads the same on the commands and on their projection
+    for entries in (buf, buf_project(lbl(*buf))):
+        assert not may_fetch(entries, 5)
+        assert may_fetch(entries[2:], 5)  # the barrier gone, fetch may go on
+        assert [blocked(entries, i) for i in range(1, len(buf) + 1)] == [False, False, True, True]
 
 
 def test_apply_store_and_skip_ignored():
