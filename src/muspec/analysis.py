@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Union
 
 from .arch import DEFAULT_FUEL, ArchState, _state
@@ -18,10 +18,6 @@ from .contracts import (
     BOT_INF,
     SEQ_ARCH,
     SEQ_CT,
-    SPEC_ARCH,
-    SPEC_CT,
-    SPEC_PC_CT,
-    TOP,
     ContractId,
     StrengthWitness,
     Verdict,
@@ -229,7 +225,7 @@ def decide(program: Program, domain: StateDomain, checks, fuel: int = DEFAULT_FU
     """Relate each check ``(name, key, observed)`` in order, one verdict per
     check. A side is a ContractId, an HwConfig, a Policy, or a tuple of
     these; every semantics gets one tracer for the whole batch (the
-    contracts of one execution mode share its runs), and each check still
+    contracts that run one explorer share its runs), and each check still
     walks the domain by itself. ``fuel`` bounds the contract runs; a
     hardware config's runs keep its own fuel."""
     tracers = {}
@@ -254,7 +250,7 @@ def check_contract_satisfaction(
 ) -> Verdict:
     """Equal contract traces must imply equal adversary-visible hardware
     traces on the domain."""
-    if contract.mode == "spec" and contract.window <= cfg.buffer_size + 1:
+    if contract.speculative and contract.window <= cfg.buffer_size + 1:
         raise ValueError(
             f"speculative contract window {contract.window} must exceed "
             f"buffer_size + 1 = {cfg.buffer_size + 1}"
@@ -307,10 +303,7 @@ def check_sni(
 
 def _spec_contracts(window: int) -> dict:
     """The speculative columns of both tables."""
-    return {
-        "spec-ct": replace(SPEC_CT, window=window),
-        "spec-pc-ct": replace(SPEC_PC_CT, window=window),
-    }
+    return {name: ContractId.parse(name, window) for name in ("spec-ct", "spec-pc-ct")}
 
 
 @dataclass(frozen=True)
@@ -370,20 +363,23 @@ def classify_constant_time(
 # Lattice
 
 
+# the contracts but bot-inf, in the order that lists lattice_edges' edges
+_BY_STRENGTH = ("top", "seq-ct", "spec-pc-ct", "spec-ct", "seq-arch", "spec-arch")
+
+
+@cache
 def lattice_edges(window: int) -> tuple:
-    """The seven strength edges, strongest contract first in each pair."""
-    spec_ct = replace(SPEC_CT, window=window)
-    spec_pc = replace(SPEC_PC_CT, window=window)
-    spec_arch = replace(SPEC_ARCH, window=window)
-    return (
-        (TOP, SEQ_CT),
-        (SEQ_CT, spec_pc),
-        (SEQ_CT, SEQ_ARCH),
-        (spec_pc, spec_ct),
-        (spec_ct, spec_arch),
-        (SEQ_ARCH, spec_arch),
-        (spec_arch, BOT_INF),
+    """The seven strength edges, stronger contract first in each pair: the
+    covering pairs of strict inclusion among the atom sets of the contracts
+    but bot-inf (showing fewer atoms is stronger), in ``_BY_STRENGTH``
+    order, and spec-arch >= bot-inf."""
+    named = [ContractId.parse(name, window) for name in _BY_STRENGTH]
+    edges = tuple(
+        (c1, c2)
+        for c1, c2 in itertools.combinations(named, 2)
+        if c1.atoms < c2.atoms and not any(c1.atoms < c.atoms < c2.atoms for c in named)
     )
+    return edges + ((named[-1], BOT_INF),)
 
 
 def check_lattice(

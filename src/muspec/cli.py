@@ -29,7 +29,7 @@ from .analysis import (
     random_programs,
 )
 from .arch import DEFAULT_FUEL, ArchState, arch_run, format_state, parse_state
-from .contracts import ContractId, contract_trace, format_trace
+from .contracts import BOT_INF, ContractId, contract_trace, format_trace
 from .isa import DEFAULT_MODULUS, ParseError, Program, parse_program
 from .pipeline import HwConfig, adversary_view, hw_steps, initial_hw_state
 
@@ -120,14 +120,14 @@ def _contract(args, name: str) -> ContractId:
     """The contract ``name``, with ``--window`` if given: a usage error
     unless the contract is speculative, the only kind that reads it."""
     contract = ContractId.parse(name, window=args.window)
-    if args.window is not None and contract.mode != "spec":
+    if args.window is not None and not contract.speculative:
         args.usage_error(f"{contract} is not speculative and does not read --window")
     return contract
 
 
 def _cmd_trace(args) -> int:
     contract = _contract(args, args.contract)
-    if args.domain is not None and contract.mode != "bot":
+    if args.domain is not None and contract != BOT_INF:
         args.usage_error(f"{contract} is not bot-inf and does not read --domain")
     program, domain = _load_program(args.program), _load_domain(args, None)
     addrs, modulus = ((), DEFAULT_MODULUS) if domain is None else (domain.addresses, domain.modulus)

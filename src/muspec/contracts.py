@@ -1,10 +1,17 @@
 """Labeled ISA semantics (contracts), their traces, and contract strength.
 
-A contract runs a mode, seq or spec at a window, whose explorer
-(``trace_seq``, ``trace_spec``) gives the run's arch trace, and its observer
-(ct, pc-ct or arch) chooses what to show of that trace (``_shown``, which
-``contract_trace`` and the shared runs apply); bot-inf shows the state after
-each step of the seq run, and top nothing.
+A labeled contract is the set of observation atoms it shows. An atom is an
+observation kind, the pc, a load address, a store address or a loaded value,
+in a frame, architectural (A) or speculative (S):
+
+    seq-ct      pcA ldA stA             seq-arch   seq-ct + valA
+    spec-pc-ct  seq-ct + pcS            spec-ct    seq-ct + pcS ldS stS
+    spec-arch   all eight atoms         top        none
+
+A contract that shows a speculative atom runs ``trace_spec`` at its window,
+any other ``trace_seq`` (``_Run`` picks), and one filter, ``_shown``, keeps
+the atoms it shows of the run's arch trace; bot-inf shows the state after
+each step of the seq run instead.
 Observations are plain tuples so traces hash and compare cheaply:
     ("load", n) | ("store", n) | ("pc", v) | ("loadv", n, v) | ("state", blob)
 where v is an int or the string "end" for the undefined value.
@@ -37,31 +44,37 @@ INF = math.inf
 
 DEFAULT_SPEC_WINDOW = 7
 
-# name -> (mode, observer) of the seven contracts, and the inverse
+SPEC_ATOMS = frozenset({"pcS", "ldS", "stS", "valS"})
+VALUE_ATOMS = frozenset({"valA", "valS"})
+_CT = frozenset({"pcA", "ldA", "stA"})
+# name -> the atoms each of the seven contracts shows (bot-inf: states), and
+# the inverse
 CONTRACTS = {
-    "seq-ct": ("seq", "ct"),
-    "seq-arch": ("seq", "arch"),
-    "spec-ct": ("spec", "ct"),
-    "spec-pc-ct": ("spec", "pc-ct"),
-    "spec-arch": ("spec", "arch"),
-    "top": ("top", None),
-    "bot-inf": ("bot", None),
+    "seq-ct": _CT,
+    "seq-arch": _CT | {"valA"},
+    "spec-ct": _CT | {"pcS", "ldS", "stS"},
+    "spec-pc-ct": _CT | {"pcS"},
+    "spec-arch": _CT | {"valA"} | SPEC_ATOMS,
+    "top": frozenset(),
+    "bot-inf": frozenset({"state"}),
 }
-_NAMES = {pair: name for name, pair in CONTRACTS.items()}
+_NAMES = {atoms: name for name, atoms in CONTRACTS.items()}
 
 
 @dataclass(frozen=True)
 class ContractId:
-    """One of the five labeled semantics plus the two degenerate contracts."""
+    """One of the seven contracts: the atoms it shows, and its window if
+    one of them is speculative."""
 
-    mode: str  # "seq" | "spec" | "top" | "bot"
-    observer: Optional[str] = None
-    window: Optional[int] = None  # spec mode only; None means DEFAULT_SPEC_WINDOW
+    atoms: frozenset
+    window: Optional[int] = None  # speculative only; None means DEFAULT_SPEC_WINDOW
 
     def __post_init__(self):
-        if (self.mode, self.observer) not in _NAMES:
-            raise ValueError(f"no contract has mode {self.mode!r} and observer {self.observer!r}")
-        if self.mode != "spec":
+        name = _NAMES.get(frozenset(self.atoms))
+        if name is None:
+            raise ValueError(f"no contract shows the atoms {sorted(self.atoms)}")
+        object.__setattr__(self, "atoms", CONTRACTS[name])
+        if not self.speculative:
             if self.window is not None:
                 raise ValueError(f"{self} contract takes no window")
         elif self.window is None:
@@ -69,32 +82,37 @@ class ContractId:
         elif self.window < 1:
             raise ValueError(f"speculative window must be >= 1, got {self.window}")
 
+    @property
+    def speculative(self) -> bool:
+        """Whether it shows a speculative atom, and so runs ``trace_spec``."""
+        return not self.atoms.isdisjoint(SPEC_ATOMS)
+
     def __str__(self):
-        return _NAMES[(self.mode, self.observer)]
+        return _NAMES[self.atoms]
 
     @staticmethod
     def parse(name: str, window: Optional[int] = None) -> "ContractId":
-        """The contract ``name``; ``window`` applies to a spec contract only."""
+        """The contract ``name``; ``window`` applies to a speculative one only."""
         if name not in CONTRACTS:
             raise ValueError(f"unknown contract {name!r}")
-        mode, observer = CONTRACTS[name]
-        return ContractId(mode, observer, window if mode == "spec" else None)
+        contract = ContractId(CONTRACTS[name])
+        return ContractId(contract.atoms, window) if contract.speculative else contract
 
 
-SEQ_CT = ContractId("seq", "ct")
-SEQ_ARCH = ContractId("seq", "arch")
-SPEC_CT = ContractId("spec", "ct")
-SPEC_PC_CT = ContractId("spec", "pc-ct")
-SPEC_ARCH = ContractId("spec", "arch")
-TOP = ContractId("top")
-BOT_INF = ContractId("bot")
+SEQ_CT = ContractId.parse("seq-ct")
+SEQ_ARCH = ContractId.parse("seq-arch")
+SPEC_CT = ContractId.parse("spec-ct")
+SPEC_PC_CT = ContractId.parse("spec-pc-ct")
+SPEC_ARCH = ContractId.parse("spec-arch")
+TOP = ContractId.parse("top")
+BOT_INF = ContractId.parse("bot-inf")
 
 
 def _labeled_step(p, state, modulus):
     """One architectural step plus its arch observation (None when silent):
     load and store addresses, the post-step pc at branches and jumps, and
     the value a load loaded: in a watched run a deferred one until the run
-    uses it. ``_shown`` makes the other observers' traces of it."""
+    uses it. ``_shown`` makes each labeled contract's trace of it."""
     ins = p.lookup(state.regs[PC])
     if isinstance(ins, (Load, Store)):
         n = eval_expr(ins.addr, state.regs, modulus=modulus)
@@ -109,16 +127,28 @@ def _labeled_step(p, state, modulus):
     return nxt, None
 
 
-def _shown(trace: tuple, observer: str, speculative=(), fill=None) -> tuple:
-    """What ``observer`` shows of ``trace``, an arch trace: arch all of it,
-    with the loaded value at each position of ``fill`` given there, ct each
-    ``("loadv", n, v)`` as ``("load", n)``, and pc-ct the ct trace without
-    the memory observations at the positions ``speculative``, the ones made
-    in a speculative frame."""
-    if observer == "arch":
-        return tuple(("loadv", o[1], fill[i]) if i in fill else o for i, o in enumerate(trace)) if fill else trace
-    shown = (o for i, o in enumerate(trace) if observer == "ct" or i not in speculative)
-    return tuple(("load", o[1]) if o[0] == "loadv" else o for o in shown)
+_KIND_ATOMS = {"pc": "pc", "store": "st", "loadv": "ld"}
+
+
+def _shown(trace: tuple, atoms: frozenset, speculative=(), fill=()) -> tuple:
+    """What a contract showing ``atoms`` shows of ``trace``, an arch trace
+    whose observations at the positions ``speculative`` were made in a
+    speculative frame: each observation whose atom it shows in that
+    observation's frame, a load as ``("load", n)`` unless it also shows the
+    value in that frame, with the value at each position of ``fill`` given
+    there. A trace shown whole is ``trace`` itself."""
+    shown = []
+    for i, o in enumerate(trace):
+        frame = "S" if i in speculative else "A"
+        if _KIND_ATOMS[o[0]] + frame in atoms:
+            if o[0] == "loadv":
+                if "val" + frame not in atoms:
+                    o = ("load", o[1])
+                elif i in fill:
+                    o = ("loadv", o[1], fill[i])
+            shown.append(o)
+    shown = tuple(shown)
+    return trace if shown == trace else shown
 
 
 def trace_seq(
@@ -159,7 +189,7 @@ def trace_spec(
     ``arch_step`` and pushes the mispredicted continuation, observing its
     pc; exhausted windows roll back with a pc observation of the resumed
     state. ``speculative``, if a list, receives the position in the trace
-    of each memory observation made in a speculative frame.
+    of each observation made in a speculative frame, rollbacks included.
     """
     if window < 1:
         raise ValueError("speculative window must be >= 1")
@@ -170,37 +200,32 @@ def trace_spec(
         top, w = stack[-1]
         if w == INF and top.is_final():
             return tuple(trace)
+        ins = p.lookup(top.regs[PC])
         if w == 0:
             resumed, _ = stack[-2]
-            trace.append(("pc", observed(resumed.regs[PC])))
+            obs = ("pc", observed(resumed.regs[PC]))
             stack.pop()
-            continue
-        ins = p.lookup(top.regs[PC])
-        if isinstance(ins, Beqz):
+        elif isinstance(ins, Beqz):
             pc = top.regs[PC]
             nxt = arch_step(p, top, modulus)
             mispred = ins.target if nxt.regs[PC] == pc + 1 else pc + 1
             new_w = INF if w == INF else w - 1
             w_mispred = window if w == INF else new_w
-            trace.append(("pc", observed(mispred)))
+            obs = ("pc", observed(mispred))
             stack[-1] = (nxt, new_w)
             stack.append((top.with_regs(**{PC: mispred}), w_mispred))
-            continue
-        if top.is_final():
-            # terminated path inside a speculative frame: program lookup at
+        else:
+            # a terminated path inside a speculative frame: program lookup at
             # the undefined pc keeps yielding the terminate step, silently
             # burning the window until rollback
-            nxt, obs = top, None
-        else:
-            nxt, obs = _labeled_step(p, top, modulus)
-        # barriers zero speculative windows; outside speculation they are
-        # ordinary steps (the bottom frame keeps its infinite window)
-        new_w = INF if w == INF else 0 if isinstance(ins, Barrier) else w - 1
+            nxt, obs = (top, None) if top.is_final() else _labeled_step(p, top, modulus)
+            # barriers zero speculative windows; outside speculation they
+            # are ordinary steps (the bottom frame keeps its infinite window)
+            stack[-1] = (nxt, INF if w == INF else 0 if isinstance(ins, Barrier) else w - 1)
         if obs is not None:
-            if w != INF and obs[0] != "pc":
+            if w != INF:
                 speculative.append(len(trace))
             trace.append(obs)
-        stack[-1] = (nxt, new_w)
     raise FuelExhausted(f"no final state within {fuel} steps")
 
 
@@ -280,24 +305,22 @@ def contract_trace(
     modulus: int = DEFAULT_MODULUS,
     snapshot_addrs: tuple = (),
 ) -> tuple:
-    """``contract``'s trace from ``state``: what its observer shows of its
-    mode's arch trace (``_shown``), or its degenerate trace."""
-    if contract.mode == "seq":
-        return _shown(trace_seq(p, state, fuel, modulus), contract.observer)
-    if contract.mode == "spec":
-        speculative = []
-        trace = trace_spec(p, state, contract.window, fuel, modulus, speculative)
-        return _shown(trace, contract.observer, speculative)
-    return trace_degenerate(p, state, contract.mode, fuel, modulus, snapshot_addrs)
+    """``contract``'s trace from ``state``: the atoms it shows of its run's
+    arch trace (``_shown``), or its degenerate trace."""
+    if contract in (TOP, BOT_INF):
+        return trace_degenerate(p, state, "top" if contract == TOP else "bot", fuel, modulus, snapshot_addrs)
+    run = _Run(contract.window, p, state, fuel, modulus)
+    return _shown(run.trace, contract.atoms, run.speculative)
 
 
 def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers: dict, as_key: bool = False):
     """``contract``'s trace function on ``domain``'s states, run once per
     distinct path of the terms over the domain's varying cells that a run
-    forces (see ``arch_step``). A mode, seq or spec at a window, runs once
-    per path for all its observers (``_Run``): ct, pc-ct, arch and, of seq,
-    bot-inf; top shows nothing and runs nothing. ``tracers``, a batch's
-    tracers by semantics, keeps each mode's runs under ``(mode, window)``.
+    forces (see ``arch_step``). An explorer, seq or spec at a window, runs
+    once per path for every contract that reads it (``_Run``): the labeled
+    contracts and, of seq, bot-inf; top shows nothing and runs nothing.
+    ``tracers``, a batch's tracers by semantics, keeps each explorer's runs
+    under ``(_Run, window)``, a key no semantics has.
 
     With ``as_key`` it returns a function equal on two states exactly when
     their traces are: the trace function, but for bot-inf. A bot-inf trace
@@ -306,14 +329,14 @@ def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers
     States on different runs differ in a term the runs logged, and each
     cell of that term is shown in the snapshot just after the load that
     read it."""
-    if contract.mode == "top":
+    if not contract.atoms:  # top
         return lambda sigma: ()
-    mode = ("seq", None) if contract.mode == "bot" else (contract.mode, contract.window)
-    if mode not in tracers:
+    window = contract.window
+    if (_Run, window) not in tracers:
         cells = (a for a, *_ in domain.vary)
-        tracers[mode] = share_runs(lambda s, _: (_Run(*mode, p, s, fuel, domain.modulus), {}), cells)
-    shared, observer = tracers[mode], contract.observer
-    if contract.mode == "bot":
+        tracers[_Run, window] = share_runs(lambda s, _: (_Run(window, p, s, fuel, domain.modulus), {}), cells)
+    shared = tracers[_Run, window]
+    if contract == BOT_INF:
         def tracer(sigma):
             run = shared(sigma)
             if run.bot_inf is None:
@@ -321,42 +344,41 @@ def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers
             terms, filled = run.bot_inf
             values = tuple(map(term_value, terms, repeat(sigma.mem)))
             return (run, values) if as_key else filled(values)
-    elif observer != "arch":
-        def tracer(sigma):  # runs once per state, so it only looks up
-            return shared(sigma).shown[observer]
-    else:
-        def tracer(sigma):
-            run = shared(sigma)
-            if not run.cells:
-                return run.trace
-            key = tuple(map(sigma.mem.get, run.cells, repeat(0)))
-            trace = run.fills.get(key)
-            if trace is None:
-                trace = run.fills[key] = _shown(run.trace, "arch", (), dict(zip(run.positions, key)))
+        return tracer
+    atoms, values = contract.atoms, not contract.atoms.isdisjoint(VALUE_ATOMS)
+
+    def tracer(sigma):  # runs once per state, so it makes a trace once per run and key
+        run = shared(sigma)
+        key = tuple(map(sigma.mem.get, run.cells, repeat(0))) if values and run.cells else atoms
+        try:
+            return run.shown[key]
+        except KeyError:
+            fill = dict(zip(run.positions, key)) if values else ()
+            trace = run.shown[key] = _shown(run.trace, atoms, run.speculative, fill)
             return trace
     return tracer
 
 
 class _Run:
-    """One run of a contract mode, a leaf of its shared trie: the arch
-    ``trace`` of ``mode``'s explorer (at ``window``, for spec) from
-    ``sigma``, whose loads at ``positions`` left their ``cells``' values
-    deferred, ``shown``, what the ct and pc-ct observers show of it, and
-    ``fills``, its arch traces filled in so far, by those cells' values; a
-    seq run's ``steps``, and its ``bot_inf`` terms and filler once made."""
+    """One run of an explorer, a leaf of its shared trie: the arch ``trace``
+    from ``sigma`` of ``trace_spec`` at ``window``, or of ``trace_seq`` if
+    ``window`` is None, the positions ``speculative`` of the observations
+    made in a speculative frame, the ``positions`` of the loads that left
+    their ``cells``' values deferred, and ``shown``, the labeled traces made
+    of it so far: by atoms, and for the run's one value-showing contract by
+    those cells' values if there are any; a seq run's ``steps``, and its
+    ``bot_inf`` terms and filler once made."""
 
-    __slots__ = ("trace", "shown", "positions", "cells", "fills", "steps", "bot_inf")
+    __slots__ = ("trace", "speculative", "positions", "cells", "shown", "steps", "bot_inf")
 
-    def __init__(self, mode: str, window, p: Program, sigma: ArchState, fuel: int, modulus: int):
-        speculative, self.steps, self.bot_inf = [], [], None
-        if mode == "seq":
+    def __init__(self, window, p: Program, sigma: ArchState, fuel: int, modulus: int):
+        self.speculative, self.steps, self.shown, self.bot_inf = [], [], {}, None
+        if window is None:
             self.trace = trace = trace_seq(p, sigma, fuel, modulus, self.steps)
         else:
-            self.trace = trace = trace_spec(p, sigma, window, fuel, modulus, speculative)
-        ct = _shown(trace, "ct")
-        self.shown = {"ct": ct, "pc-ct": _shown(trace, "pc-ct", speculative) if speculative else ct}
+            self.trace = trace = trace_spec(p, sigma, window, fuel, modulus, self.speculative)
         deferred = [i for i, o in enumerate(trace) if o[0] == "loadv" and o[2].__class__ is Deferred]
-        self.positions, self.cells, self.fills = tuple(deferred), tuple(trace[i][2].term for i in deferred), {}
+        self.positions, self.cells = tuple(deferred), tuple(trace[i][2].term for i in deferred)
 
 
 @dataclass(frozen=True)

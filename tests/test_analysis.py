@@ -286,9 +286,9 @@ def test_spec_window_precondition_enforced():
 
 def test_spec_window_normalised_once():
     assert SPEC_CT.window == DEFAULT_SPEC_WINDOW
-    assert ContractId.parse("spec-ct") == ContractId("spec", "ct", DEFAULT_SPEC_WINDOW)
+    assert ContractId.parse("spec-ct") == ContractId(SPEC_CT.atoms, DEFAULT_SPEC_WINDOW)
     with pytest.raises(ValueError):
-        ContractId("spec", "ct", 0)
+        ContractId(SPEC_CT.atoms, 0)
     # a contract built without a window is checked with the window its
     # traces use, not rejected as window 0
     p, dom = corpus.load("P1"), dom_for("P1")
@@ -440,6 +440,25 @@ def test_lattice_edges_hold_on_corpus():
     assert all(w is None for w in results.values()), results
 
 
+def test_lattice_edges_are_the_covering_pairs_of_inclusion():
+    # the order is the one `muspec lattice` prints
+    spec_arch = replace(SPEC_ARCH, window=W)
+    assert lattice_edges(W) == (
+        (TOP, SEQ_CT),
+        (SEQ_CT, SPEC_PC_CT_W),
+        (SEQ_CT, SEQ_ARCH),
+        (SPEC_PC_CT_W, SPEC_CT_W),
+        (SPEC_CT_W, spec_arch),
+        (SEQ_ARCH, spec_arch),
+        (spec_arch, BOT_INF),
+    )
+    named = [ContractId.parse(name, W) for name in CONTRACTS if name != "bot-inf"]
+    for c1, c2 in lattice_edges(W)[:-1]:
+        assert c1.atoms < c2.atoms, (c1, c2)
+        assert not any(c1.atoms < c.atoms < c2.atoms for c in named), (c1, c2)
+    assert {c.window for edge in lattice_edges(3) for c in edge} == {None, 3}
+
+
 def test_reversed_edge_refuted_on_p1():
     dom = StateDomain(modulus=16, vary=((7, 0, 3),))
     witness = contract_stronger_test(SPEC_CT_W, SEQ_CT, [corpus.load("P1")], dom)
@@ -518,7 +537,7 @@ def test_satisfaction_monotone_along_lattice_edges():
         p = corpus.load(name)
         dom = dom_for(name)
         for c1, c2 in lattice_edges(W):
-            if c1.mode == "top" or c2.mode == "bot":
+            if c1 == TOP or c2 == BOT_INF:
                 continue
             if check_contract_satisfaction(p, c1, HwConfig(countermeasure="seq"), dom).ok:
                 assert check_contract_satisfaction(p, c2, HwConfig(countermeasure="seq"), dom).ok

@@ -3,12 +3,15 @@ import pytest
 
 from muspec import corpus
 from muspec.arch import DEFAULT_FUEL, ArchState, FuelExhausted
-from muspec.analysis import StateDomain
+from muspec.analysis import StateDomain, random_programs
 from muspec.contracts import (
+    CONTRACTS,
     SEQ_ARCH,
     SEQ_CT,
+    SPEC_CT,
     TOP,
     ContractId,
+    _shown,
     contract_stronger_test,
     contract_trace,
     format_trace,
@@ -26,13 +29,14 @@ def state(p, mem=None):
 
 
 def seq(p, s, observer):
-    """What ``observer`` shows of the seq run from ``s``."""
-    return contract_trace(ContractId("seq", observer), p, s)
+    """The trace from ``s`` of the seq contract ``seq-<observer>``."""
+    return contract_trace(ContractId.parse(f"seq-{observer}"), p, s)
 
 
 def spec(p, s, observer, window=W, fuel=DEFAULT_FUEL):
-    """What ``observer`` shows of the spec run from ``s`` at ``window``."""
-    return contract_trace(ContractId("spec", observer, window), p, s, fuel)
+    """The trace from ``s`` of the spec contract ``spec-<observer>`` at
+    ``window``."""
+    return contract_trace(ContractId.parse(f"spec-{observer}", window), p, s, fuel)
 
 
 # -- sequential traces --------------------------------------------------------
@@ -137,6 +141,41 @@ def test_nested_branches_roll_back_innermost_first():
     assert t0 != t1
 
 
+def test_spec_marks_exactly_the_speculative_frames_observations():
+    # the mispredicted-path observations, the branch pcs inside a frame and
+    # the rollback pcs are marked; the bottom frame's branch pc is not, nor
+    # is anything the bottom frame observes after a rollback
+    cases = [
+        # P1: bottom branch pc, two wrong-path loads, rollback
+        ("P1", {7: 2}, [1, 2, 3]),
+        # P1' at z = 0: the nested branch's pc, its load, two rollbacks
+        ("P1'", {7: 0}, [1, 2, 3, 4, 5]),
+        # P1' at z = 1: the nested frame at end burns its window first
+        ("P1'", {7: 1}, [1, 2, 3, 4, 5]),
+        # ex1: the wrong path ends at once; the rollback pc is marked, the
+        # two architectural loads after it are not
+        ("ex1", {9: 1, 12: 3}, [1]),
+    ]
+    for name, mem, expected in cases:
+        p = corpus.load(name)
+        speculative = []
+        trace = trace_spec(p, state(p, mem), W, speculative=speculative)
+        assert speculative == expected, (name, mem, trace)
+
+
+def test_the_filter_keeps_each_observation_by_its_atom_in_its_frame():
+    # no named contract tells pcA from pcS, so the filter is asked directly
+    p = corpus.load("P1'")
+    speculative = []
+    trace = trace_spec(p, state(p, {7: 0}), W, speculative=speculative)
+    assert _shown(trace, frozenset({"pcA"}), speculative) == (("pc", 2),)
+    assert _shown(trace, frozenset({"pcS"}), speculative) == (("pc", 4), ("pc", "end"), ("pc", "end"))
+    assert _shown(trace, frozenset({"ldS"}), speculative) == (("load", 7), ("load", 8))
+    assert _shown(trace, frozenset({"ldS", "valS"}), speculative) == (("loadv", 7, 0), ("loadv", 8, 0))
+    assert _shown(trace, frozenset({"ldA", "valA"}), speculative) == ()
+    assert _shown(trace, CONTRACTS["spec-arch"], speculative) is trace
+
+
 def test_spec_trace_window_must_be_positive():
     p = parse_program("skip")
     with pytest.raises(ValueError):
@@ -186,29 +225,69 @@ def test_contract_id_parse_and_str():
 
 
 def test_contract_id_rejects_invalid_combinations():
-    with pytest.raises(ValueError):
-        ContractId("seq", "pc-ct")
-    with pytest.raises(ValueError):
-        ContractId("seq", "ct", 5)  # would print as seq-ct yet differ from SEQ_CT
-    with pytest.raises(ValueError):
-        ContractId("top", "ct")
+    with pytest.raises(ValueError, match="takes no window"):
+        ContractId(SEQ_CT.atoms, 5)  # would print as seq-ct yet differ from SEQ_CT
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        ContractId(SPEC_CT.atoms, 0)
     with pytest.raises(ValueError):
         ContractId.parse("spec-bogus")
     with pytest.raises(ValueError):
         ContractId.parse("bot")  # bot-inf has one spelling
 
 
-@pytest.mark.parametrize("mode, observer", [("spec", None), ("top", "ct"), ("bot", "arch"), ("seq", "pc-ct")])
-def test_contract_id_rejects_a_pair_no_contract_has(mode, observer):
-    with pytest.raises(ValueError, match=f"^no contract has mode '{mode}' and observer {observer!r}$"):
-        ContractId(mode, observer)
+@pytest.mark.parametrize(
+    "atoms",
+    [{"valA"}, SEQ_CT.atoms | {"ldS"}, SEQ_CT.atoms | {"valS"}, {"pcS"}, {"state", "pcA"}],
+    ids=["valA", "seq-ct+ldS", "seq-ct+valS", "pcS", "bot-inf+pcA"],
+)
+def test_contract_id_rejects_an_atom_set_no_contract_shows(atoms):
+    with pytest.raises(ValueError, match=rf"^no contract shows the atoms \[{', '.join(map(repr, sorted(atoms)))}\]$"):
+        ContractId(frozenset(atoms))
 
 
 def test_contract_id_window_reaches_a_spec_contract_only():
-    for name in ("seq-ct", "seq-arch", "spec-ct", "spec-pc-ct", "spec-arch", "top", "bot-inf"):
+    for name in CONTRACTS:
         contract = ContractId.parse(name, window=3)
         assert ContractId.parse(str(contract), contract.window) == contract
-        assert contract.window == (3 if contract.mode == "spec" else None)
+        assert contract.speculative == name.startswith("spec-")
+        assert contract.window == (3 if contract.speculative else None)
+
+
+# -- the observers the atom sets replace --------------------------------------
+
+
+def observer_reference(observer, trace, speculative):
+    """What a labeled contract's observer showed of the arch ``trace``
+    before contracts were atom sets: ``ct`` erases the loaded values,
+    ``pc-ct`` also drops the memory observations at the positions
+    ``speculative``, and ``arch`` shows the trace, its values filled in."""
+    if observer == "arch":
+        return trace
+    kept = (o for i, o in enumerate(trace) if observer == "ct" or o[0] == "pc" or i not in speculative)
+    return tuple(("load", o[1]) if o[0] == "loadv" else o for o in kept)
+
+
+def test_each_labeled_contract_filters_as_its_observer_did():
+    observers = {"seq-ct": "ct", "seq-arch": "arch", "spec-ct": "ct", "spec-pc-ct": "pc-ct", "spec-arch": "arch"}
+    dom = StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3)))
+    cases = [(corpus.load(n), StateDomain(modulus=16, vary=corpus.default_vary(n))) for n in corpus.program_names()]
+    cases += [(p, dom) for p in random_programs(50, seed=31)]
+    compared = 0
+    for p, domain in cases:
+        for s in domain.initial_states(p):
+            arch = trace_seq(p, s, modulus=16)
+            for name in ("seq-ct", "seq-arch"):
+                assert contract_trace(ContractId.parse(name), p, s, modulus=16) == observer_reference(
+                    observers[name], arch, ()
+                ), (name, str(p), s)
+            for window in (1, 3, 7):
+                speculative = []
+                arch = trace_spec(p, s, window, modulus=16, speculative=speculative)
+                for name in ("spec-ct", "spec-pc-ct", "spec-arch"):
+                    traced = contract_trace(ContractId.parse(name, window), p, s, modulus=16)
+                    assert traced == observer_reference(observers[name], arch, speculative), (name, window, str(p), s)
+                    compared += 1
+    assert compared > 1000
 
 
 # -- strength test ------------------------------------------------------------
