@@ -323,12 +323,18 @@ def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers
     under ``(_Run, window)``, a key no semantics has.
 
     With ``as_key`` it returns a function equal on two states exactly when
-    their traces are: the trace function, but for bot-inf. A bot-inf trace
-    is a function of its seq run and the values of the deferred terms it
-    shows (``_snapshots``), so its key is that pair, and no trace is built.
-    States on different runs differ in a term the runs logged, and each
-    cell of that term is shown in the snapshot just after the load that
-    read it."""
+    their traces are: the trace function, but for bot-inf. A bot-inf key is
+    the state's seq run and its values of the kept cells, the varying cells
+    the run's first step leaves watched, so no listing is built
+    (``_snapshots``). A domain state's registers hold no deferred value, so
+    the first step logs no term: only a load reads memory, and it defers.
+    The first snapshot lists every domain cell, and shows each kept cell's
+    value, deferred or logged by the run, so equal traces mean equal keys.
+    Each later deferred term reads only cells watched at its load, kept
+    cells as the watch only shrinks, so equal keys mean equal traces.
+    States on different runs differ in a logged cell, which is kept, as a
+    cell the first step overwrites is never logged. The run stays in the
+    key, so a key raises a run's error at the first state."""
     if not contract.atoms:  # top
         return lambda sigma: ()
     window = contract.window
@@ -336,14 +342,18 @@ def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers
         cells = (a for a, *_ in domain.vary)
         tracers[_Run, window] = share_runs(lambda s, _: (_Run(window, p, s, fuel, domain.modulus), {}), cells)
     shared = tracers[_Run, window]
+    if contract == BOT_INF and as_key:
+        def key(sigma):
+            run = shared(sigma)  # its one watch set orders the cells alike for its states
+            return run, tuple(map(sigma.mem.get, run.steps[0][0].watch, repeat(0)))
+        return key
     if contract == BOT_INF:
         def tracer(sigma):
             run = shared(sigma)
             if run.bot_inf is None:
                 run.bot_inf = _snapshots(run.steps, domain.addresses)
             terms, filled = run.bot_inf
-            values = tuple(map(term_value, terms, repeat(sigma.mem)))
-            return (run, values) if as_key else filled(values)
+            return filled(tuple(map(term_value, terms, repeat(sigma.mem))))
         return tracer
     atoms, values = contract.atoms, not contract.atoms.isdisjoint(VALUE_ATOMS)
 
@@ -366,7 +376,8 @@ class _Run:
     made in a speculative frame, the ``positions`` of the loads that left
     their ``cells``' values deferred, and ``shown``, the labeled traces made
     of it so far: by atoms, and for the run's one value-showing contract by
-    those cells' values if there are any; a seq run's ``steps``, and its
+    those cells' values if there are any; a seq run's ``steps``, whose
+    first state's watch holds the cells a bot-inf key reads, and its
     ``bot_inf`` terms and filler once made."""
 
     __slots__ = ("trace", "speculative", "positions", "cells", "shown", "steps", "bot_inf")

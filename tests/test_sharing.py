@@ -137,20 +137,32 @@ def test_a_lattice_batch_runs_nothing_for_bot_inf_or_top(monkeypatch):
     # bot-inf observes the seq-arch run and top shows nothing, so neither
     # makes a run of its own, through contract_trace or trace_degenerate:
     # every run is a mode's shared one. bot-inf is only a key there, its
-    # seq run and the deferred values it shows, so no bot-inf trace is filled
+    # seq run and the values of the cells its first step left watched, so
+    # no bot-inf listing is built and no trace is filled
     runs = _mode_runs(monkeypatch)
     plain = _counting(monkeypatch, (contracts, "contract_trace"))
     degenerate = _counting(monkeypatch, (contracts, "trace_degenerate"))
     snapshotted, fills = _bot_inf_fills(monkeypatch)
     check_lattice([parse_program("skip"), corpus.load("P2")], LATTICE_DOMAIN, 7)
     assert runs and not plain and not degenerate
-    assert snapshotted and not fills
+    assert not snapshotted and not fills
 
 
 # programs whose bot-inf classes have pairs: the first step stores over a
 # varying cell, at its address or at one that wraps onto it modulo 16, so
 # no snapshot shows the cell's initial value; the last one's runs branch
 BOT_INF_PAIRED = ("store x, 7\nload y, 9", "store x, 8 * 9\nload y, 1", "store x, 7\nload z, 9\nbeqz z, end")
+# first steps the key's exactness rests on: a load defers, so the store after
+# it logs a term and overwrites a varying cell the first snapshot still
+# shows; a first step that reads no memory, then a store over a varying cell
+# the first snapshot still shows; a first-step store over the fixed cell 9
+BOT_INF_FIRST_STEPS = (
+    "load x, 7\nstore x, 9",
+    "skip\nstore x, 7\nload y, 9",
+    "spbarr\nstore x, 7\nload y, 9",
+    "jmp 1\nstore x, 7\nload y, 9",
+    "store x, 9\nload y, 0\nbeqz y, end",
+)
 BOT_INF_DOMAINS = (
     LATTICE_DOMAIN,
     StateDomain(modulus=16, vary=((0, 0, 2), (1, 0, 1), (8, 0, 1)), fixed=((9, 5),)),
@@ -166,10 +178,10 @@ def _partition(f, p, dom):
 
 
 def test_a_bot_inf_key_groups_the_states_its_traces_group():
-    # a bot-inf key is the state's seq run and the deferred values its trace
-    # shows: equal exactly when the plain traces are equal
+    # a bot-inf key is the state's seq run and the values of the cells its
+    # first step left watched: equal exactly when the plain traces are equal
     programs = [corpus.load(n) for n in corpus.program_names()] + random_programs(200, seed=29)
-    programs += map(parse_program, BOT_INF_PAIRED)
+    programs += map(parse_program, BOT_INF_PAIRED + BOT_INF_FIRST_STEPS)
     paired = Counter()
     for dom in BOT_INF_DOMAINS:
         for p in programs:
@@ -180,6 +192,17 @@ def test_a_bot_inf_key_groups_the_states_its_traces_group():
             paired[dom] += any(len(c) > 1 for c in classes)
     # on both domains some class has a pair
     assert all(paired[dom] for dom in BOT_INF_DOMAINS), paired
+
+
+def test_a_bot_inf_key_raises_a_run_error_at_the_first_state(monkeypatch):
+    # the key runs the state's seq run, so a program that exhausts its fuel
+    # raises at the domain's first state, and the observed side runs
+    # nothing; a key of the cells' values alone would raise nothing
+    p = parse_program("jmp 0")
+    runs = _mode_runs(monkeypatch)
+    with pytest.raises(FuelExhausted):
+        analysis.decide(p, LATTICE_DOMAIN, [("bot-inf key", BOT_INF, SPEC_CT)], fuel=8)
+    assert runs == [("seq", None, p, next(LATTICE_DOMAIN.initial_states(p)))]
 
 
 def test_bot_inf_witness_traces_are_the_plain_traces():
