@@ -37,7 +37,6 @@ from .isa import (
     eval_expr,
     force,
     observed,
-    term_value,
 )
 
 INF = math.inf
@@ -160,7 +159,7 @@ def trace_seq(
 ) -> tuple:
     """The arch trace of the sequential run from ``state``. ``steps``, if a
     list, receives each step's state and arch observation (None when
-    silent), which ``bot-inf`` snapshots (see ``_snapshots``)."""
+    silent), which ``bot-inf`` snapshots (see ``trace_degenerate``)."""
     trace = []
     for _ in range(fuel):
         if state.is_final():
@@ -231,70 +230,29 @@ def trace_spec(
 
 def state_snapshot(state: ArchState, addrs=()) -> tuple:
     """Canonical full-state blob: sorted registers, then memory restricted
-    to nonzero cells plus ``addrs``, in address order. It forces nothing: in
-    a watched run, a value the run has not logged, a deferred register or a
-    watched cell (``ArchState.load``), differs between the states sharing
-    the run and stays deferred; ``addrs`` must hold the watched cells."""
-    regs = tuple((r, _snapped(v)) for r, v in sorted(state.regs.items()))
-    return regs, tuple((a, _snapped(state.load(a))) for a in sorted(state.mem.keys() | addrs))
-
-
-def _snapped(v):
-    if v.__class__ is Deferred:
-        return v.value if v.term in v.reads else v
-    return observed(v)
-
-
-def _snapshots(steps, addrs):
-    """The ``bot-inf`` trace of a seq run's ``steps`` for the states sharing
-    the run: a snapshot after each step, listing ``addrs`` and each cell
-    loaded or stored so far. Returns the deferred terms the listings show,
-    each once, and the filler, the trace as a function of those terms'
-    values under a state. Each distinct listing, of registers or memory,
-    with a deferred value is filled once per call."""
-    touched, terms, deferred, snapshots = set(addrs), {}, {}, []
-
-    def listing(entries):
-        key = tuple(
-            (k, terms.setdefault(v.term, len(terms)), None) if v.__class__ is Deferred else (k, v)
-            for k, v in entries
-        )
-        return entries if key == entries else deferred.setdefault(key, len(deferred))
-
-    for state, obs in steps:
-        if obs is not None and obs[0] != "pc":
-            touched.add(obs[1])  # a load's or store's address
-        snapshots.append(tuple(map(listing, state_snapshot(state, touched))))
-    deferred = tuple(deferred)
-
-    def filled(values: tuple) -> tuple:
-        done = [tuple((e[0], values[e[1]]) if len(e) == 3 else e for e in d) for d in deferred]
-        return tuple(
-            ("state", (r if r.__class__ is tuple else done[r], c if c.__class__ is tuple else done[c]))
-            for r, c in snapshots
-        )
-
-    return tuple(terms), filled
+    to nonzero cells plus ``addrs``, in address order."""
+    regs = tuple((r, observed(v)) for r, v in sorted(state.regs.items()))
+    return regs, tuple((a, observed(state.mem.get(a, 0))) for a in sorted(state.mem.keys() | addrs))
 
 
 def trace_degenerate(
     p: Program,
     state: ArchState,
-    which: str,
     fuel: int = DEFAULT_FUEL,
     modulus: int = DEFAULT_MODULUS,
     snapshot_addrs: tuple = (),
 ) -> tuple:
-    """The ``top`` trace, empty, or the ``bot-inf`` trace: a snapshot of the
-    state after each of ``trace_seq``'s steps."""
-    if which == "top":
-        return ()
-    if which != "bot":
-        raise ValueError(f"unknown degenerate contract {which!r}")
+    """The ``bot-inf`` trace: a snapshot of the state after each of
+    ``trace_seq``'s steps, listing ``snapshot_addrs`` and each cell loaded
+    or stored so far."""
     steps = []
     trace_seq(p, state, fuel, modulus, steps)
-    terms, filled = _snapshots(steps, snapshot_addrs)
-    return filled(tuple(map(term_value, terms, repeat(state.mem))))
+    touched, trace = set(snapshot_addrs), []
+    for sigma, obs in steps:
+        if obs is not None and obs[0] != "pc":
+            touched.add(obs[1])  # a load's or store's address
+        trace.append(("state", state_snapshot(sigma, touched)))
+    return tuple(trace)
 
 
 def contract_trace(
@@ -306,9 +264,11 @@ def contract_trace(
     snapshot_addrs: tuple = (),
 ) -> tuple:
     """``contract``'s trace from ``state``: the atoms it shows of its run's
-    arch trace (``_shown``), or its degenerate trace."""
-    if contract in (TOP, BOT_INF):
-        return trace_degenerate(p, state, "top" if contract == TOP else "bot", fuel, modulus, snapshot_addrs)
+    arch trace (``_shown``), nothing for top, or the bot-inf trace."""
+    if contract == TOP:
+        return ()
+    if contract == BOT_INF:
+        return trace_degenerate(p, state, fuel, modulus, snapshot_addrs)
     run = _Run(contract.window, p, state, fuel, modulus)
     return _shown(run.trace, contract.atoms, run.speculative)
 
@@ -318,43 +278,39 @@ def contract_tracer(contract: ContractId, p: Program, domain, fuel: int, tracers
     distinct path of the terms over the domain's varying cells that a run
     forces (see ``arch_step``). An explorer, seq or spec at a window, runs
     once per path for every contract that reads it (``_Run``): the labeled
-    contracts and, of seq, bot-inf; top shows nothing and runs nothing.
-    ``tracers``, a batch's tracers by semantics, keeps each explorer's runs
-    under ``(_Run, window)``, a key no semantics has.
+    contracts and, of seq, a bot-inf key; top shows nothing and runs
+    nothing, and an observed bot-inf runs ``trace_degenerate`` on each
+    state. ``tracers``, a batch's tracers by semantics, keeps each
+    explorer's runs under ``(_Run, window)``, a key no semantics has.
 
     With ``as_key`` it returns a function equal on two states exactly when
     their traces are: the trace function, but for bot-inf. A bot-inf key is
     the state's seq run and its values of the kept cells, the varying cells
-    the run's first step leaves watched, so no listing is built
-    (``_snapshots``). A domain state's registers hold no deferred value, so
-    the first step logs no term: only a load reads memory, and it defers.
-    The first snapshot lists every domain cell, and shows each kept cell's
-    value, deferred or logged by the run, so equal traces mean equal keys.
-    Each later deferred term reads only cells watched at its load, kept
-    cells as the watch only shrinks, so equal keys mean equal traces.
-    States on different runs differ in a logged cell, which is kept, as a
-    cell the first step overwrites is never logged. The run stays in the
-    key, so a key raises a run's error at the first state."""
+    the run's first step leaves watched, so no snapshot is built. A state's
+    bot-inf trace is the run's step states with each value the run left
+    deferred taken under the state. A domain state's registers hold no
+    deferred value, so the first step logs no term: only a load reads
+    memory, and it defers. The first snapshot lists every domain cell, and
+    shows each kept cell's initial value, so equal traces mean equal keys.
+    Each deferred term reads only cells watched at its load, kept cells as
+    the watch only shrinks, so equal keys mean equal traces. States on
+    different runs differ in a logged cell, which is kept, as a cell the
+    first step overwrites is never logged. The run stays in the key, so a
+    key raises a run's error at the first state."""
     if not contract.atoms:  # top
         return lambda sigma: ()
+    if contract == BOT_INF and not as_key:
+        return lambda sigma: trace_degenerate(p, sigma, fuel, domain.modulus, domain.addresses)
     window = contract.window
     if (_Run, window) not in tracers:
         cells = (a for a, *_ in domain.vary)
         tracers[_Run, window] = share_runs(lambda s, _: (_Run(window, p, s, fuel, domain.modulus), {}), cells)
     shared = tracers[_Run, window]
-    if contract == BOT_INF and as_key:
-        def key(sigma):
-            run = shared(sigma)  # its one watch set orders the cells alike for its states
-            return run, tuple(map(sigma.mem.get, run.steps[0][0].watch, repeat(0)))
-        return key
     if contract == BOT_INF:
-        def tracer(sigma):
-            run = shared(sigma)
-            if run.bot_inf is None:
-                run.bot_inf = _snapshots(run.steps, domain.addresses)
-            terms, filled = run.bot_inf
-            return filled(tuple(map(term_value, terms, repeat(sigma.mem))))
-        return tracer
+        def key(sigma):
+            run = shared(sigma)  # its one kept set orders the cells alike for its states
+            return run, tuple(map(sigma.mem.get, run.kept, repeat(0)))
+        return key
     atoms, values = contract.atoms, not contract.atoms.isdisjoint(VALUE_ATOMS)
 
     def tracer(sigma):  # runs once per state, so it makes a trace once per run and key
@@ -376,16 +332,17 @@ class _Run:
     made in a speculative frame, the ``positions`` of the loads that left
     their ``cells``' values deferred, and ``shown``, the labeled traces made
     of it so far: by atoms, and for the run's one value-showing contract by
-    those cells' values if there are any; a seq run's ``steps``, whose
-    first state's watch holds the cells a bot-inf key reads, and its
-    ``bot_inf`` terms and filler once made."""
+    those cells' values if there are any; and of a seq run, the ``kept``
+    cells, still watched after its first step, that a bot-inf key reads."""
 
-    __slots__ = ("trace", "speculative", "positions", "cells", "shown", "steps", "bot_inf")
+    __slots__ = ("trace", "speculative", "positions", "cells", "shown", "kept")
 
     def __init__(self, window, p: Program, sigma: ArchState, fuel: int, modulus: int):
-        self.speculative, self.steps, self.shown, self.bot_inf = [], [], {}, None
+        self.speculative, self.shown, self.kept = [], {}, None
         if window is None:
-            self.trace = trace = trace_seq(p, sigma, fuel, modulus, self.steps)
+            steps = []
+            self.trace = trace = trace_seq(p, sigma, fuel, modulus, steps)
+            self.kept = steps[0][0].watch
         else:
             self.trace = trace = trace_spec(p, sigma, window, fuel, modulus, self.speculative)
         deferred = [i for i, o in enumerate(trace) if o[0] == "loadv" and o[2].__class__ is Deferred]

@@ -479,8 +479,8 @@ def test_empty_corpus_is_rejected():
 
 
 # sha256 over the verdicts of every ordered pair of the seven contracts, as
-# recorded while bot-inf still ran on a path of its own, before it became
-# an observer of the seq run
+# recorded while bot-inf ran on a path of its own, before its traces were
+# filled from the seq run; an observed bot-inf runs on its own again
 ALL_PAIRS_DIGEST = "1b99725a868ee994150830aef5ca2b0461b7afa4c27a0c76a32c72b12875d48a"
 
 
@@ -497,7 +497,7 @@ def test_every_ordered_contract_pair_keeps_its_verdicts():
             digest.update(repr(verdict).encode())
             refuted[v.check.split(" >= ")[0]] += not v.ok
     assert (len(programs) * len(checks), sum(refuted.values())) == (1344, 273)
-    assert refuted["bot-inf"], refuted  # witnesses hold filled bot-inf traces
+    assert refuted["bot-inf"], refuted  # witnesses hold bot-inf traces
     assert digest.hexdigest() == ALL_PAIRS_DIGEST
 
 

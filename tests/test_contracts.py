@@ -5,6 +5,7 @@ from muspec import corpus
 from muspec.arch import DEFAULT_FUEL, ArchState, FuelExhausted
 from muspec.analysis import StateDomain, random_programs
 from muspec.contracts import (
+    BOT_INF,
     CONTRACTS,
     SEQ_ARCH,
     SEQ_CT,
@@ -194,12 +195,12 @@ def test_fuel_exhausted_on_loop():
 def test_top_trace_is_empty():
     for name in ("P1", "ex2", "skip"):
         p = corpus.load(name)
-        assert trace_degenerate(p, state(p, {7: 3}), "top") == ()
+        assert contract_trace(TOP, p, state(p, {7: 3})) == ()
 
 
 def test_bot_on_skip_has_two_snapshots():
     p = parse_program("skip")
-    t = trace_degenerate(p, state(p), "bot")
+    t = trace_degenerate(p, state(p))
     assert len(t) == 2
     assert all(obs[0] == "state" for obs in t)
     # first snapshot: after the skip; second: after termination
@@ -209,11 +210,20 @@ def test_bot_on_skip_has_two_snapshots():
 
 def test_bot_traces_equal_iff_states_equal():
     p = parse_program("load x, 3\nskip")
-    a = trace_degenerate(p, state(p, {3: 1}), "bot")
-    b = trace_degenerate(p, state(p, {3: 1}), "bot")
-    c = trace_degenerate(p, state(p, {3: 2}), "bot")
+    a = trace_degenerate(p, state(p, {3: 1}))
+    b = trace_degenerate(p, state(p, {3: 1}))
+    c = trace_degenerate(p, state(p, {3: 2}))
     assert a == b
     assert a != c
+
+
+def test_bot_inf_lists_each_snapshot_addr_zero_or_not():
+    # skip touches no cell; each domain cell is listed in every snapshot
+    # with the state's own value, zero or not
+    p = parse_program("skip")
+    dom = StateDomain(modulus=16, vary=((7, 0, 1),))
+    traces = [contract_trace(BOT_INF, p, s, snapshot_addrs=dom.addresses) for s in dom.initial_states(p)]
+    assert [[mem for _, (_, mem) in t] for t in traces] == [[((7, 0),)] * 2, [((7, 1),)] * 2]
 
 
 # -- contract identifiers -----------------------------------------------------

@@ -1,6 +1,10 @@
-"""Static hygiene: every import in src/muspec and in tests/ is used, and every
-module-level name src/muspec defines is referenced in src/, tests/ or bench/."""
+"""Static hygiene: every import in src/muspec and in tests/ is used, every
+module-level name src/muspec defines is referenced in src/, tests/ or bench/,
+and every name a src/muspec docstring or comment cites is defined there."""
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -152,3 +156,67 @@ def test_no_unused_parameters_in_package():
     # the allowlist names only methods that leave a parameter unread
     stale = {name: fns - functions[name] for name, fns in PROTOCOL_METHODS.items()}
     assert not any(stale.values()), stale
+
+
+# ``name`` or ``module.name`` in a docstring or comment
+CITED = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
+# uAsm words the docs cite as code, not Python names
+UASM_WORDS = {"jmp", "ite"}
+
+
+def _docs(source: str, tree: ast.Module):
+    """Each comment and docstring of ``source`` with its first line."""
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            yield tok.start[0], tok.string
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = node.body[0] if node.body else None
+            if isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant) and isinstance(doc.value.value, str):
+                yield doc.lineno, doc.value.value
+
+
+def _bound_names(tree: ast.Module) -> set:
+    """Every function, class, parameter, variable and attribute the module
+    binds, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def _stale_citations(sources: dict) -> list:
+    """``file:line name`` for each cited name, or part of a dotted one, that
+    no module of ``sources`` (file name -> text) binds and that is no module
+    name."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    known = UASM_WORDS | {"muspec"} | {Path(name).stem for name in sources}
+    known |= set().union(*map(_bound_names, trees.values()))
+    stale = []
+    for name, tree in trees.items():
+        for line, text in _docs(sources[name], tree):
+            for m in CITED.finditer(text):
+                if not known.issuperset(m.group(1).split(".")):
+                    stale.append((name, line + text.count("\n", 0, m.start()), m.group(1)))
+    return [f"{name}:{line} {cited}" for name, line, cited in sorted(stale)]
+
+
+def test_stale_citation_detector_flags_and_clears():
+    source = (
+        '"""Module, see ``b.f``."""\n'
+        "def f(x):\n"
+        '    """Runs ``x`` through\n    ``gone``, then ``jmp``."""\n'
+        "    return x  # ``y``: ``f``\n"
+    )
+    assert _stale_citations({"b.py": source}) == ["b.py:4 gone", "b.py:5 y"]
+
+
+def test_every_cited_name_is_defined_in_package():
+    assert _stale_citations({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}) == []

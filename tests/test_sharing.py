@@ -24,10 +24,9 @@ from muspec.contracts import (
     contract_trace,
     format_trace,
     relate,
-    state_snapshot,
 )
 from muspec.countermeasures import COUNTERMEASURES
-from muspec.isa import MAX_TERM_SIZE, PC, Deferred, parse_program
+from muspec.isa import MAX_TERM_SIZE, PC, parse_program
 from muspec.pipeline import DeadlockError, HwConfig, hw_run
 
 FUEL = 10_000
@@ -85,67 +84,16 @@ def test_with_mem_unwatches_and_with_regs_carries_the_watch():
     assert sigma.read_mem(7) == 3 and reads == {7: 3}  # the unwritten state still watches 7
 
 
-def test_state_snapshot_defers_what_its_run_has_not_logged():
-    # {16, 1, 5, 6} iterates 16 first as a set; the snapshot lists 1 first.
-    # The run has logged cell 1 and z's term, so they show their values;
-    # cells 5 and 6 and w's term are unlogged: they stay deferred, as the
-    # states that share the run differ there. Nothing is read or forced
-    plus_one = ("+", 16, 5, (1,))  # cell 5 plus 1
-    reads = {1: 2, plus_one: 5}
-    z, w = Deferred(plus_one, 5, reads), Deferred(6, 0, reads)
-    sigma = ArchState({PC: 0, "w": w, "z": z}, {16: 3, 1: 2, 5: 4}).watched(frozenset({1, 5, 6, 16}), reads)
-    regs, mem = state_snapshot(sigma, (5, 6, 16))
-    assert len(reads) == 2
-    assert regs == (("pc", 0), ("w", w), ("z", 5))
-    assert [a for a, _ in mem] == [1, 5, 6, 16] and mem[0] == (1, 2)
-    assert [(v.term, v.value) for _, v in mem[1:]] == [(5, 4), (6, 0), (16, 3)]
-
-
-def test_bot_inf_fills_each_state_from_one_seq_run(monkeypatch):
-    # skip reads nothing: one seq-arch run serves every state, and each
-    # fills in its own value of cell 7, listed in every snapshot, zero or not
-    skip = parse_program("skip")
-    dom = StateDomain(modulus=16, vary=((7, 0, 1),))
-    plain = [contract_trace(BOT_INF, skip, s, snapshot_addrs=dom.addresses) for s in dom.initial_states(skip)]
-    runs = _mode_runs(monkeypatch)
-    tracer = analysis._side(BOT_INF, {}, skip, dom, FUEL)
-    traces = [tracer(sigma) for sigma in dom.initial_states(skip)]
-    assert traces == plain and [(mode, window) for mode, window, *_ in runs] == [("seq", None)]
-    assert [t[0][1][1] for t in traces] == [((7, 0),), ((7, 1),)]
-
-
-def _bot_inf_fills(monkeypatch):
-    """Record the ``bot-inf`` runs snapshotted, and the values each filler
-    call is given."""
-    snapshotted, fills = [], []
-
-    def counted(steps, addrs, fn=contracts._snapshots):
-        snapshotted.append(steps)
-        terms, filled = fn(steps, addrs)
-
-        def counted_fill(values):
-            fills.append(values)
-            return filled(values)
-
-        return terms, counted_fill
-
-    monkeypatch.setattr(contracts, "_snapshots", counted)
-    return snapshotted, fills
-
-
 def test_a_lattice_batch_runs_nothing_for_bot_inf_or_top(monkeypatch):
-    # bot-inf observes the seq-arch run and top shows nothing, so neither
-    # makes a run of its own, through contract_trace or trace_degenerate:
-    # every run is a mode's shared one. bot-inf is only a key there, its
-    # seq run and the values of the cells its first step left watched, so
-    # no bot-inf listing is built and no trace is filled
+    # bot-inf is only a key there, its seq run and the values of the cells
+    # its first step left watched, and top shows nothing, so neither makes
+    # a run of its own, through contract_trace or trace_degenerate, and no
+    # bot-inf snapshot is built: every run is a mode's shared one
     runs = _mode_runs(monkeypatch)
     plain = _counting(monkeypatch, (contracts, "contract_trace"))
     degenerate = _counting(monkeypatch, (contracts, "trace_degenerate"))
-    snapshotted, fills = _bot_inf_fills(monkeypatch)
     check_lattice([parse_program("skip"), corpus.load("P2")], LATTICE_DOMAIN, 7)
     assert runs and not plain and not degenerate
-    assert not snapshotted and not fills
 
 
 # programs whose bot-inf classes have pairs: the first step stores over a
@@ -205,8 +153,26 @@ def test_a_bot_inf_key_raises_a_run_error_at_the_first_state(monkeypatch):
     assert runs == [("seq", None, p, next(LATTICE_DOMAIN.initial_states(p)))]
 
 
+def test_an_observed_bot_inf_runs_only_on_states_whose_key_class_has_a_pair(monkeypatch):
+    # relate observes a state only once its key class has a pair, so a
+    # check observing bot-inf makes its plain run on exactly those states:
+    # none of P1's, whose bot-inf classes are singletons, and each state of
+    # a program whose first step overwrites cell 7. Keyed on bot-inf, the
+    # check passes, so it walks the whole domain
+    degenerate = _counting(monkeypatch, (contracts, "trace_degenerate"))
+    observed = []
+    for p in (corpus.load("P1"), parse_program(BOT_INF_PAIRED[0])):
+        degenerate.clear()
+        assert analysis.decide(p, LATTICE_DOMAIN, [("bot-inf ~> bot-inf", BOT_INF, BOT_INF)])[0].ok
+        key = analysis._side(BOT_INF, {}, p, LATTICE_DOMAIN, FUEL, as_key=True)
+        paired = sorted(i for c in _partition(key, p, LATTICE_DOMAIN) if len(c) > 1 for i in c)
+        assert sorted(LATTICE_DOMAIN.position(args[1]) for args in degenerate) == paired, str(p)
+        observed.append(len(paired))
+    assert observed == [0, LATTICE_DOMAIN.size()]
+
+
 def test_bot_inf_witness_traces_are_the_plain_traces():
-    # bot-inf is the observed side, so the witness holds its filled traces
+    # bot-inf is the observed side, so the witness holds its traces
     programs = [corpus.load(n) for n in corpus.program_names()]
     dom = StateDomain(modulus=16, vary=((7, 0, 3), (9, 0, 3)))
     w = contract_stronger_test(BOT_INF, SEQ_CT, programs, dom)
@@ -260,9 +226,10 @@ def test_shared_tracer_equals_plain_run_on_every_state(monkeypatch, vary):
             branched += len(runs) - before > 1
     # sharing happened, and so did runs that the read values told apart
     assert sum(shared_runs.values()) < sum(states.values()) and branched
-    # a ct contract runs its arch contract, bot-inf observes the seq-arch
-    # run, and top runs nothing
-    assert shared_runs[SEQ_CT] == shared_runs[SEQ_ARCH] == shared_runs[BOT_INF] < states[BOT_INF], shared_runs
+    # a ct contract runs its arch contract, an observed bot-inf makes a
+    # plain run per state, and top runs nothing
+    assert shared_runs[SEQ_CT] == shared_runs[SEQ_ARCH] < states[SEQ_CT], shared_runs
+    assert shared_runs[BOT_INF] == states[BOT_INF], shared_runs
     assert shared_runs[TOP] == 0, shared_runs
     assert shared_runs[SPEC_CT] == shared_runs[SPEC_ARCH], shared_runs
 
@@ -522,7 +489,7 @@ def _differential_checks(policy, buffer_size):
         ("ni[hw:none]", policy, none),
         ("wsni[spec-ct]", SEQ_ARCH, spec_ct),
         ("sni[spec-ct]", (policy, SEQ_CT), spec_ct),
-        # sides that build a fresh object on every call: bot-inf's filled
+        # sides that build a fresh object on every call: bot-inf's plain
         # trace, a policy fingerprint and a tuple
         ("seq-ct ~> bot-inf", SEQ_CT, BOT_INF),
         ("top ~> low", TOP, policy),
